@@ -4,8 +4,9 @@ Each row of the affinity matrix solves a simplex-constrained quadratic
 over the k nearest candidates; the per-row scale and shift follow from
 the KKT conditions, so generic rows carry exactly k positive weights
 summing to one. Candidate search is exact: a blocked full pairwise scan
-for small inputs, and a cell-pruned search (triangle-inequality bounds)
-that returns the same neighbors for large ones.
+for small inputs, and for large ones a filter-and-refine search (kd-tree
+over a principal-direction projection, whose distances bound the true
+ones from below) that returns the same neighbors.
 """
 
 from __future__ import annotations
@@ -14,6 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
+
+# Inputs up to this many rows are scanned in full; above it the projected
+# filter-and-refine search runs on blocks of _REFINE_BLOCK rows, in a
+# space of _PROJ_RANK principal directions. A block whose candidate balls
+# hold more than _REFINE_BUDGET pair coordinates is scanned instead, which
+# bounds the refine step's memory where the projection prunes poorly (the
+# budget is about the size of one scanned block at n = 8000).
+_SCAN_MAX_N = 1500
+_PROJ_RANK = 8
+_REFINE_BLOCK = 1024
+_REFINE_BUDGET = 1 << 23
 
 
 class AffinityError(Exception):
@@ -90,20 +102,6 @@ def pairwise_distance(h_i, h_j, f_i=None, f_j=None, beta: float = 0.0) -> float:
     return d
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at zero."""
-    sq_a = np.einsum("ij,ij->i", A, A)
-    sq_b = np.einsum("ij,ij->i", B, B)
-    return _sq_dists_pre(A, sq_a, B, sq_b)
-
-
-def _sq_dists_pre(A, sq_a, B, sq_b) -> np.ndarray:
-    """Same as _sq_dists with precomputed squared norms."""
-    D = sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T)
-    np.maximum(D, 0.0, out=D)
-    return D
-
-
 def _select_rows(D: np.ndarray, cand: np.ndarray, k1: int):
     """Pick the k1 smallest entries per row of D with (value, index) order.
 
@@ -151,140 +149,104 @@ def _select_rows(D: np.ndarray, cand: np.ndarray, k1: int):
     return idx_out, dist_out
 
 
+def _scan_block(X: np.ndarray, sq: np.ndarray, s: int, e: int, k1: int):
+    """Exact k1-nearest candidates of rows s:e against all rows of X."""
+    D = sq[s:e, None] + sq[None, :] - 2.0 * (X[s:e] @ X.T)
+    np.maximum(D, 0.0, out=D)
+    D[np.arange(e - s), np.arange(s, e)] = np.inf
+    return _select_rows(D, np.arange(X.shape[0], dtype=np.int64), k1)
+
+
 def _knn_scan(X: np.ndarray, k: int, block: int = 2048):
     """Exact (k+1)-nearest candidates by blocked full pairwise scan."""
     n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)
     idx = np.empty((n, k + 1), dtype=np.int64)
     dist = np.empty((n, k + 1), dtype=np.float64)
-    cand = np.arange(n, dtype=np.int64)
     for s in range(0, n, block):
         e = min(n, s + block)
-        D = sq[s:e, None] + sq[None, :] - 2.0 * (X[s:e] @ X.T)
-        np.maximum(D, 0.0, out=D)
-        D[np.arange(e - s), np.arange(s, e)] = np.inf
-        idx[s:e], dist[s:e] = _select_rows(D, cand, k + 1)
+        idx[s:e], dist[s:e] = _scan_block(X, sq, s, e, k + 1)
     return idx, dist
 
 
-def _lloyd_cells(X: np.ndarray, m: int, iters: int = 3):
-    """Deterministic coarse clustering used only to prune the kNN search."""
-    n = X.shape[0]
-    rng = np.random.default_rng(0)
-    centers = X[rng.choice(n, size=m, replace=False)].copy()
-    assign = None
-    for _ in range(iters):
-        D = _sq_dists(X, centers)
-        assign = np.argmin(D, axis=1)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assign, X)
-        counts = np.bincount(assign, minlength=m)
-        filled = counts > 0
-        centers[filled] = sums[filled] / counts[filled, None]
-    D = _sq_dists(X, centers)
-    assign = np.argmin(D, axis=1)
-    return centers, assign, D
+def _knn_projected(X: np.ndarray, k: int):
+    """Exact (k+1)-nearest candidates by projected filter-and-refine.
 
-
-def _subspace_bounds(V: np.ndarray, assign: np.ndarray, m: int) -> np.ndarray:
-    """Per-point lower bounds to each cell within one subspace.
-
-    Returns an (n, m) matrix of max(0, |v - center_c| - radius_c) where the
-    center and radius are computed over the cell members' rows of V. Any
-    member j of cell c satisfies |v - v_j| >= that bound.
+    An orthonormal projection P never lengthens a difference,
+    |P(x - y)| <= |x - y|, so distances among the rows projected onto the
+    top principal directions bound the true ones from below (GEMINI
+    lower bounding; exactness does not depend on how good the directions
+    are). Per block of rows, the k+2 nearest projected points give an
+    upper bound tau on each row's (k+1)-th true distance; the projected
+    ball of radius sqrt(tau), plus a rounding margin, then holds every
+    point within tau, whole tie groups included, and exact distances on
+    those pairs decide (optimal multi-step kNN, Seidl & Kriegel 1998).
+    A block whose balls exceed ``_REFINE_BUDGET`` pair coordinates (high
+    intrinsic dimension) is scanned instead and ranked as ``_knn_scan``
+    ranks it.
     """
-    n = V.shape[0]
-    centers = np.zeros((m, V.shape[1]))
-    np.add.at(centers, assign, V)
-    counts = np.bincount(assign, minlength=m)
-    filled = counts > 0
-    centers[filled] /= counts[filled, None]
-    dist = np.sqrt(_sq_dists(V, centers))
-    radius = np.zeros(m)
-    np.maximum.at(radius, assign, dist[np.arange(n), assign])
-    return np.maximum(dist - radius[None, :], 0.0)
+    # imported here: scipy.spatial costs ~6 MiB that small inputs never need
+    from scipy.spatial import cKDTree
 
-
-def _knn_pruned(X: np.ndarray, k: int, split_dim: int | None = None):
-    """Exact (k+1)-nearest candidates via cell pruning.
-
-    Points are bucketed into coarse cells; for each query group the search
-    first scans enough nearby cells to bound the (k+1)-th distance, then
-    visits every remaining cell whose lower bound does not exceed that
-    bound. Results match the full scan.
-
-    When the metric is a sum over two blocks of coordinates (the
-    representation part and the scaled assignment part), ``split_dim``
-    marks the boundary: cells are formed on the first block, whose
-    geometry is stable, and the lower bound adds the per-subspace bounds,
-    which stays valid for the summed metric.
-    """
-    n = X.shape[0]
-    m = int(np.clip(n // 20, 8, 512))
-    cell_space = X[:, :split_dim] if split_dim else X
-    _, assign, _ = _lloyd_cells(cell_space, m)
+    n, d = X.shape
+    Xc = X - X.mean(axis=0)
+    C = Xc.T @ Xc
+    if not np.isfinite(C).all():
+        raise AffinityError("candidate distances are not finite (feature overflow?)")
+    Z = Xc @ np.linalg.eigh(C)[1][:, -_PROJ_RANK:]
+    tree = cKDTree(Z)
     sq = np.einsum("ij,ij->i", X, X)
-    members_of = [np.nonzero(assign == c)[0] for c in range(m)]
-    if split_dim:
-        lb = (_subspace_bounds(X[:, :split_dim], assign, m) ** 2
-              + _subspace_bounds(X[:, split_dim:], assign, m) ** 2)
-    else:
-        lb = _subspace_bounds(X, assign, m) ** 2
+    norm_max = np.sqrt(sq.max())
     idx = np.empty((n, k + 1), dtype=np.int64)
     dist = np.empty((n, k + 1), dtype=np.float64)
-    for c in range(m):
-        Q = members_of[c]
-        if Q.size == 0:
+    for s in range(0, n, _REFINE_BLOCK):
+        e = min(n, s + _REFINE_BLOCK)
+        rows = np.arange(s, e)
+        _, cand = tree.query(Z[s:e], k=k + 2)
+        diff = X[cand]
+        diff -= X[s:e, None, :]
+        diff *= diff
+        D0 = diff.sum(axis=2)
+        D0[cand == rows[:, None]] = np.inf
+        bound = np.sqrt(np.partition(D0, k, axis=1)[:, k])
+        # rounding in the projection grows with |x|
+        radius = bound + 1e-9 * (bound + norm_max)
+        counts = tree.query_ball_point(Z[s:e], radius, return_length=True)
+        if counts.sum() * d > _REFINE_BUDGET:
+            idx[s:e], dist[s:e] = _scan_block(X, sq, s, e, k + 1)
             continue
-        group_lb = lb[Q].min(axis=0)
-        order = np.argsort(group_lb, kind="stable")
-        first, total = [], 0
-        for cell in order:
-            first.append(cell)
-            total += members_of[cell].size
-            if total >= k + 2:
-                break
-        if total < k + 2:
-            raise AffinityError(f"need {k + 1} candidates, have {n - 1}")
-        in_first = np.zeros(m, dtype=bool)
-        in_first[first] = True
-        cand1 = np.concatenate([members_of[cell] for cell in first])
-        D1 = _sq_dists_pre(X[Q], sq[Q], X[cand1], sq[cand1])
-        D1[Q[:, None] == cand1[None, :]] = np.inf
-        tau = np.partition(D1, k, axis=1)[:, k]
-        needed = (lb[Q] <= tau[:, None]).any(axis=0) & ~in_first
-        extra = np.nonzero(needed)[0]
-        if extra.size:
-            cand2 = np.concatenate([members_of[cell] for cell in extra])
-            D2 = _sq_dists_pre(X[Q], sq[Q], X[cand2], sq[cand2])
-            D2[Q[:, None] == cand2[None, :]] = np.inf
-            D = np.hstack([D1, D2])
-            cand = np.concatenate([cand1, cand2])
-        else:
-            D, cand = D1, cand1
-        idx[Q], dist[Q] = _select_rows(D, cand, k + 1)
+        cols = np.concatenate(tree.query_ball_point(Z[s:e], radius))
+        rows = np.repeat(rows, counts)
+        keep = cols != rows
+        rows, cols = rows[keep], cols[keep]
+        diff = X[rows]
+        diff -= X[cols]
+        diff *= diff
+        dr = diff.sum(axis=1)
+        order = np.lexsort((cols, dr, rows))
+        # each ball holds its own row once; the rest are >= k+1 candidates
+        start = np.cumsum(counts - 1) - (counts - 1)
+        take = order[start[:, None] + np.arange(k + 1)]
+        idx[s:e], dist[s:e] = cols[take], dr[take]
     return idx, dist
 
 
-def nearest_candidates(X: np.ndarray, k: int, method: str = "auto",
-                       split_dim: int | None = None):
+def nearest_candidates(X: np.ndarray, k: int):
     """(k+1)-nearest neighbor search behind ``build_affinity``.
 
     Candidates are sorted ascending by squared distance; exact ties break
-    toward the lower node index. Self matches are excluded. ``split_dim``
-    is forwarded to the pruned search (two-block metric bounds).
+    toward the lower node index. Self matches are excluded. Inputs of at
+    most ``_SCAN_MAX_N`` rows are scanned in full; larger ones go through
+    the projected filter-and-refine search, which returns the same
+    neighbors.
     """
     n = X.shape[0]
     if k + 1 > n - 1:
         raise AffinityError(f"need k+1={k + 1} candidates, have {n - 1}")
-    if method == "auto":
-        method = "pruned" if n > 1500 else "scan"
-    if method == "scan":
+    if n <= _SCAN_MAX_N:
         idx, dist = _knn_scan(X, k)
-    elif method == "pruned":
-        idx, dist = _knn_pruned(X, k, split_dim=split_dim)
     else:
-        raise AffinityError(f"unknown search method {method!r}")
+        idx, dist = _knn_projected(X, k)
     if not np.isfinite(dist).all():
         raise AffinityError("candidate distances are not finite (feature overflow?)")
     return idx, dist
@@ -329,7 +291,7 @@ def solve_affinity_row(d_row: np.ndarray, alpha_i: float, lambda_i: float) -> np
 
 
 def build_affinity(H: np.ndarray, Y: np.ndarray | None = None, beta: float = 0.0,
-                   k: int = 10, method: str = "auto") -> AffinityMatrix:
+                   k: int = 10) -> AffinityMatrix:
     """Row-stochastic k-sparse affinity from representations H (and Y).
 
     The candidate metric is |h_i - h_j|^2 + beta |y_i - y_j|^2, realized as
@@ -348,11 +310,9 @@ def build_affinity(H: np.ndarray, Y: np.ndarray | None = None, beta: float = 0.0
         if Y.shape[0] != H.shape[0]:
             raise AffinityError("H and Y row counts differ")
         X = np.hstack([H, np.sqrt(beta) * Y])
-        split = H.shape[1]
     else:
         X = H
-        split = None
-    idx, dist = nearest_candidates(X, k, method=method, split_dim=split)
+    idx, dist = nearest_candidates(X, k)
     alpha, alphas, lambdas = compute_alpha(dist, k)
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.maximum(

@@ -43,6 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _limit_threads() -> None:
+    """Cap BLAS threads at $SCHOOL_THREADS; warn when that cannot be done."""
     cap = os.environ.get("SCHOOL_THREADS")
     if not cap:
         return
@@ -50,8 +51,13 @@ def _limit_threads() -> None:
         import threadpoolctl
 
         threadpoolctl.threadpool_limits(limits=int(cap))
-    except (ImportError, ValueError):
-        pass
+    except ImportError:
+        print("warning: SCHOOL_THREADS is ignored: threadpoolctl is not "
+              "installed (set OMP_NUM_THREADS/OPENBLAS_NUM_THREADS before "
+              "start-up instead)", file=sys.stderr)
+    except ValueError:
+        print(f"warning: SCHOOL_THREADS={cap!r} is not an integer; ignored",
+              file=sys.stderr)
 
 
 def _hash_inputs(paths: list[str]) -> str:
@@ -135,7 +141,7 @@ def _forward_representations(stack: EncoderStack, g, nb, cfg: TrainConfig):
 
     H, _ = stack.g_phi.forward(g.features[stack.target_type])
     assign, _ = cluster_assign(stack.p_phi, H)
-    S = aff.build_affinity(H, assign.Y, beta=cfg.beta, k=cfg.k, method=cfg.knn_method)
+    S = aff.build_affinity(H, assign.Y, beta=cfg.beta, k=cfg.k)
     Z = aff.propagate(S, H)
     Zt, _ = hetero_encode(stack, g, nb)
     return H, assign, S, Z, Zt
@@ -191,7 +197,7 @@ def _load_checkpoint(path: str):
     if not os.path.isfile(path):
         raise GraphFormatError(f"missing checkpoint: {path}")
     stack, config_json = EncoderStack.load(path)
-    cfg = TrainConfig(**json.loads(config_json))
+    cfg = TrainConfig.from_dict(json.loads(config_json))
     return stack, cfg
 
 
@@ -254,7 +260,7 @@ def _parse_grid(text: str) -> list[float]:
 def _run_sweep_cell(packed) -> tuple:
     """One sweep cell as a standalone unit (usable from a worker process)."""
     i, data_dir, cell_dir, cfg_dict = packed
-    cell_cfg = TrainConfig(**cfg_dict)
+    cell_cfg = TrainConfig.from_dict(cfg_dict)
     g = load_graph(data_dir)
     nb = build_neighborhoods(g)
     os.makedirs(cell_dir, exist_ok=True)

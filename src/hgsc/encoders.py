@@ -36,14 +36,14 @@ def scaled_uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> 
 class DenseLayer:
     """Affine map with an activation tag; gradients accumulate in gw/gb.
 
-    Activations: "relu", "none", or "softplus". The cluster head stays
+    Activations: "relu" or "none". The cluster head stays
     linear: a relu there can zero out a whole column of the assignment
     matrix and make the QR step rank deficient.
     """
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "relu",
                  rng: np.random.Generator | None = None):
-        if activation not in ("relu", "none", "softplus"):
+        if activation not in ("relu", "none"):
             raise EncoderConfigError(f"unknown activation {activation!r}")
         rng = rng or np.random.default_rng(0)
         self.W = scaled_uniform_init(rng, in_dim, out_dim)
@@ -68,8 +68,6 @@ class DenseLayer:
         Z = X @ self.W + self.b
         if self.activation == "relu":
             out = np.maximum(Z, 0.0)
-        elif self.activation == "softplus":
-            out = np.logaddexp(0.0, Z)
         else:
             out = Z
         return out, (X, Z)
@@ -81,8 +79,6 @@ class DenseLayer:
                 f"upstream gradient shape {grad_out.shape} != output {Z.shape}")
         if self.activation == "relu":
             g = grad_out * (Z > 0.0)
-        elif self.activation == "softplus":
-            g = grad_out / (1.0 + np.exp(-Z))
         else:
             g = grad_out
         self.gw += X.T @ g
@@ -333,8 +329,3 @@ def hetero_backward(stack: EncoderStack, cache, grad_Zt: np.ndarray) -> None:
         grad_F[nbr_type] += A.T @ g_concat[:, d1:]
     for t, gF in grad_F.items():
         stack.f_theta[t].backward(proj[t][1], gF)
-
-
-def project(q_head: DenseLayer, M: np.ndarray):
-    """Shared projection head applied to one representation matrix."""
-    return q_head.forward(M)

@@ -51,7 +51,6 @@ class TrainConfig:
     rebuild_period: int = 1
     grad_clip: float = 5.0
     cc_pool_grad: bool = True
-    knn_method: str = "auto"
 
     def validate(self) -> None:
         if self.c < 1:
@@ -74,22 +73,38 @@ class TrainConfig:
                 fh.write(f"{k}\t{v}\n")
 
     @classmethod
+    def from_dict(cls, values: dict) -> "TrainConfig":
+        """Validated config from a key/value mapping (a TSV file, the JSON
+        stored in a checkpoint, a sweep cell).
+
+        The retired key ``knn_method`` is dropped: it chose between
+        candidate searches that all returned the same exact neighbors. Any
+        other unknown key, a missing ``c`` or an invalid value is a
+        ValueError.
+        """
+        values = {k: v for k, v in values.items() if k != "knn_method"}
+        for key in values:
+            if key not in cls.__dataclass_fields__:
+                raise ValueError(f"unknown config key {key!r}")
+        try:
+            cfg = cls(**values)
+        except TypeError as e:
+            raise ValueError(f"incomplete config: {e}") from e
+        cfg.validate()
+        return cfg
+
+    @classmethod
     def from_tsv(cls, path: str) -> "TrainConfig":
-        fields = {f.name: f.type for f in cls.__dataclass_fields__.values()}
-        kwargs = {}
+        values = {}
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 key, val = line.split("\t")
-                if key not in cls.__dataclass_fields__:
-                    raise ValueError(f"unknown config key {key!r}")
-                kwargs[key] = _parse_field(key, val)
-        del fields
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+                known = key in cls.__dataclass_fields__
+                values[key] = _parse_field(key, val) if known else val
+        return cls.from_dict(values)
 
 
 def _parse_field(key: str, val: str):
@@ -249,7 +264,7 @@ def rebuild_affinity(stack: EncoderStack, g: HeteroGraph, cfg: TrainConfig,
     if Y is None and cfg.beta != 0.0:
         assign, _ = cluster_assign(stack.p_phi, H)
         Y = assign.Y
-    return aff.build_affinity(H, Y, beta=cfg.beta, k=cfg.k, method=cfg.knn_method)
+    return aff.build_affinity(H, Y, beta=cfg.beta, k=cfg.k)
 
 
 def _project_out_scale_modes(stack: EncoderStack,
@@ -260,11 +275,10 @@ def _project_out_scale_modes(stack: EncoderStack,
     the true objective is exactly flat along the per-column scale modes of
     the head. The frozen-factor backward still produces a large spurious
     component in those directions; removing it before the adaptive update
-    leaves only directions the objective actually depends on. Valid for
-    positively homogeneous head activations.
+    leaves only directions the objective actually depends on. Valid
+    because every layer activation (relu or none) is positively
+    homogeneous.
     """
-    if stack.p_phi.activation not in ("relu", "none"):
-        return
     gw = grads.get("p_phi.W")
     gb = grads.get("p_phi.b")
     if gw is None or gb is None:
@@ -287,11 +301,10 @@ def _stabilize_assignment_head(stack: EncoderStack, P: np.ndarray) -> None:
     factor absorbs it), but the frozen-factor gradient steadily shrinks P
     itself until relu units die. Renormalizing each column of the head to
     unit RMS output leaves every model quantity unchanged while keeping
-    the parametrization healthy. Only valid for positively homogeneous
-    activations, where scaling (W, b) scales the output exactly.
+    the parametrization healthy. Valid because every layer activation
+    (relu or none) is positively homogeneous: scaling (W, b) scales the
+    output exactly.
     """
-    if stack.p_phi.activation not in ("relu", "none"):
-        return
     norms = np.sqrt((P * P).mean(axis=0))
     for j, s in enumerate(norms):
         if np.isfinite(s) and 1e-12 < s and (s < 0.5 or s > 2.0):
@@ -313,10 +326,7 @@ def train_epoch(state: TrainState, g: HeteroGraph, nb: RelationNeighborhood,
             raise NumericalDivergence(term, state.epoch)
     state.last_Y = stepper._cache["assign"].Y.copy()
     Z_p = stepper._cache["c_p"][1]
-    if stack.p_phi.activation == "softplus":
-        P_pre = np.logaddexp(0.0, Z_p)
-    else:
-        P_pre = np.maximum(Z_p, 0.0)
+    P_pre = np.maximum(Z_p, 0.0)
     grads = stepper.backward()
     _project_out_scale_modes(stack, grads)
     clip_gradients(grads, cfg.grad_clip)

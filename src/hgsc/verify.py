@@ -156,7 +156,7 @@ def ratiocut_check(W: np.ndarray, partition: list[list[int]]):
 def _relu_margin(stepper) -> float:
     """Smallest |pre-activation| across cached relu layers of the last forward.
 
-    The cluster head is softplus (smooth), so it is excluded.
+    The cluster head is linear (no kink), so it is excluded.
     """
     cache = stepper._cache
     margins = []

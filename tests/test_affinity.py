@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hgsc.affinity as aff
 from hgsc.affinity import (AffinityError, AffinityMatrix, build_affinity,
                            compute_alpha, laplacian, nearest_candidates,
                            pairwise_distance, propagate, solve_affinity_row)
@@ -298,32 +299,85 @@ def test_propagate_dim_mismatch():
 
 # ------------------------------------------------------- candidate search
 
-def test_pruned_search_matches_scan():
-    # Exact duplicates produce distance ties at float rounding level, where
-    # the two paths may legitimately order a tie group differently; rows are
-    # compared up to such ties via exactly recomputed distances.
+def _search_case(rng, kind, n, d):
+    if kind == 0:
+        return rng.standard_normal((n, d))
+    if kind == 1:  # clustered
+        centers = 6.0 * rng.standard_normal((4, d))
+        return centers[rng.integers(4, size=n)] + rng.standard_normal((n, d))
+    if kind == 2:  # heavy duplicates
+        base = rng.standard_normal((max(4, n // 6), d))
+        return base[rng.integers(base.shape[0], size=n)]
+    if kind == 3:  # quantized coordinates: exact distance ties
+        return rng.integers(0, 3, size=(n, d)).astype(float)
+    if kind == 4:  # far from the origin: rounding grows with |x|
+        return rng.standard_normal((n, d)) + 1e3
+    H = rng.standard_normal((n, d))  # two-block metric [H, sqrt(beta) Y]
+    return np.hstack([H, np.sqrt(5.0) * rng.random((n, 3))])
+
+
+def test_projected_search_matches_brute_force():
+    # The refine step measures distances by direct subtraction, as the
+    # oracle does, and a ball query returns whole tie groups, so indices
+    # match exactly, ties included.
     rng = np.random.default_rng(23)
     for trial in range(12):
-        n = int(rng.integers(60, 400))
+        n = int(rng.integers(60, 250))
         d = int(rng.integers(2, 12))
-        kind = trial % 3
-        if kind == 0:
-            X = rng.standard_normal((n, d))
-        elif kind == 1:  # clustered
-            centers = 6.0 * rng.standard_normal((4, d))
-            X = centers[rng.integers(4, size=n)] + rng.standard_normal((n, d))
-        else:  # heavy duplicates
-            base = rng.standard_normal((max(4, n // 6), d))
-            X = base[rng.integers(base.shape[0], size=n)]
+        X = _search_case(rng, trial % 6, n, d)
         k = int(rng.integers(1, 8))
-        i1, d1 = nearest_candidates(X, k, method="scan")
-        i2, d2 = nearest_candidates(X, k, method="pruned")
-        assert np.allclose(d1, d2, atol=1e-10)
-        diff_rows = np.nonzero((i1 != i2).any(axis=1))[0]
-        for r in diff_rows:
-            t1 = ((X[r] - X[i1[r]]) ** 2).sum(axis=1)
-            t2 = ((X[r] - X[i2[r]]) ** 2).sum(axis=1)
-            assert np.allclose(t1, t2, atol=1e-10)
+        idx, dist = aff._knn_projected(X, k)
+        idx_o, dist_o = brute_force_knn(X, k)
+        assert np.array_equal(idx, idx_o)
+        assert np.abs(dist - dist_o).max() <= 1e-10
+
+
+def test_projected_search_fallback_keeps_tie_rule(monkeypatch):
+    # with no refine budget every block is scanned instead
+    monkeypatch.setattr(aff, "_REFINE_BUDGET", 0)
+    rng = np.random.default_rng(29)
+    for kind in (2, 3):
+        X = _search_case(rng, kind, 90, 3)
+        idx, dist = aff._knn_projected(X, 4)
+        idx_o, dist_o = brute_force_knn(X, 4)
+        assert np.array_equal(idx, idx_o)
+        assert np.abs(dist - dist_o).max() <= 1e-10
+
+
+def test_two_block_affinity_above_scan_size_matches_scan():
+    rng = np.random.default_rng(37)
+    n, k = 1600, 6
+    assert n > aff._SCAN_MAX_N
+    centers = 5.0 * rng.standard_normal((3, 4))
+    H = centers[rng.integers(3, size=n)] + rng.standard_normal((n, 4))
+    Y = rng.random((n, 3))
+    S = build_affinity(H, Y, beta=5.0, k=k)
+    X = np.hstack([H, np.sqrt(5.0) * Y])
+    idx_s, dist_s = aff._knn_scan(X, k)
+    idx, dist = nearest_candidates(X, k)
+    assert np.array_equal(idx, idx_s)
+    assert np.abs(dist - dist_s).max() <= 1e-10
+    assert np.array_equal(S.indices, idx_s[:, :k])
+
+
+def test_isotropic_high_dim_search_falls_back_and_matches_scan(monkeypatch):
+    # eight projected directions bound 48 isotropic ones poorly: the balls
+    # would hold nearly all pairs, so blocks are scanned instead
+    scanned = []
+    scan_block = aff._scan_block
+
+    def spy(X, sq, s, e, k1):
+        scanned.append((s, e))
+        return scan_block(X, sq, s, e, k1)
+
+    monkeypatch.setattr(aff, "_scan_block", spy)
+    X = np.random.default_rng(41).standard_normal((2000, 48))
+    idx, dist = nearest_candidates(X, 5)
+    assert scanned
+    monkeypatch.setattr(aff, "_scan_block", scan_block)
+    idx_s, dist_s = aff._knn_scan(X, 5)
+    assert np.array_equal(idx, idx_s)
+    assert np.abs(dist - dist_s).max() <= 1e-10
 
 
 def test_scan_matches_brute_force_with_ties():
@@ -333,7 +387,7 @@ def test_scan_matches_brute_force_with_ties():
         # quantized coordinates force exact distance ties
         X = rng.integers(0, 3, size=(n, 2)).astype(float)
         k = int(rng.integers(1, n - 2))
-        idx, dist = nearest_candidates(X, k, method="scan")
+        idx, dist = nearest_candidates(X, k)  # n <= 1500: full scan
         idx_o, dist_o = brute_force_knn(X, k)
         assert np.array_equal(idx, idx_o)
         assert np.allclose(dist, dist_o)

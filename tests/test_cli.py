@@ -1,3 +1,5 @@
+import builtins
+import json
 import os
 
 import numpy as np
@@ -121,6 +123,57 @@ def test_eval_checkpoint_mismatch(tmp_path, dataset, synth_spec_file):
     assert cli.main(["prepare", "--source", str(spec_path), "--out", other]) == 0
     rc = cli.main(["eval", "--data", other, "--checkpoint", checkpoint_path(run)])
     assert rc == cli.EXIT_USAGE
+
+
+def _rewrite_checkpoint_config(path, **changes):
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    cfg = json.loads(str(arrays["config_json"]))
+    cfg.update(changes)
+    arrays["config_json"] = np.array(json.dumps(cfg))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def test_eval_accepts_retired_knn_method_key(tmp_path, dataset):
+    run = str(tmp_path / "run")
+    assert cli.main(train_args(dataset, run)) == 0
+    ckpt = checkpoint_path(run)
+    _rewrite_checkpoint_config(ckpt, knn_method="pruned")
+    out = str(tmp_path / "eval")
+    assert cli.main(["eval", "--data", dataset, "--checkpoint", ckpt,
+                     "--out", out]) == 0
+    assert os.path.isfile(os.path.join(out, "eval_report.tsv"))
+
+
+def test_eval_rejects_invalid_checkpoint_config(tmp_path, dataset, capsys):
+    run = str(tmp_path / "run")
+    assert cli.main(train_args(dataset, run)) == 0
+    ckpt = checkpoint_path(run)
+    _rewrite_checkpoint_config(ckpt, patience=0)
+    rc = cli.main(["eval", "--data", dataset, "--checkpoint", ckpt,
+                   "--out", str(tmp_path / "eval")])
+    assert rc == cli.EXIT_USAGE
+    assert "patience" in capsys.readouterr().err
+
+
+def test_school_threads_warns_without_threadpoolctl(monkeypatch, capsys):
+    real_import = builtins.__import__
+
+    def no_threadpoolctl(name, *args, **kwargs):
+        if name == "threadpoolctl":
+            raise ImportError(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", no_threadpoolctl)
+    monkeypatch.setenv("SCHOOL_THREADS", "1")
+    cli._limit_threads()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "SCHOOL_THREADS" in err and "threadpoolctl" in err
+    monkeypatch.delenv("SCHOOL_THREADS")
+    cli._limit_threads()
+    assert capsys.readouterr().err == ""
 
 
 def test_export_writes_files(tmp_path, dataset):

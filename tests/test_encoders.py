@@ -3,8 +3,7 @@ import pytest
 
 from hgsc.encoders import (DenseLayer, EncoderConfigError, EncoderStack,
                            RankDeficientError, cluster_assign, hetero_encode,
-                           hetero_backward, mlp_forward, orthogonal_layer,
-                           project)
+                           hetero_backward, mlp_forward, orthogonal_layer)
 from hgsc.graph import build_neighborhoods
 from hgsc.synth import SynthSpec, generate
 
@@ -216,12 +215,12 @@ def test_hetero_encode_missing_projection_is_config_error():
         hetero_encode(stack, g, nb)
 
 
-# ----------------------------------------------------------------- project
+# ------------------------------------------------ shared projection head
 
 def test_project_identity():
     M = np.abs(np.random.default_rng(5).standard_normal((6, 3)))
     q = make_layer(np.eye(3))
-    out, _ = project(q, M)
+    out, _ = q.forward(M)
     assert np.array_equal(out, M)
 
 
@@ -230,11 +229,11 @@ def test_project_shared_parameters():
     q = DenseLayer(3, 2, "relu", rng)
     A = np.abs(rng.standard_normal((4, 3)))
     B = np.abs(rng.standard_normal((4, 3)))
-    out_a, _ = project(q, A)
-    out_b, _ = project(q, B)
+    out_a, _ = q.forward(A)
+    out_b, _ = q.forward(B)
     q.W[0, 0] += 0.5
-    out_a2, _ = project(q, A)
-    out_b2, _ = project(q, B)
+    out_a2, _ = q.forward(A)
+    out_b2, _ = q.forward(B)
     assert not np.allclose(out_a, out_a2)
     assert not np.allclose(out_b, out_b2)
 
@@ -243,7 +242,7 @@ def test_project_matches_oracle():
     rng = np.random.default_rng(7)
     q = DenseLayer(4, 3, "none", rng)
     M = rng.standard_normal((5, 4))
-    out, _ = project(q, M)
+    out, _ = q.forward(M)
     assert np.abs(out - (M @ q.W + q.b)).max() < 1e-10
 
 

@@ -237,3 +237,23 @@ def test_config_validation():
         TrainConfig(c=2, mu=-1.0).validate()
     with pytest.raises(ValueError):
         TrainConfig(c=2, lr=-0.1).validate()
+
+
+def test_config_from_dict_drops_retired_key_and_rejects_unknown():
+    cfg = TrainConfig.from_dict({"c": 3, "k": 5, "knn_method": "pruned"})
+    assert cfg == TrainConfig(c=3, k=5)
+    with pytest.raises(ValueError):
+        TrainConfig.from_dict({"c": 3, "knn_metod": "scan"})
+    with pytest.raises(ValueError):
+        TrainConfig.from_dict({"k": 5})
+    with pytest.raises(ValueError):
+        TrainConfig.from_dict({"c": 3, "patience": 0})
+
+
+def test_config_tsv_with_retired_key_loads(tmp_path):
+    path = tmp_path / "cfg.tsv"
+    path.write_text("c\t2\nk\t4\nknn_method\tpruned\n")
+    assert TrainConfig.from_tsv(str(path)) == TrainConfig(c=2, k=4)
+    path.write_text("c\t2\nbogus\t1\n")
+    with pytest.raises(ValueError):
+        TrainConfig.from_tsv(str(path))
