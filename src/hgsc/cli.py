@@ -18,7 +18,8 @@ from dataclasses import dataclass, fields, asdict
 import numpy as np
 
 from . import affinity as aff
-from .encoders import EncoderStack, RankDeficientError, cluster_assign
+from .encoders import (EncoderConfigError, EncoderStack, RankDeficientError,
+                       cluster_assign)
 from .evaluation import EvalError, evaluate
 from .graph import (GraphFormatError, GraphValidationError, build_neighborhoods,
                     load_graph, save_graph)
@@ -408,8 +409,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphFormatError, GraphValidationError, EvalError, ValueError,
-            OSError) as e:
+    except (GraphFormatError, GraphValidationError, EvalError, EncoderConfigError,
+            ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericalDivergence, RankDeficientError, aff.AffinityError,

@@ -110,10 +110,10 @@ def mlp_backward(layers, caches, grad_out: np.ndarray) -> np.ndarray:
 def orthogonal_layer(P: np.ndarray):
     """Map P to Y = sqrt(n) P R^-1 with R from the QR factorization of P.
 
-    Y satisfies Y^T Y = n I and spans the same columns as P. R is
-    canonicalized to a positive diagonal. Raises ``RankDeficientError``
-    when the smallest singular value of P falls below 1e-8 times the
-    largest.
+    Y satisfies Y^T Y = n I and spans the same columns as P. The signs of
+    R's rows are chosen so that every column of Y has a nonnegative sum.
+    Raises ``RankDeficientError`` when the smallest singular value of P
+    falls below 1e-8 times the largest.
     """
     P = np.asarray(P, dtype=np.float64)
     n, c = P.shape
@@ -134,15 +134,23 @@ def orthogonal_layer(P: np.ndarray):
     return Y, R
 
 
-def orthogonal_from_factor(P: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Y = sqrt(n) P R^-1 with a fixed, externally supplied factor."""
+def orthogonal_backward(grad_Y: np.ndarray, P: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Exact gradient through P -> Y = sqrt(n) Q, where P = QR (thin QR).
+
+    ``R`` is the sign-canonicalized factor returned by ``orthogonal_layer``
+    for this P. Y depends only on the column space of P, so the result is
+    orthogonal to every column-scaling direction: d_P[:, j] . P[:, j] = 0.
+    The two c x c solves use numpy.linalg: numpy and scipy each load their
+    own OpenBLAS, and a scipy.linalg call made between numpy BLAS calls
+    measured ~2 ms against ~0.1 ms (n = 300, 2 cores, 2 BLAS threads).
+    """
     n = P.shape[0]
-    return np.sqrt(n) * solve_triangular(R, P.T, lower=False, trans="T").T
-
-
-def orthogonal_backward(grad_Y: np.ndarray, R: np.ndarray, n: int) -> np.ndarray:
-    """Gradient through P -> sqrt(n) P R^-1 with R held constant."""
-    return np.sqrt(n) * solve_triangular(R, grad_Y.T, lower=False).T
+    Q = np.linalg.solve(R.T, P.T).T  # P R^-1
+    G = np.sqrt(n) * grad_Y
+    B = G.T @ Q
+    low = np.tril(B, -1)
+    M = low + low.T + np.diag(np.diag(B))
+    return np.linalg.solve(R, (G - Q @ M).T).T  # (G - Q M) R^-T
 
 
 @dataclass
@@ -154,18 +162,13 @@ class ClusterAssignment:
     R: np.ndarray
 
 
-def cluster_assign(p_head: DenseLayer, H: np.ndarray, frozen_R: np.ndarray | None = None):
-    """Cluster assignment from representations: P = relu(p(H)), then QR.
+def cluster_assign(p_head: DenseLayer, H: np.ndarray):
+    """Cluster assignment from representations: P = p(H) (linear head), then QR.
 
-    Returns (ClusterAssignment, cache). ``frozen_R`` reuses a previous
-    factor instead of refactorizing, for gradient checking.
+    Returns (ClusterAssignment, cache).
     """
     P, cache = p_head.forward(H)
-    if frozen_R is not None:
-        Y = orthogonal_from_factor(P, frozen_R)
-        R = frozen_R
-    else:
-        Y, R = orthogonal_layer(P)
+    Y, R = orthogonal_layer(P)
     yhat = np.argmax(Y, axis=1)
     return ClusterAssignment(Y=Y, yhat=yhat, R=R), cache
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import AffinityMatrix, laplacian
+from .affinity import AffinityMatrix
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +54,8 @@ def spectral_loss(S: AffinityMatrix, Y: np.ndarray, gamma: float):
     """Affinity-weighted assignment smoothness minus entropy regularizer.
 
     value = (1/n^2) sum_ij s_ij |y_i - y_j|^2 - gamma H(Y). The first term
-    equals (2/n^2) Tr(Y^T L_S Y); the gradient uses that form.
+    equals (2/n^2) Tr(Y^T L Y) with L = D - (S + S^T)/2, so its gradient is
+    (4/n^2) L Y, applied here without building L.
     Returns (value, grad_Y, entropy).
     """
     Y = np.asarray(Y, dtype=np.float64)
@@ -63,8 +64,10 @@ def spectral_loss(S: AffinityMatrix, Y: np.ndarray, gamma: float):
         raise ValueError(f"Y has {Y.shape[0]} rows, affinity is over {n} nodes")
     diff = Y[:, None, :] - Y[S.indices]
     smooth = float((S.weights * np.einsum("ikc,ikc->ik", diff, diff)).sum()) / n**2
-    L = laplacian(S).matrix
-    grad = (4.0 / n**2) * (L @ Y)
+    C = S.to_csr()
+    deg = 0.5 * (S.row_sums() + np.bincount(S.indices.ravel(), S.weights.ravel(),
+                                            minlength=n))
+    grad = (4.0 / n**2) * (deg[:, None] * Y - 0.5 * (C @ Y + C.T @ Y))
     h, grad_h = assignment_entropy(Y)
     value = smooth - gamma * h
     grad = grad - gamma * grad_h

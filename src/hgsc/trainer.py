@@ -50,7 +50,6 @@ class TrainConfig:
     seed: int = 0
     rebuild_period: int = 1
     grad_clip: float = 5.0
-    cc_pool_grad: bool = True
 
     def validate(self) -> None:
         if self.c < 1:
@@ -77,12 +76,20 @@ class TrainConfig:
         """Validated config from a key/value mapping (a TSV file, the JSON
         stored in a checkpoint, a sweep cell).
 
-        The retired key ``knn_method`` is dropped: it chose between
-        candidate searches that all returned the same exact neighbors. Any
-        other unknown key, a missing ``c`` or an invalid value is a
-        ValueError.
+        Two retired keys are dropped: ``knn_method`` chose between
+        candidate searches that all returned the same exact neighbors, and
+        ``cc_pool_grad`` is accepted only as true, the one setting still
+        implemented (the cluster-consistency gradient always flows through
+        the pooled centroids). Any other unknown key, a missing ``c`` or an
+        invalid value is a ValueError.
         """
-        values = {k: v for k, v in values.items() if k != "knn_method"}
+        values = dict(values)
+        values.pop("knn_method", None)
+        pool_grad = values.pop("cc_pool_grad", True)
+        if pool_grad not in (True, "True", "true", "1"):
+            raise ValueError(f"cc_pool_grad={pool_grad!r} is no longer supported: "
+                             "the cluster-consistency gradient always flows "
+                             "through the pooled centroids")
         for key in values:
             if key not in cls.__dataclass_fields__:
                 raise ValueError(f"unknown config key {key!r}")
@@ -113,8 +120,6 @@ def _parse_field(key: str, val: str):
         return int(val)
     if kind == "float":
         return float(val)
-    if kind == "bool":
-        return val in ("True", "true", "1")
     return val
 
 
@@ -163,14 +168,6 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return total
 
 
-@dataclass
-class FrozenFactors:
-    """Factors held constant while differentiating (gradient checks)."""
-
-    R: np.ndarray
-    yhat: np.ndarray
-
-
 class TrainStepper:
     """One full forward/backward of the objective with S held fixed."""
 
@@ -182,13 +179,17 @@ class TrainStepper:
         self.cfg = cfg
         self._cache = None
 
-    def forward(self, S: aff.AffinityMatrix, frozen: FrozenFactors | None = None) -> LossReport:
+    def forward(self, S: aff.AffinityMatrix, yhat: np.ndarray | None = None) -> LossReport:
+        """Evaluate the objective. The hard indicators are constants of the
+        backward pass; ``yhat`` fixes them (gradient checks), otherwise they
+        are the argmax of the current assignment.
+        """
         stack, cfg = self.stack, self.cfg
         X = self.g.features[stack.target_type]
         H, c_g = stack.g_phi.forward(X)
-        assign, c_p = cluster_assign(
-            stack.p_phi, H, frozen_R=None if frozen is None else frozen.R)
-        yhat = assign.yhat if frozen is None else frozen.yhat
+        assign, c_p = cluster_assign(stack.p_phi, H)
+        if yhat is None:
+            yhat = assign.yhat
         l_sp, g_Y, entropy = spectral_loss(S, assign.Y, cfg.gamma)
         Z = aff.propagate(S, H)
         Zt, c_h = hetero_encode(stack, self.g, self.nb)
@@ -223,20 +224,19 @@ class TrainStepper:
         g = cache["report"].grads
         d_Q = w_nc * g["Q_nc"]
         d_Qt = w_nc * g["Qt_nc"] + w_cc * g["Qt_cc"]
-        if cfg.cc_pool_grad:
-            counts = cache["counts"]
-            yhat = cache["yhat"]
-            per_row = np.zeros_like(g["Qhat"])
-            nonempty = counts > 0
-            per_row[nonempty] = g["Qhat"][nonempty] / counts[nonempty, None]
-            d_Q = d_Q + w_cc * per_row[yhat]
+        counts = cache["counts"]
+        per_row = np.zeros_like(g["Qhat"])
+        nonempty = counts > 0
+        per_row[nonempty] = g["Qhat"][nonempty] / counts[nonempty, None]
+        d_Q = d_Q + w_cc * per_row[cache["yhat"]]
         stack.zero_grads()
         d_Z = stack.q_gamma.backward(cache["c_q1"], d_Q)
         d_Zt = stack.q_gamma.backward(cache["c_q2"], d_Qt)
         hetero_backward(stack, cache["c_h"], d_Zt)
         S: aff.AffinityMatrix = cache["S"]
         d_H = S.to_csr().T @ d_Z
-        d_P = orthogonal_backward(w_sp * g["Y"], cache["assign"].R, S.n)
+        P = cache["c_p"][1]  # the head is linear: its output is its pre-activation
+        d_P = orthogonal_backward(w_sp * g["Y"], P, cache["assign"].R)
         d_H = d_H + stack.p_phi.backward(cache["c_p"], d_P)
         stack.g_phi.backward(cache["c_g"], d_H)
         return {k: v.copy() for k, v in stack.named_grads().items()}
@@ -267,51 +267,6 @@ def rebuild_affinity(stack: EncoderStack, g: HeteroGraph, cfg: TrainConfig,
     return aff.build_affinity(H, Y, beta=cfg.beta, k=cfg.k)
 
 
-def _project_out_scale_modes(stack: EncoderStack,
-                             grads: dict[str, np.ndarray]) -> None:
-    """Drop the cluster head's gradient components along column scalings.
-
-    Y = sqrt(n) P R^-1 does not change when a column of P is rescaled, so
-    the true objective is exactly flat along the per-column scale modes of
-    the head. The frozen-factor backward still produces a large spurious
-    component in those directions; removing it before the adaptive update
-    leaves only directions the objective actually depends on. Valid
-    because every layer activation (relu or none) is positively
-    homogeneous.
-    """
-    gw = grads.get("p_phi.W")
-    gb = grads.get("p_phi.b")
-    if gw is None or gb is None:
-        return
-    for j in range(stack.p_phi.out_dim):
-        u = np.concatenate([stack.p_phi.W[:, j], stack.p_phi.b[j:j + 1]])
-        nrm2 = float(u @ u)
-        if nrm2 <= 0.0:
-            continue
-        g = np.concatenate([gw[:, j], gb[j:j + 1]])
-        coef = float(g @ u) / nrm2
-        gw[:, j] -= coef * u[:-1]
-        gb[j] -= coef * u[-1]
-
-
-def _stabilize_assignment_head(stack: EncoderStack, P: np.ndarray) -> None:
-    """Undo parameter-scale drift in the cluster projection head.
-
-    Y = sqrt(n) P R^-1 is invariant to rescaling a column of P (the QR
-    factor absorbs it), but the frozen-factor gradient steadily shrinks P
-    itself until relu units die. Renormalizing each column of the head to
-    unit RMS output leaves every model quantity unchanged while keeping
-    the parametrization healthy. Valid because every layer activation
-    (relu or none) is positively homogeneous: scaling (W, b) scales the
-    output exactly.
-    """
-    norms = np.sqrt((P * P).mean(axis=0))
-    for j, s in enumerate(norms):
-        if np.isfinite(s) and 1e-12 < s and (s < 0.5 or s > 2.0):
-            stack.p_phi.W[:, j] /= s
-            stack.p_phi.b[j] /= s
-
-
 def train_epoch(state: TrainState, g: HeteroGraph, nb: RelationNeighborhood,
                 stack: EncoderStack, cfg: TrainConfig) -> LossReport:
     """One epoch: optional affinity rebuild, forward, backward, update."""
@@ -325,14 +280,9 @@ def train_epoch(state: TrainState, g: HeteroGraph, nb: RelationNeighborhood,
         if not np.isfinite(value):
             raise NumericalDivergence(term, state.epoch)
     state.last_Y = stepper._cache["assign"].Y.copy()
-    Z_p = stepper._cache["c_p"][1]
-    P_pre = np.maximum(Z_p, 0.0)
     grads = stepper.backward()
-    _project_out_scale_modes(stack, grads)
     clip_gradients(grads, cfg.grad_clip)
     optimizer_step(stack.named_params(), grads, state.adam, cfg.lr)
-    if cfg.lr > 0.0:
-        _stabilize_assignment_head(stack, P_pre)
     return report
 
 

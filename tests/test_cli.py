@@ -139,7 +139,8 @@ def test_eval_accepts_retired_knn_method_key(tmp_path, dataset):
     run = str(tmp_path / "run")
     assert cli.main(train_args(dataset, run)) == 0
     ckpt = checkpoint_path(run)
-    _rewrite_checkpoint_config(ckpt, knn_method="pruned")
+    # older checkpoints store both retired keys; cc_pool_grad only as true
+    _rewrite_checkpoint_config(ckpt, knn_method="pruned", cc_pool_grad=True)
     out = str(tmp_path / "eval")
     assert cli.main(["eval", "--data", dataset, "--checkpoint", ckpt,
                      "--out", out]) == 0
@@ -155,6 +156,31 @@ def test_eval_rejects_invalid_checkpoint_config(tmp_path, dataset, capsys):
                    "--out", str(tmp_path / "eval")])
     assert rc == cli.EXIT_USAGE
     assert "patience" in capsys.readouterr().err
+
+
+def test_train_rejects_cc_pool_grad_false(tmp_path, dataset, capsys):
+    config = tmp_path / "cfg.tsv"
+    config.write_text("c\t2\ncc_pool_grad\tFalse\n")
+    rc = cli.main(train_args(dataset, str(tmp_path / "run"),
+                             ["--config", str(config)]))
+    assert rc == cli.EXIT_USAGE
+    assert "cc_pool_grad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+def test_unsupported_checkpoint_version_exits_1(tmp_path, dataset, capsys, command):
+    run = str(tmp_path / "run")
+    assert cli.main(train_args(dataset, run)) == 0
+    ckpt = checkpoint_path(run)
+    with np.load(ckpt) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["version"] = np.array(99)
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **arrays)
+    rc = cli.main([command, "--data", dataset, "--checkpoint", ckpt,
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_USAGE
+    assert "version 99" in capsys.readouterr().err
 
 
 def test_school_threads_warns_without_threadpoolctl(monkeypatch, capsys):

@@ -3,7 +3,8 @@ import pytest
 
 from hgsc.encoders import (DenseLayer, EncoderConfigError, EncoderStack,
                            RankDeficientError, cluster_assign, hetero_encode,
-                           hetero_backward, mlp_forward, orthogonal_layer)
+                           hetero_backward, mlp_forward, orthogonal_backward,
+                           orthogonal_layer)
 from hgsc.graph import build_neighborhoods
 from hgsc.synth import SynthSpec, generate
 
@@ -94,6 +95,59 @@ def test_orthogonal_layer_span_preserved():
         resid = Y - Qp @ (Qp.T @ Y)
         assert np.abs(resid).max() < 1e-8
         assert np.abs(Y.T @ Y / n - np.eye(c)).max() < 1e-6
+
+
+def check_orthogonal_backward(P, rng, h=1e-6):
+    """orthogonal_backward against central differences of orthogonal_layer
+    for the linear functional <W, Y>; returns the analytic gradient."""
+    W = rng.standard_normal(P.shape)
+    _, R = orthogonal_layer(P)
+    d_P = orthogonal_backward(W, P, R)
+    for idx in np.ndindex(*P.shape):
+        Pp, Pm = P.copy(), P.copy()
+        Pp[idx] += h
+        Pm[idx] -= h
+        fd = ((W * orthogonal_layer(Pp)[0]).sum()
+              - (W * orthogonal_layer(Pm)[0]).sum()) / (2 * h)
+        assert abs(fd - d_P[idx]) < 1e-6 * max(1.0, abs(fd))
+    # Y does not change when a column of P is rescaled
+    scale_dirs = (d_P * P).sum(axis=0)
+    assert np.abs(scale_dirs).max() < 1e-10 * np.abs(d_P).max() * np.abs(P).max()
+    return d_P
+
+
+def test_orthogonal_backward_matches_finite_differences():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        n, c = int(rng.integers(4, 15)), int(rng.integers(2, 5))
+        check_orthogonal_backward(rng.standard_normal((n, c)), rng)
+
+
+def test_orthogonal_backward_single_column():
+    rng = np.random.default_rng(12)
+    P = rng.standard_normal((9, 1)) + 0.3
+    check_orthogonal_backward(P, rng)
+    # c = 1: Y = sqrt(n) P / r with r = +-|P|, so the gradient is the
+    # upstream one with its component along Y removed, over r
+    G = rng.standard_normal(P.shape)
+    Y, R = orthogonal_layer(P)
+    root_n = np.sqrt(P.shape[0])
+    q = Y / root_n
+    expected = root_n * (G - q * float(q[:, 0] @ G[:, 0])) / R[0, 0]
+    assert np.allclose(orthogonal_backward(G, P, R), expected, atol=1e-12)
+
+
+def test_orthogonal_backward_through_sign_flip():
+    rng = np.random.default_rng(13)
+    P = np.abs(rng.standard_normal((10, 3))) + 0.2
+    P[:, 1] *= -1.0
+    Q_raw, _ = np.linalg.qr(P)
+    Y, R = orthogonal_layer(P)
+    # at least one column of the raw factor points away from a nonnegative
+    # sum, so the canonicalization flipped it
+    assert (Q_raw.sum(axis=0) < 0.0).any()
+    assert (Y.sum(axis=0) >= 0.0).all()
+    check_orthogonal_backward(P, rng)
 
 
 # ----------------------------------------------------------- cluster assign

@@ -163,6 +163,25 @@ def test_backward_without_forward_is_state_error():
         stepper.backward()
 
 
+def test_cluster_head_gradient_has_no_scale_component():
+    # Y depends on the column space of P = H W + b only, so the exact QR
+    # backward leaves no gradient along any column scaling (W[:, j], b[j])
+    g, nb, cfg = toy_setup(n=16, seed=4, c=3, gamma=0.5, mu=0.3, delta=0.7)
+    from hgsc.encoders import EncoderStack
+    dims = {t: g.features[t].shape[1] for t in g.node_types}
+    rels = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
+    stack = EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, cfg.seed)
+    stack.p_phi.b[:] = np.random.default_rng(4).standard_normal(cfg.c)
+    stepper = TrainStepper(stack, g, nb, cfg)
+    stepper.forward(rebuild_affinity(stack, g, cfg, None))
+    grads = stepper.backward()
+    for j in range(cfg.c):
+        u = np.append(stack.p_phi.W[:, j], stack.p_phi.b[j])
+        gu = np.append(grads["p_phi.W"][:, j], grads["p_phi.b"][j])
+        assert np.linalg.norm(gu) > 0.0
+        assert abs(gu @ u) <= 1e-10 * np.linalg.norm(gu) * np.linalg.norm(u)
+
+
 # -------------------------------------------------------------------- fit
 
 def test_constant_objective_stops_after_patience():
@@ -242,6 +261,11 @@ def test_config_validation():
 def test_config_from_dict_drops_retired_key_and_rejects_unknown():
     cfg = TrainConfig.from_dict({"c": 3, "k": 5, "knn_method": "pruned"})
     assert cfg == TrainConfig(c=3, k=5)
+    for value in (True, "True"):
+        assert TrainConfig.from_dict({"c": 3, "cc_pool_grad": value}) == TrainConfig(c=3)
+    for value in (False, "False"):
+        with pytest.raises(ValueError, match="cc_pool_grad"):
+            TrainConfig.from_dict({"c": 3, "cc_pool_grad": value})
     with pytest.raises(ValueError):
         TrainConfig.from_dict({"c": 3, "knn_metod": "scan"})
     with pytest.raises(ValueError):
