@@ -1,8 +1,8 @@
 """Self-supervised heterogeneous graph embeddings via rank-constrained
 spectral clustering, with an executable verification suite."""
 
-from .affinity import (AffinityMatrix, Laplacian, build_affinity, compute_alpha,
-                       laplacian, pairwise_distance, propagate, solve_affinity_row)
+from .affinity import (AffinityMatrix, build_affinity, compute_alpha, laplacian,
+                       pairwise_distance, propagate, solve_affinity_row)
 from .encoders import (ClusterAssignment, DenseLayer, EncoderStack,
                        cluster_assign, hetero_encode, mlp_forward,
                        orthogonal_layer)

@@ -37,19 +37,15 @@ class AffinityMatrix:
     """Row-stochastic k-sparse affinity over n nodes.
 
     ``indices[i]`` holds node i's k nearest candidates sorted by distance,
-    ``weights[i]`` the matching weights. ``alpha`` is the mean of the
-    per-row scales; ``lambdas`` the per-row simplex shifts. Rows flagged
-    ``degenerate`` hit a distance tie through the (k+1)-th candidate and
-    fall back to uniform weights.
+    ``weights[i]`` the matching weights. Rows flagged ``degenerate`` hit a
+    distance tie through the (k+1)-th candidate and fall back to uniform
+    weights.
     """
 
     n: int
     k: int
     indices: np.ndarray
     weights: np.ndarray
-    alpha: float
-    alphas: np.ndarray
-    lambdas: np.ndarray
     degenerate: np.ndarray
 
     def to_csr(self) -> csr_matrix:
@@ -68,20 +64,6 @@ class AffinityMatrix:
                 for j, w in zip(self.indices[i], self.weights[i]):
                     if w > 0.0:
                         fh.write(f"{i}\t{j}\t{format(w, '.17g')}\n")
-
-
-@dataclass
-class Laplacian:
-    """L = D - (S + S^T)/2 with D the degree matrix of the symmetrized part."""
-
-    matrix: csr_matrix
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 def pairwise_distance(h_i, h_j, f_i=None, f_j=None, beta: float = 0.0) -> float:
@@ -260,7 +242,7 @@ def compute_alpha(d_rows: np.ndarray, k: int):
         lambda_i = 1/k + sum_{j<=k} d_j / (2 k alpha_i)
     Returns (mean alpha, per-row alphas, per-row lambdas). Rows with
     alpha_i <= 0 (a tie running through the (k+1)-th candidate) get
-    lambda_i = 1/k; callers give them uniform weights.
+    lambda_i = 1/k; ``solve_affinity_row`` gives them uniform weights.
     """
     d_rows = np.asarray(d_rows, dtype=np.float64)
     if d_rows.ndim == 1:
@@ -277,17 +259,22 @@ def compute_alpha(d_rows: np.ndarray, k: int):
     return float(alphas.mean()), alphas, lambdas
 
 
-def solve_affinity_row(d_row: np.ndarray, alpha_i: float, lambda_i: float) -> np.ndarray:
-    """Closed-form simplex weights s_j = max(-d_j / (2 alpha) + lambda, 0).
+def solve_affinity_row(d_rows: np.ndarray, alphas: np.ndarray,
+                       lambdas: np.ndarray) -> np.ndarray:
+    """Closed-form simplex weights s_ij = max(-d_ij / (2 alpha_i) + lambda_i, 0).
 
-    With (alpha_i, lambda_i) from ``compute_alpha`` the k weights are
-    nonnegative and sum to one. alpha_i <= 0 signals a degenerate row and
-    yields uniform weights over the candidates.
+    ``d_rows`` is (n, k): each row's k nearest candidate distances. With the
+    (n,) ``alphas`` and ``lambdas`` from ``compute_alpha`` each row's k
+    weights are nonnegative and sum to one. alpha_i <= 0 signals a
+    degenerate row and yields uniform weights over its candidates.
     """
-    d_row = np.asarray(d_row, dtype=np.float64)
-    if alpha_i <= 0.0:
-        return np.full(d_row.shape, 1.0 / d_row.shape[-1])
-    return np.maximum(-d_row / (2.0 * alpha_i) + lambda_i, 0.0)
+    d_rows = np.asarray(d_rows, dtype=np.float64)
+    alphas = np.asarray(alphas, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.maximum(
+            -d_rows / (2.0 * alphas[:, None]) + np.asarray(lambdas)[:, None], 0.0)
+    weights[alphas <= 0.0] = 1.0 / d_rows.shape[1]
+    return weights
 
 
 def build_affinity(H: np.ndarray, Y: np.ndarray | None = None, beta: float = 0.0,
@@ -313,25 +300,20 @@ def build_affinity(H: np.ndarray, Y: np.ndarray | None = None, beta: float = 0.0
     else:
         X = H
     idx, dist = nearest_candidates(X, k)
-    alpha, alphas, lambdas = compute_alpha(dist, k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.maximum(
-            -dist[:, :k] / (2.0 * alphas[:, None]) + lambdas[:, None], 0.0)
-    degenerate = alphas <= 0.0
-    if degenerate.any():
-        weights[degenerate] = 1.0 / k
+    _, alphas, lambdas = compute_alpha(dist, k)
     return AffinityMatrix(
-        n=H.shape[0], k=k, indices=idx[:, :k], weights=weights,
-        alpha=alpha, alphas=alphas, lambdas=lambdas, degenerate=degenerate)
+        n=H.shape[0], k=k, indices=idx[:, :k],
+        weights=solve_affinity_row(dist[:, :k], alphas, lambdas),
+        degenerate=alphas <= 0.0)
 
 
-def laplacian(S: AffinityMatrix | csr_matrix) -> Laplacian:
-    """Symmetrized graph Laplacian L = D - (S + S^T)/2."""
+def laplacian(S: AffinityMatrix | csr_matrix) -> csr_matrix:
+    """Symmetrized graph Laplacian L = D - (S + S^T)/2 with D the degree
+    matrix of the symmetrized part."""
     C = S.to_csr() if isinstance(S, AffinityMatrix) else csr_matrix(S)
     W = (C + C.T) * 0.5
     deg = np.asarray(W.sum(axis=1)).ravel()
-    L = (diags(deg) - W).tocsr()
-    return Laplacian(matrix=L)
+    return (diags(deg) - W).tocsr()
 
 
 def propagate(S: AffinityMatrix, H: np.ndarray) -> np.ndarray:

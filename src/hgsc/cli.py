@@ -221,8 +221,7 @@ def cmd_eval(args) -> int:
                     [args.data, args.checkpoint], ["eval_report.tsv"])
     nb = build_neighborhoods(g)
     _, _, _, Z, Zt = _forward_representations(stack, g, nb, cfg)
-    report = evaluate(Z, Zt, g.labels, g.train_idx, g.test_idx, cfg.c,
-                      seed=cfg.seed, cluster_on_concat=not args.cluster_on_z)
+    report = evaluate(Z, Zt, g.labels, g.train_idx, g.test_idx, cfg.c, seed=cfg.seed)
     report.to_tsv(os.path.join(out, "eval_report.tsv"))
     print(report.summary())
     _finish(man, out)
@@ -372,8 +371,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--out")
-    sp.add_argument("--cluster-on-z", action="store_true",
-                    help="cluster on Z alone instead of [Z | Zt]")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("verify", help="run the numerical verification suite")

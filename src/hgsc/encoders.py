@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 
 class RankDeficientError(Exception):
@@ -100,38 +99,34 @@ def mlp_forward(layers, X: np.ndarray):
     return out, caches
 
 
-def mlp_backward(layers, caches, grad_out: np.ndarray) -> np.ndarray:
-    g = grad_out
-    for layer, cache in zip(reversed(layers), reversed(caches)):
-        g = layer.backward(cache, g)
-    return g
-
-
 def orthogonal_layer(P: np.ndarray):
     """Map P to Y = sqrt(n) P R^-1 with R from the QR factorization of P.
 
     Y satisfies Y^T Y = n I and spans the same columns as P. The signs of
     R's rows are chosen so that every column of Y has a nonnegative sum.
-    Raises ``RankDeficientError`` when the smallest singular value of P
-    falls below 1e-8 times the largest.
+    Since P R^-1 is the QR's own Q (up to those signs), Y is taken from Q
+    and no triangular solve runs. Raises ``RankDeficientError`` when the
+    smallest singular value of P (equal to that of the c x c factor R)
+    falls below 1e-8 times the largest. Only numpy.linalg is called: numpy
+    and scipy each load their own OpenBLAS, and a scipy.linalg call made
+    between numpy BLAS calls measured ~2 ms against ~0.1 ms (n = 300,
+    2 cores, 2 BLAS threads).
     """
     P = np.asarray(P, dtype=np.float64)
     n, c = P.shape
     if n < c:
         raise RankDeficientError(f"need at least {c} rows, got {n}", np.inf)
-    svals = np.linalg.svd(P, compute_uv=False)
+    Q, R = np.linalg.qr(P)
+    svals = np.linalg.svd(R, compute_uv=False)
     if svals[-1] <= 1e-8 * svals[0]:
         cond = np.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
         raise RankDeficientError(
             f"projection matrix is rank deficient (condition ~ {cond:.3e})", cond)
-    Q, R = np.linalg.qr(P)
     # sign freedom of the factorization: orient each column of Y toward a
     # nonnegative sum so the assignment columns stay probability-like and
     # the entropy regularizer keeps a live gradient on every column
     sign = np.where(Q.sum(axis=0) < 0.0, -1.0, 1.0)
-    R = R * sign[:, None]
-    Y = np.sqrt(n) * solve_triangular(R, P.T, lower=False, trans="T").T
-    return Y, R
+    return np.sqrt(n) * (Q * sign), R * sign[:, None]
 
 
 def orthogonal_backward(grad_Y: np.ndarray, P: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -140,9 +135,9 @@ def orthogonal_backward(grad_Y: np.ndarray, P: np.ndarray, R: np.ndarray) -> np.
     ``R`` is the sign-canonicalized factor returned by ``orthogonal_layer``
     for this P. Y depends only on the column space of P, so the result is
     orthogonal to every column-scaling direction: d_P[:, j] . P[:, j] = 0.
-    The two c x c solves use numpy.linalg: numpy and scipy each load their
-    own OpenBLAS, and a scipy.linalg call made between numpy BLAS calls
-    measured ~2 ms against ~0.1 ms (n = 300, 2 cores, 2 BLAS threads).
+    The two c x c solves use numpy.linalg, not scipy.linalg, for the
+    reason given in ``orthogonal_layer``: the training step calls only
+    numpy's BLAS.
     """
     n = P.shape[0]
     Q = np.linalg.solve(R.T, P.T).T  # P R^-1

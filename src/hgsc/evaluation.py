@@ -232,42 +232,34 @@ def kmeans_cluster(X: np.ndarray, labels: np.ndarray, c: int,
     return nmi(labels, assign), ari(labels, assign), assign
 
 
-def _exact_distance_matrix(X: np.ndarray, block: int = 128) -> np.ndarray:
-    """Pairwise Euclidean distances by direct subtraction (chunked)."""
-    n = X.shape[0]
-    D = np.empty((n, n))
-    for s in range(0, n, block):
-        e = min(n, s + block)
-        diff = X[s:e, None, :] - X[None, :, :]
-        D[s:e] = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
-    return D
-
-
 def silhouette(X: np.ndarray, assignment: np.ndarray) -> float:
-    """Mean silhouette (b - a)/max(a, b) under the Euclidean metric."""
+    """Mean silhouette (b - a)/max(a, b) under the Euclidean metric.
+
+    Distances are exact (by subtraction); every node's per-cluster distance
+    sums come from one product with the 0/1 membership matrix. Nodes in a
+    singleton cluster, and nodes with a = b = 0, score 0.
+    """
+    # imported here: scipy.spatial costs ~6 MiB resident, which importing
+    # hgsc and training should not pay
+    from scipy.spatial.distance import cdist
+
     X = np.asarray(X, dtype=np.float64)
-    assignment = np.asarray(assignment)
-    clusters = np.unique(assignment)
+    clusters, inv = np.unique(np.asarray(assignment), return_inverse=True)
     if clusters.size < 2:
         raise EvalError("silhouette needs at least 2 clusters")
     n = X.shape[0]
-    D = _exact_distance_matrix(X)
-    scores = np.zeros(n)
-    members = {c: assignment == c for c in clusters}
-    for i in range(n):
-        own = members[assignment[i]]
-        n_own = own.sum()
-        if n_own == 1:
-            scores[i] = 0.0
-            continue
-        a = D[i, own].sum() / (n_own - 1)
-        b = np.inf
-        for c in clusters:
-            if c == assignment[i]:
-                continue
-            b = min(b, D[i, members[c]].mean())
-        m = max(a, b)
-        scores[i] = 0.0 if m == 0.0 else (b - a) / m
+    rows = np.arange(n)
+    member = np.zeros((n, clusters.size))
+    member[rows, inv] = 1.0
+    sums = cdist(X, X) @ member
+    sizes = member.sum(axis=0)
+    n_own = sizes[inv]
+    a = sums[rows, inv] / np.maximum(n_own - 1.0, 1.0)
+    means = sums / sizes
+    means[rows, inv] = np.inf
+    b = means.min(axis=1)
+    m = np.maximum(a, b)
+    scores = np.divide(b - a, m, out=np.zeros(n), where=(n_own > 1) & (m > 0.0))
     return float(scores.mean())
 
 
@@ -304,18 +296,16 @@ def complexity_measure(O: np.ndarray, labels: np.ndarray) -> float:
 
 def evaluate(Z: np.ndarray, Zt: np.ndarray, labels: np.ndarray,
              train_idx: np.ndarray, test_idx: np.ndarray, c: int,
-             repeats: int = 5, seed: int = 0,
-             cluster_on_concat: bool = True) -> EvalReport:
+             repeats: int = 5, seed: int = 0) -> EvalReport:
     """Full downstream evaluation on [Z | Zt]."""
     X = concat_representation(Z, Zt)
     (ma, mi) = linear_probe(X, labels, train_idx, test_idx, repeats=repeats, seed=seed)
-    Xc = X if cluster_on_concat else np.asarray(Z)
     nmis, aris, sils = [], [], []
     for rep in range(repeats):
-        v_nmi, v_ari, assign = kmeans_cluster(Xc, labels, c, restarts=10, seed=seed + rep)
+        v_nmi, v_ari, assign = kmeans_cluster(X, labels, c, restarts=10, seed=seed + rep)
         nmis.append(v_nmi)
         aris.append(v_ari)
-        sils.append(silhouette(Xc, assign) if np.unique(assign).size > 1 else 0.0)
+        sils.append(silhouette(X, assign) if np.unique(assign).size > 1 else 0.0)
     comp = complexity_measure(X, labels)
     agg = lambda xs: (float(np.mean(xs)), float(np.std(xs)))
     return EvalReport(macro_f1=ma, micro_f1=mi, nmi=agg(nmis), ari=agg(aris),

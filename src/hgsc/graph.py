@@ -122,9 +122,6 @@ class RelationNeighborhood:
     counts: dict[str, int]
     _agg_cache: dict = field(default_factory=dict, repr=False)
 
-    def relation_names(self) -> list[str]:
-        return list(self.entries)
-
     def aggregation_matrix(self, name: str):
         """Sparse (n x n_neighbor_type) 0/1 matrix summing neighbor rows."""
         from scipy.sparse import csr_matrix

@@ -51,9 +51,7 @@ def qp_oracle(d_row: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _as_dense_sym(L, tol: float = 1e-10) -> np.ndarray:
-    if isinstance(L, aff.Laplacian):
-        M = L.dense()
-    elif hasattr(L, "toarray"):
+    if hasattr(L, "toarray"):
         M = L.toarray()
     else:
         M = np.asarray(L, dtype=np.float64)
@@ -269,7 +267,7 @@ def check_qp_agreement(count: int, seed: int = 0) -> float:
         if alphas[0] <= 0:
             continue
         closed = np.zeros(d.size)
-        closed[:k] = aff.solve_affinity_row(d[:k], alphas[0], lambdas[0])
+        closed[:k] = aff.solve_affinity_row(d[None, :k], alphas, lambdas)[0]
         oracle = qp_oracle(d, float(alphas[0]))
         worst = max(worst, float(np.abs(closed - oracle).max()))
     return worst
@@ -323,7 +321,7 @@ def run_suite(scale: str = "small", seed: int = 0) -> list[VerificationResult]:
         for b in range(m):
             nb_ = int(rng.integers(20, 100 if full else 40))
             Sb = _random_affinity(rng, nb_, 4)
-            blocks.append(aff.laplacian(Sb).dense())
+            blocks.append(aff.laplacian(Sb).toarray())
         n_tot = sum(b.shape[0] for b in blocks)
         L = np.zeros((n_tot, n_tot))
         at = 0
@@ -368,7 +366,7 @@ def run_suite(scale: str = "small", seed: int = 0) -> list[VerificationResult]:
         S = _random_affinity(rng, n, min(5, n - 2))
         Y = rng.standard_normal((n, c))
         value, _, h = spectral_loss(S, Y, 0.0)
-        L = aff.laplacian(S).dense()
+        L = aff.laplacian(S).toarray()
         trace_form = 2.0 / n**2 * float(np.trace(Y.T @ L @ Y))
         worst = max(worst, abs(value - trace_form))
     results.append(VerificationResult(
@@ -378,7 +376,7 @@ def run_suite(scale: str = "small", seed: int = 0) -> list[VerificationResult]:
     for _ in range(20 if full else 8):
         n = int(rng.integers(10, 100))
         S = _random_affinity(rng, n, min(6, n - 2))
-        w = np.linalg.eigvalsh(aff.laplacian(S).dense())
+        w = np.linalg.eigvalsh(aff.laplacian(S).toarray())
         worst = max(worst, max(0.0, -float(w[0])))
     results.append(VerificationResult(
         "laplacian_psd", worst <= 1e-8, worst, 1e-8, "random instances"))
@@ -400,7 +398,7 @@ def run_suite(scale: str = "small", seed: int = 0) -> list[VerificationResult]:
                           gamma=1e-2, lr=1e-2, max_epochs=300, patience=60,
                           seed=seed)
         result = fit(g, cfg)
-        count = zero_eig_count(aff.laplacian(result.S).dense(), 1e-6)
+        count = zero_eig_count(aff.laplacian(result.S).toarray(), 1e-6)
         results.append(VerificationResult(
             "trained_components_reported", True, float(abs(count - 3)), np.inf,
             f"count={count},expected=3 (soft)"))

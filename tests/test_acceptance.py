@@ -83,7 +83,7 @@ def test_criterion_04_zero_eigenvalue_multiplicity():
         L = np.zeros((n_tot, n_tot))
         at = 0
         for b in blocks:
-            d = laplacian(b).dense()
+            d = laplacian(b).toarray()
             L[at:at + b.n, at:at + b.n] = d
             at += b.n
         results.append((m, zero_eig_count(L, 1e-8)))
@@ -141,7 +141,7 @@ def test_criterion_08_spectral_trace_equivalence():
         S = build_affinity(rng.standard_normal((n, 3)), k=min(5, n - 2))
         Y = rng.standard_normal((n, c))
         value, _, _ = spectral_loss(S, Y, gamma=0.0)
-        L = laplacian(S).dense()
+        L = laplacian(S).toarray()
         worst = max(worst, abs(value - 2.0 / n**2 * np.trace(Y.T @ L @ Y)))
     report(8, worst < 1e-9, f"max |sum form - trace form| = {worst:.2e}")
 
@@ -169,7 +169,7 @@ def test_criterion_09_planted_partition_end_to_end():
         Zt, _ = hetero_encode(result.stack, g, nb)
         v_nmi, _, _ = kmeans_cluster(concat_representation(Z, Zt), labels, 3, seed=0)
         nmis.append(v_nmi)
-        comps.append(zero_eig_count(laplacian(S).dense(), 1e-6))
+        comps.append(zero_eig_count(laplacian(S).toarray(), 1e-6))
     dt = time.perf_counter() - t0
     n_three = sum(1 for c in comps if c == 3)
     detail = (f"intra mass min {min(intras):.3f} (need >= 0.95), "

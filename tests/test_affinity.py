@@ -71,22 +71,24 @@ def test_compute_alpha_tied_row_is_degenerate():
         _, alphas, lambdas = compute_alpha(np.array([[0.0, 0.0, t]]), k=2)
         assert alphas[0] == pytest.approx(t)
         assert lambdas[0] == pytest.approx(0.5)
-        s = solve_affinity_row(np.array([0.0, 0.0]), alphas[0], lambdas[0])
-        assert np.allclose(s, [0.5, 0.5])
+        s = solve_affinity_row(np.array([[0.0, 0.0]]), alphas, lambdas)
+        assert np.allclose(s, [[0.5, 0.5]])
 
 
 def test_k1_gives_all_weight_to_nearest():
     _, alphas, lambdas = compute_alpha(np.array([[0.3, 0.9]]), k=1)
-    s = solve_affinity_row(np.array([0.3]), alphas[0], lambdas[0])
-    assert s[0] == pytest.approx(1.0)
+    s = solve_affinity_row(np.array([[0.3]]), alphas, lambdas)
+    assert s[0, 0] == pytest.approx(1.0)
 
 
 def test_solve_affinity_row_reference():
-    s = solve_affinity_row(np.array([1.0, 2.0]), 2.5, 0.8)
-    assert np.allclose(s, [0.6, 0.4])
+    s = solve_affinity_row(np.array([[1.0, 2.0], [1.0, 4.0], [3.0, 3.0]]),
+                           np.array([2.5, 2.5, 0.0]), np.array([0.8, 0.8, 0.5]))
+    assert np.allclose(s[0], [0.6, 0.4])
     # candidate past the active set gets clipped to zero
-    s4 = solve_affinity_row(np.array([4.0]), 2.5, 0.8)
-    assert s4[0] == 0.0
+    assert s[1, 1] == 0.0
+    # a degenerate row among regular ones gets uniform weights
+    assert np.array_equal(s[2], [0.5, 0.5])
 
 
 def test_closed_form_matches_qp_oracle():
@@ -98,7 +100,7 @@ def test_closed_form_matches_qp_oracle():
         if alphas[0] <= 0:
             continue
         closed = np.zeros(d.size)
-        closed[:k] = solve_affinity_row(d[:k], alphas[0], lambdas[0])
+        closed[:k] = solve_affinity_row(d[None, :k], alphas, lambdas)[0]
         oracle = qp_oracle(d, float(alphas[0]))
         assert np.abs(closed - oracle).max() < 1e-6
 
@@ -189,22 +191,21 @@ def test_monotonicity_within_rows():
 
 def test_laplacian_two_node_chain():
     S = AffinityMatrix(n=2, k=1, indices=np.array([[1], [0]]),
-                       weights=np.ones((2, 1)), alpha=1.0,
-                       alphas=np.ones(2), lambdas=np.ones(2),
+                       weights=np.ones((2, 1)),
                        degenerate=np.zeros(2, dtype=bool))
-    L = laplacian(S).dense()
+    L = laplacian(S).toarray()
     assert np.allclose(L, [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_laplacian_block_structure_preserved():
     rng = np.random.default_rng(2)
     blocks = [build_affinity(rng.standard_normal((8, 2)), k=2) for _ in range(3)]
-    dense_blocks = [laplacian(b).dense() for b in blocks]
+    dense_blocks = [laplacian(b).toarray() for b in blocks]
     n = sum(b.shape[0] for b in dense_blocks)
     # assemble block-diagonal S and compare
     from scipy.sparse import block_diag
     S_big = block_diag([b.to_csr() for b in blocks]).tocsr()
-    L_big = laplacian(S_big).dense()
+    L_big = laplacian(S_big).toarray()
     at = 0
     for b in dense_blocks:
         m = b.shape[0]
@@ -218,7 +219,7 @@ def test_laplacian_row_sums_zero():
     rng = np.random.default_rng(3)
     for _ in range(10):
         S = build_affinity(rng.standard_normal((20, 3)), k=4)
-        L = laplacian(S).dense()
+        L = laplacian(S).toarray()
         # direct summation oracle
         assert np.abs(L.sum(axis=1)).max() < 1e-9
         assert np.abs(L - L.T).max() < 1e-12
@@ -229,7 +230,7 @@ def test_laplacian_psd():
     for _ in range(10):
         n = int(rng.integers(10, 100))
         S = build_affinity(rng.standard_normal((n, 4)), k=5)
-        w = np.linalg.eigvalsh(laplacian(S).dense())
+        w = np.linalg.eigvalsh(laplacian(S).toarray())
         assert w[0] >= -1e-8
 
 
@@ -248,7 +249,7 @@ def test_zero_eig_count_matches_components():
         blocks = [connected_block(rng, 10 + 3 * j) for j in range(m)]
         from scipy.sparse import block_diag
         S_big = block_diag([b.to_csr() for b in blocks]).tocsr()
-        L = laplacian(S_big).dense()
+        L = laplacian(S_big).toarray()
         w = np.linalg.eigvalsh(L)
         n_zero = int((w < 1e-8).sum())
         # union-find on the assembled support
@@ -256,8 +257,6 @@ def test_zero_eig_count_matches_components():
         idx = np.vstack([b.indices + offsets[j] for j, b in enumerate(blocks)])
         wts = np.vstack([b.weights for b in blocks])
         S_asm = AffinityMatrix(n=offsets[-1], k=2, indices=idx, weights=wts,
-                               alpha=1.0, alphas=np.ones(offsets[-1]),
-                               lambdas=np.ones(offsets[-1]),
                                degenerate=np.zeros(offsets[-1], dtype=bool))
         assert n_zero == component_count(S_asm) == m
 
@@ -268,8 +267,7 @@ def test_propagate_identity_like():
     # test-only input: each row puts weight 1 on itself
     H = np.arange(6.0).reshape(3, 2)
     S = AffinityMatrix(n=3, k=1, indices=np.array([[0], [1], [2]]),
-                       weights=np.ones((3, 1)), alpha=1.0,
-                       alphas=np.ones(3), lambdas=np.ones(3),
+                       weights=np.ones((3, 1)),
                        degenerate=np.zeros(3, dtype=bool))
     assert np.allclose(propagate(S, H), H)
 
@@ -277,8 +275,7 @@ def test_propagate_identity_like():
 def test_propagate_swap():
     H = np.array([[1.0, 2.0], [3.0, 4.0]])
     S = AffinityMatrix(n=2, k=1, indices=np.array([[1], [0]]),
-                       weights=np.ones((2, 1)), alpha=1.0,
-                       alphas=np.ones(2), lambdas=np.ones(2),
+                       weights=np.ones((2, 1)),
                        degenerate=np.zeros(2, dtype=bool))
     assert np.allclose(propagate(S, H), H[::-1])
 

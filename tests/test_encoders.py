@@ -97,6 +97,21 @@ def test_orthogonal_layer_span_preserved():
         assert np.abs(Y.T @ Y / n - np.eye(c)).max() < 1e-6
 
 
+def test_orthogonal_layer_equals_p_times_r_inverse():
+    rng = np.random.default_rng(5)
+    flipped = np.abs(rng.standard_normal((10, 3))) + 0.2
+    flipped[:, 1] *= -1.0
+    cases = [rng.standard_normal((int(rng.integers(4, 40)), int(rng.integers(1, 6))))
+             for _ in range(10)] + [flipped]
+    for P in cases:
+        Y, R = orthogonal_layer(P)
+        # Y = sqrt(n) P R^-1, i.e. R^T Y^T = sqrt(n) P^T
+        ref = np.sqrt(P.shape[0]) * np.linalg.solve(R.T, P.T).T
+        assert np.abs(Y - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the flipped column's raw QR factor had a negative sum
+    assert (np.linalg.qr(flipped)[0].sum(axis=0) < 0.0).any()
+
+
 def check_orthogonal_backward(P, rng, h=1e-6):
     """orthogonal_backward against central differences of orthogonal_layer
     for the linear functional <W, Y>; returns the analytic gradient."""

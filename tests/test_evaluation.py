@@ -276,12 +276,20 @@ def brute_force_silhouette(X, assign):
 
 def test_silhouette_matches_direct_oracle():
     rng = np.random.default_rng(11)
-    for _ in range(100):
+    for trial in range(200):
         n = int(rng.integers(4, 12))
+        c = 3 if trial % 2 else 4
         X = rng.standard_normal((n, 3))
-        assign = rng.integers(0, 3, size=n)
+        assign = rng.integers(0, c, size=n)
+        if trial % 4 == 1:
+            # duplicate points, within and across clusters
+            X[n // 2:] = X[:n - n // 2]
+        if trial % 5 == 2:
+            # node 0 alone in a cluster of its own
+            assign[assign == c - 1] = 0
+            assign[0] = c - 1
         if np.unique(assign).size < 2:
-            assign[0] = (assign[1] + 1) % 3
+            assign[0] = (assign[1] + 1) % c
         assert silhouette(X, assign) == pytest.approx(
             brute_force_silhouette(X, assign), abs=1e-12)
 

@@ -12,8 +12,7 @@ from hgsc.losses import (LossReport, cluster_consistency, cluster_pool,
 def pair_affinity():
     """Two nodes, each row weight 1 on the other."""
     return AffinityMatrix(n=2, k=1, indices=np.array([[1], [0]]),
-                          weights=np.ones((2, 1)), alpha=1.0,
-                          alphas=np.ones(2), lambdas=np.ones(2),
+                          weights=np.ones((2, 1)),
                           degenerate=np.zeros(2, dtype=bool))
 
 
@@ -63,7 +62,7 @@ def test_spectral_trace_identity():
         S = build_affinity(rng.standard_normal((n, 3)), k=min(4, n - 2))
         Y = rng.standard_normal((n, c))
         value, _, _ = spectral_loss(S, Y, gamma=0.0)
-        L = laplacian(S).dense()
+        L = laplacian(S).toarray()
         assert abs(value - 2.0 / n**2 * np.trace(Y.T @ L @ Y)) < 1e-9
         assert abs(value - spectral_first_term_oracle(S, Y)) < 1e-9
         assert value >= 0.0

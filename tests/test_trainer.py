@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import hgsc
 from hgsc.graph import build_neighborhoods
 from hgsc.synth import SynthSpec, generate
 from hgsc.trainer import (AdamState, NumericalDivergence, StepStateError,
@@ -216,6 +221,24 @@ def test_fit_determinism_full_log():
     log1 = [(e, r.total) for e, r in fit(g1, cfg1, nb1).log]
     log2 = [(e, r.total) for e, r in fit(g2, cfg2, nb2).log]
     assert log1 == log2
+
+
+def test_import_and_fit_load_neither_scipy_linalg_nor_spatial():
+    # numpy and scipy each load their own OpenBLAS; training calls only
+    # numpy's, and scipy.spatial (~6 MiB resident) is left to large-n kNN
+    # and evaluation
+    code = (
+        "import sys, hgsc\n"
+        "from hgsc.synth import SynthSpec, generate\n"
+        "g = generate(SynthSpec(n=300, c=3, aux_count=150, seed=0))\n"
+        "hgsc.fit(g, hgsc.TrainConfig(c=3, max_epochs=3, seed=0),"
+        " hgsc.build_neighborhoods(g))\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.spatial')"
+        " if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hgsc.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert out.stdout.strip() == "[]"
 
 
 def test_fit_planted_partition_small():

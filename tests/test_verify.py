@@ -62,7 +62,7 @@ def test_zero_eig_count_disconnected_blocks():
             S = build_affinity(rng.standard_normal((12, 2)), k=3)
             if component_count(S) == 1:
                 break
-        blocks.append(laplacian(S).dense())
+        blocks.append(laplacian(S).toarray())
     n = sum(b.shape[0] for b in blocks)
     L = np.zeros((n, n))
     at = 0
@@ -96,7 +96,7 @@ def test_zero_eig_count_trained_matches_union_find():
                      relations=2, edges_per_node=3, separation=10.0, seed=3)
     g = generate(spec)
     S = build_affinity(g.features[g.target_type], k=4)
-    count_eig = zero_eig_count(laplacian(S).dense(), 1e-8)
+    count_eig = zero_eig_count(laplacian(S).toarray(), 1e-8)
     assert count_eig == component_count(S)
 
 
