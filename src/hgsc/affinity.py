@@ -6,7 +6,9 @@ the KKT conditions, so generic rows carry exactly k positive weights
 summing to one. Candidate search is exact: a blocked full pairwise scan
 for small inputs, and for large ones a filter-and-refine search (kd-tree
 over a principal-direction projection, whose distances bound the true
-ones from below) that returns the same neighbors.
+ones from below) that returns the same neighbors. Most rows of that search
+are settled by one projected k-nearest query; only the rest query a
+projected ball.
 """
 
 from __future__ import annotations
@@ -18,12 +20,17 @@ from scipy.sparse import csr_matrix, diags
 
 # Inputs up to this many rows are scanned in full; above it the projected
 # filter-and-refine search runs on blocks of _REFINE_BLOCK rows, in a
-# space of _PROJ_RANK principal directions. A block whose candidate balls
-# hold more than _REFINE_BUDGET pair coordinates is scanned instead, which
-# bounds the refine step's memory where the projection prunes poorly (the
-# budget is about the size of one scanned block at n = 8000).
+# space of _PROJ_RANK principal directions, and first ranks the
+# k + _PROJ_EXTRA nearest projected points of each row (k+5 to k+7 measured
+# fastest at n = 4k-16k: narrower leaves more rows to the ball queries,
+# wider costs more exact distances). The rows it leaves unresolved query
+# projected balls; when those balls hold more than _REFINE_BUDGET pair
+# coordinates the rows are scanned instead, which bounds the refine step's
+# memory where the projection prunes poorly (the budget is about the size
+# of one scanned block at n = 8000).
 _SCAN_MAX_N = 1500
 _PROJ_RANK = 8
+_PROJ_EXTRA = 6
 _REFINE_BLOCK = 1024
 _REFINE_BUDGET = 1 << 23
 
@@ -131,12 +138,18 @@ def _select_rows(D: np.ndarray, cand: np.ndarray, k1: int):
     return idx_out, dist_out
 
 
-def _scan_block(X: np.ndarray, sq: np.ndarray, s: int, e: int, k1: int):
-    """Exact k1-nearest candidates of rows s:e against all rows of X."""
-    D = sq[s:e, None] + sq[None, :] - 2.0 * (X[s:e] @ X.T)
+def _scan_block(X: np.ndarray, sq: np.ndarray, rows, k1: int):
+    """Exact k1-nearest candidates of X[rows] against all rows of X.
+
+    ``rows`` is a slice or an index array. ``_knn_scan`` passes slices:
+    when one block is all of X, numpy computes X @ X.T by a symmetric
+    rank-k update, whose rounding a copied block would not reproduce.
+    """
+    D = sq[rows, None] + sq[None, :] - 2.0 * (X[rows] @ X.T)
     np.maximum(D, 0.0, out=D)
-    D[np.arange(e - s), np.arange(s, e)] = np.inf
-    return _select_rows(D, np.arange(X.shape[0], dtype=np.int64), k1)
+    cand = np.arange(X.shape[0], dtype=np.int64)
+    D[np.arange(D.shape[0]), cand[rows]] = np.inf
+    return _select_rows(D, cand, k1)
 
 
 def _knn_scan(X: np.ndarray, k: int, block: int = 2048):
@@ -147,7 +160,7 @@ def _knn_scan(X: np.ndarray, k: int, block: int = 2048):
     dist = np.empty((n, k + 1), dtype=np.float64)
     for s in range(0, n, block):
         e = min(n, s + block)
-        idx[s:e], dist[s:e] = _scan_block(X, sq, s, e, k + 1)
+        idx[s:e], dist[s:e] = _scan_block(X, sq, slice(s, e), k + 1)
     return idx, dist
 
 
@@ -158,14 +171,18 @@ def _knn_projected(X: np.ndarray, k: int):
     |P(x - y)| <= |x - y|, so distances among the rows projected onto the
     top principal directions bound the true ones from below (GEMINI
     lower bounding; exactness does not depend on how good the directions
-    are). Per block of rows, the k+2 nearest projected points give an
-    upper bound tau on each row's (k+1)-th true distance; the projected
-    ball of radius sqrt(tau), plus a rounding margin, then holds every
-    point within tau, whole tie groups included, and exact distances on
-    those pairs decide (optimal multi-step kNN, Seidl & Kriegel 1998).
-    A block whose balls exceed ``_REFINE_BUDGET`` pair coordinates (high
-    intrinsic dimension) is scanned instead and ranked as ``_knn_scan``
-    ranks it.
+    are). Per block of rows, the k + _PROJ_EXTRA nearest projected points
+    get exact distances; the (k+1)-th of them is an upper bound tau on the
+    row's (k+1)-th true distance, and every point within tau lies in the
+    projected ball of radius sqrt(tau) plus a rounding margin (optimal
+    multi-step kNN, Seidl & Kriegel 1998). A row whose farthest projected
+    candidate lies outside that ball is resolved: every point outside the
+    candidate set is at least as far in projection, so the candidates hold
+    every point within tau, whole tie groups included, and they are ranked
+    directly. The other rows query their balls and rank the exact
+    distances on those pairs. When those balls exceed ``_REFINE_BUDGET``
+    pair coordinates (high intrinsic dimension) the rows are scanned
+    instead and ranked as ``_knn_scan`` ranks them.
     """
     # imported here: scipy.spatial costs ~6 MiB that small inputs never need
     from scipy.spatial import cKDTree
@@ -184,7 +201,7 @@ def _knn_projected(X: np.ndarray, k: int):
     for s in range(0, n, _REFINE_BLOCK):
         e = min(n, s + _REFINE_BLOCK)
         rows = np.arange(s, e)
-        _, cand = tree.query(Z[s:e], k=k + 2)
+        proj, cand = tree.query(Z[s:e], k=k + _PROJ_EXTRA)
         diff = X[cand]
         diff -= X[s:e, None, :]
         diff *= diff
@@ -193,23 +210,31 @@ def _knn_projected(X: np.ndarray, k: int):
         bound = np.sqrt(np.partition(D0, k, axis=1)[:, k])
         # rounding in the projection grows with |x|
         radius = bound + 1e-9 * (bound + norm_max)
-        counts = tree.query_ball_point(Z[s:e], radius, return_length=True)
-        if counts.sum() * d > _REFINE_BUDGET:
-            idx[s:e], dist[s:e] = _scan_block(X, sq, s, e, k + 1)
+        done = proj[:, -1] > radius
+        cand, D0 = cand[done], D0[done]
+        order = np.lexsort((cand, D0), axis=1)[:, :k + 1]
+        idx[rows[done]] = np.take_along_axis(cand, order, axis=1)
+        dist[rows[done]] = np.take_along_axis(D0, order, axis=1)
+        rows, radius = rows[~done], radius[~done]
+        if rows.size == 0:
             continue
-        cols = np.concatenate(tree.query_ball_point(Z[s:e], radius))
-        rows = np.repeat(rows, counts)
-        keep = cols != rows
-        rows, cols = rows[keep], cols[keep]
-        diff = X[rows]
+        counts = tree.query_ball_point(Z[rows], radius, return_length=True)
+        if counts.sum() * d > _REFINE_BUDGET:
+            idx[rows], dist[rows] = _scan_block(X, sq, rows, k + 1)
+            continue
+        cols = np.concatenate(tree.query_ball_point(Z[rows], radius))
+        pair_rows = np.repeat(rows, counts)
+        keep = cols != pair_rows
+        pair_rows, cols = pair_rows[keep], cols[keep]
+        diff = X[pair_rows]
         diff -= X[cols]
         diff *= diff
         dr = diff.sum(axis=1)
-        order = np.lexsort((cols, dr, rows))
+        order = np.lexsort((cols, dr, pair_rows))
         # each ball holds its own row once; the rest are >= k+1 candidates
         start = np.cumsum(counts - 1) - (counts - 1)
         take = order[start[:, None] + np.arange(k + 1)]
-        idx[s:e], dist[s:e] = cols[take], dr[take]
+        idx[rows], dist[rows] = cols[take], dr[take]
     return idx, dist
 
 

@@ -239,19 +239,29 @@ def silhouette(X: np.ndarray, assignment: np.ndarray) -> float:
     sums come from one product with the 0/1 membership matrix. Nodes in a
     singleton cluster, and nodes with a = b = 0, score 0.
     """
+    return _silhouette(_distances(X), assignment)
+
+
+def _distances(X: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance matrix of the rows of X, by subtraction."""
     # imported here: scipy.spatial costs ~6 MiB resident, which importing
     # hgsc and training should not pay
     from scipy.spatial.distance import cdist
 
     X = np.asarray(X, dtype=np.float64)
+    return cdist(X, X)
+
+
+def _silhouette(D: np.ndarray, assignment: np.ndarray) -> float:
+    """Mean silhouette from the (n, n) distance matrix D."""
     clusters, inv = np.unique(np.asarray(assignment), return_inverse=True)
     if clusters.size < 2:
         raise EvalError("silhouette needs at least 2 clusters")
-    n = X.shape[0]
+    n = D.shape[0]
     rows = np.arange(n)
     member = np.zeros((n, clusters.size))
     member[rows, inv] = 1.0
-    sums = cdist(X, X) @ member
+    sums = D @ member
     sizes = member.sum(axis=0)
     n_own = sizes[inv]
     a = sums[rows, inv] / np.maximum(n_own - 1.0, 1.0)
@@ -300,12 +310,13 @@ def evaluate(Z: np.ndarray, Zt: np.ndarray, labels: np.ndarray,
     """Full downstream evaluation on [Z | Zt]."""
     X = concat_representation(Z, Zt)
     (ma, mi) = linear_probe(X, labels, train_idx, test_idx, repeats=repeats, seed=seed)
+    D = _distances(X)  # one matrix scores every repeat's silhouette
     nmis, aris, sils = [], [], []
     for rep in range(repeats):
         v_nmi, v_ari, assign = kmeans_cluster(X, labels, c, restarts=10, seed=seed + rep)
         nmis.append(v_nmi)
         aris.append(v_ari)
-        sils.append(silhouette(X, assign) if np.unique(assign).size > 1 else 0.0)
+        sils.append(_silhouette(D, assign) if np.unique(assign).size > 1 else 0.0)
     comp = complexity_measure(X, labels)
     agg = lambda xs: (float(np.mean(xs)), float(np.std(xs)))
     return EvalReport(macro_f1=ma, micro_f1=mi, nmi=agg(nmis), ari=agg(aris),

@@ -293,16 +293,23 @@ def build_neighborhoods(g: HeteroGraph) -> RelationNeighborhood:
         touches_dst = rel.dst_type == g.target_type
         if not (touches_src or touches_dst):
             continue
-        buckets: list[set] = [set() for _ in range(n)]
+        edges = np.asarray(rel.edges, dtype=np.int64)
+        tgt, nbr = [], []
         if touches_src:
             nbr_type = rel.dst_type
-            for s, d in rel.edges:
-                buckets[s].add(int(d))
+            tgt.append(edges[:, 0])
+            nbr.append(edges[:, 1])
         if touches_dst:
             nbr_type = rel.src_type
-            for s, d in rel.edges:
-                buckets[d].add(int(s))
-        lists = [np.array(sorted(b), dtype=np.int64) for b in buckets]
+            tgt.append(edges[:, 1])
+            nbr.append(edges[:, 0])
+        tgt, nbr = np.concatenate(tgt), np.concatenate(nbr)
+        # one sorted key per distinct (target, neighbor) pair
+        m = int(nbr.max()) + 1 if nbr.size else 1
+        keys = np.unique(tgt * m + nbr)
+        tgt, nbr = keys // m, keys % m
+        bounds = np.searchsorted(tgt, np.arange(n + 1)).tolist()
+        lists = [nbr[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         entries[rel.name] = (nbr_type, lists)
     return RelationNeighborhood(
         target_type=g.target_type, n=n, entries=entries, counts=dict(g.counts))

@@ -98,6 +98,15 @@ def node_consistency(Q: np.ndarray, Qt: np.ndarray, eta: float):
     return fro + eta * lse, grad_Q, grad_Qt
 
 
+def _cluster_sums(V: np.ndarray, yhat: np.ndarray, c: int) -> np.ndarray:
+    """(c, d) sums of the rows of V per cluster; empty clusters sum to 0.
+
+    Each sum adds its rows in row order, as ``np.add.at`` does, so the
+    result is bitwise the same.
+    """
+    return np.stack([V[yhat == j].sum(axis=0) for j in range(c)])
+
+
 def cluster_pool(Q: np.ndarray, yhat: np.ndarray, c: int):
     """Average-pool rows of Q by cluster indicator.
 
@@ -108,8 +117,7 @@ def cluster_pool(Q: np.ndarray, yhat: np.ndarray, c: int):
     yhat = np.asarray(yhat)
     if yhat.min(initial=0) < 0 or yhat.max(initial=0) >= c:
         raise ValueError("cluster indicator out of range")
-    Qhat = np.zeros((c, Q.shape[1]))
-    np.add.at(Qhat, yhat, Q)
+    Qhat = _cluster_sums(Q, yhat, c)
     counts = np.bincount(yhat, minlength=c).astype(np.int64)
     nonempty = counts > 0
     Qhat[nonempty] /= counts[nonempty, None]
@@ -132,8 +140,7 @@ def cluster_consistency(Qt: np.ndarray, Qhat: np.ndarray, yhat: np.ndarray):
     diff = Qt - Qhat[yhat]
     value = float((diff * diff).sum())
     grad_Qt = 2.0 * diff
-    grad_Qhat = np.zeros_like(Qhat)
-    np.add.at(grad_Qhat, yhat, -2.0 * diff)
+    grad_Qhat = _cluster_sums(-2.0 * diff, yhat, Qhat.shape[0])
     return value, grad_Qt, grad_Qhat
 
 

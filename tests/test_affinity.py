@@ -357,15 +357,79 @@ def test_two_block_affinity_above_scan_size_matches_scan():
     assert np.array_equal(S.indices, idx_s[:, :k])
 
 
+def _clusters_with_duplicate_group(rng, n, dup):
+    # clusters on a 6-dimensional subspace of 12 dimensions (learned
+    # representations have low intrinsic dimension), plus dup copies of row 0
+    basis = np.linalg.qr(rng.standard_normal((12, 6)))[0].T
+    centers = 6.0 * rng.standard_normal((4, 6))
+    X = (centers[rng.integers(4, size=n)] + rng.standard_normal((n, 6))) @ basis
+    X[rng.choice(n, dup, replace=False)] = X[0]
+    return X
+
+
+def test_projected_search_resolves_most_rows_and_refines_the_rest(monkeypatch):
+    # rows whose k + _PROJ_EXTRA projected candidates hold every point
+    # within their radius are ranked directly; a duplicate group larger
+    # than that cannot be, and its rows query their projected balls
+    from scipy import spatial
+
+    ball_rows = []
+
+    class SpyTree(spatial.cKDTree):
+        def query_ball_point(self, x, r, **kwargs):
+            if kwargs.get("return_length"):
+                ball_rows.append(len(x))
+            return super().query_ball_point(x, r, **kwargs)
+
+    monkeypatch.setattr(spatial, "cKDTree", SpyTree)
+    monkeypatch.setattr(aff, "_REFINE_BLOCK", 128)
+    k, n = 4, 400
+    dup = k + aff._PROJ_EXTRA + 5
+    X = _clusters_with_duplicate_group(np.random.default_rng(43), n, dup)
+    idx, dist = aff._knn_projected(X, k)
+    assert dup <= sum(ball_rows) < n // 2
+    idx_o, dist_o = brute_force_knn(X, k)
+    assert np.array_equal(idx, idx_o)
+    assert np.abs(dist - dist_o).max() <= 1e-10
+
+
+def test_over_budget_rows_are_scanned_beside_resolved_rows(monkeypatch):
+    # with no refine budget the unresolved rows of a block are scanned;
+    # the resolved rows of the same block keep their exact ranking
+    scanned = []
+    scan_block = aff._scan_block
+
+    def spy(X, sq, rows, k1):
+        scanned.extend(rows.tolist())
+        return scan_block(X, sq, rows, k1)
+
+    monkeypatch.setattr(aff, "_scan_block", spy)
+    monkeypatch.setattr(aff, "_REFINE_BUDGET", 0)
+    k, n = 4, 300
+    assert n <= aff._REFINE_BLOCK
+    X = _clusters_with_duplicate_group(np.random.default_rng(47), n, 14)
+    idx, dist = aff._knn_projected(X, k)
+    scanned = np.array(scanned)
+    resolved = np.setdiff1d(np.arange(n), scanned)
+    assert 14 <= scanned.size < n // 2
+    idx_o, dist_o = brute_force_knn(X, k)
+    assert np.array_equal(idx[resolved], idx_o[resolved])
+    assert np.abs(dist[resolved] - dist_o[resolved]).max() <= 1e-10
+    monkeypatch.setattr(aff, "_scan_block", scan_block)
+    idx_s, dist_s = aff._knn_scan(X, k)
+    assert np.array_equal(idx[scanned], idx_s[scanned])
+    assert np.abs(dist[scanned] - dist_s[scanned]).max() <= 1e-10
+
+
 def test_isotropic_high_dim_search_falls_back_and_matches_scan(monkeypatch):
     # eight projected directions bound 48 isotropic ones poorly: the balls
     # would hold nearly all pairs, so blocks are scanned instead
     scanned = []
     scan_block = aff._scan_block
 
-    def spy(X, sq, s, e, k1):
-        scanned.append((s, e))
-        return scan_block(X, sq, s, e, k1)
+    def spy(X, sq, rows, k1):
+        scanned.append(rows)
+        return scan_block(X, sq, rows, k1)
 
     monkeypatch.setattr(aff, "_scan_block", spy)
     X = np.random.default_rng(41).standard_normal((2000, 48))

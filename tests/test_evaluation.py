@@ -348,6 +348,22 @@ def test_evaluate_perfect_embeddings():
     assert report.complexity[0] >= 0.0
 
 
+def test_evaluate_silhouette_equals_per_call_values():
+    # evaluate shares one distance matrix across repeats; its silhouette
+    # entries must equal separate silhouette() calls on the same clusterings
+    rng = np.random.default_rng(15)
+    n, c, repeats = 90, 3, 4
+    labels = np.repeat(np.arange(c), n // c)
+    Z = 2.0 * np.eye(c)[labels] + rng.standard_normal((n, c))
+    Zt = rng.standard_normal((n, 2))
+    idx = rng.permutation(n)
+    report = evaluate(Z, Zt, labels, idx[:45], idx[45:], c, repeats=repeats, seed=3)
+    X = concat_representation(Z, Zt)
+    sils = [silhouette(X, kmeans_cluster(X, labels, c, seed=3 + rep)[2])
+            for rep in range(repeats)]
+    assert report.silhouette == (float(np.mean(sils)), float(np.std(sils)))
+
+
 def test_eval_report_tsv(tmp_path):
     rng = np.random.default_rng(14)
     n = 30

@@ -190,3 +190,40 @@ def test_direction_normalized_to_target(tmp_path):
     assert nbr_type == "author"
     assert lists[0].tolist() == []
     assert lists[1].tolist() == [0, 1]
+
+
+def test_neighborhoods_match_set_reference():
+    # duplicate edges, both directions of a relation, a target -> target
+    # relation and target nodes without neighbors
+    rng = np.random.default_rng(11)
+    n, m = 40, 25
+    ta = rng.integers(0, [n - 5, m], size=(120, 2))  # targets >= n-5 unlinked
+    at = rng.integers(0, [m, n - 5], size=(90, 2))
+    tt = rng.integers(0, n - 5, size=(80, 2))
+    tt = tt[tt[:, 0] != tt[:, 1]]
+    g = HeteroGraph(
+        node_types=["t", "a"], counts={"t": n, "a": m},
+        features={"t": np.zeros((n, 1)), "a": np.zeros((m, 1))},
+        relations=[Relation("ta", "t", "a", np.vstack([ta, ta[:30]])),
+                   Relation("at", "a", "t", at),
+                   Relation("tt", "t", "t", np.vstack([tt, tt[:, ::-1]])),
+                   Relation("aa", "a", "a", np.array([[0, 1]]))],
+        target_type="t", labels=np.zeros(n, dtype=np.int64),
+        train_idx=np.arange(n), test_idx=np.empty(0, dtype=np.int64))
+    g.validate()
+    nb = build_neighborhoods(g)
+    assert sorted(nb.entries) == ["at", "ta", "tt"]
+    for rel in g.relations[:3]:
+        ref = [set() for _ in range(n)]
+        for s, d in rel.edges:
+            if rel.src_type == "t":
+                ref[s].add(int(d))
+            if rel.dst_type == "t":
+                ref[d].add(int(s))
+        nbr_type, lists = nb.entries[rel.name]
+        assert nbr_type == ("t" if rel.name == "tt" else "a")
+        assert len(lists) == n
+        for got, want in zip(lists, ref):
+            assert got.dtype == np.int64
+            assert got.tolist() == sorted(want)
+        assert all(lists[i].size == 0 for i in range(n - 5, n))

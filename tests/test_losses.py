@@ -197,6 +197,27 @@ def test_cluster_pool_empty_cluster_flagged(caplog):
     assert any("empty clusters" in r.message for r in caplog.records)
 
 
+def test_cluster_sums_equal_add_at_bitwise():
+    # the loss values feed finite-difference checks that hinge on single
+    # ulps, so the per-cluster sums must round exactly as np.add.at does
+    rng = np.random.default_rng(9)
+    for n, c in ((300, 3), (8000, 3), (50, 6)):
+        Q = 1e3 * rng.standard_normal((n, 5))
+        yhat = rng.integers(0, c - 1, size=n)  # cluster c-1 stays empty
+        Qt = Q + rng.standard_normal((n, 5))
+        ref = np.zeros((c, 5))
+        np.add.at(ref, yhat, Q)
+        counts = np.bincount(yhat, minlength=c)
+        ref[:-1] /= counts[:-1, None]
+        Qhat, _ = cluster_pool(Q, yhat, c)
+        assert np.array_equal(Qhat, ref)
+        ref_grad = np.zeros((c, 5))
+        np.add.at(ref_grad, yhat, -2.0 * (Qt - ref[yhat]))
+        _, _, grad_Qhat = cluster_consistency(Qt, Qhat, yhat)
+        assert np.array_equal(grad_Qhat, ref_grad)
+        assert not grad_Qhat[-1].any()
+
+
 # ------------------------------------------------------ cluster consistency
 
 def test_cluster_consistency_zero_when_aligned():
