@@ -2,10 +2,9 @@
 spectral clustering, with an executable verification suite."""
 
 from .affinity import (AffinityMatrix, build_affinity, compute_alpha, laplacian,
-                       pairwise_distance, propagate, solve_affinity_row)
+                       propagate, solve_affinity_row)
 from .encoders import (ClusterAssignment, DenseLayer, EncoderStack,
-                       cluster_assign, hetero_encode, mlp_forward,
-                       orthogonal_layer)
+                       cluster_assign, hetero_encode, orthogonal_layer)
 from .evaluation import (EvalReport, complexity_measure, concat_representation,
                          evaluate, kmeans_cluster, linear_probe, silhouette)
 from .graph import (HeteroGraph, Relation, RelationNeighborhood,

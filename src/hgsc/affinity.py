@@ -65,30 +65,18 @@ class AffinityMatrix:
         return self.weights.sum(axis=1)
 
     def save_tsv(self, path: str) -> None:
-        """Export nonzero entries as (i, j, s_ij) triplets."""
+        """Export nonzero entries as (i, j, s_ij) triplets in row order.
+
+        The whole file is formatted by one ``%`` over a repeated line
+        template, so no Python code runs per entry.
+        """
+        rows, cols = np.nonzero(self.weights > 0.0)
+        fields = [None] * (3 * rows.size)
+        fields[0::3] = rows.tolist()
+        fields[1::3] = self.indices[rows, cols].tolist()
+        fields[2::3] = self.weights[rows, cols].tolist()
         with open(path, "w", encoding="utf-8") as fh:
-            for i in range(self.n):
-                for j, w in zip(self.indices[i], self.weights[i]):
-                    if w > 0.0:
-                        fh.write(f"{i}\t{j}\t{format(w, '.17g')}\n")
-
-
-def pairwise_distance(h_i, h_j, f_i=None, f_j=None, beta: float = 0.0) -> float:
-    """Squared-distance blend d_ij = |h_i - h_j|^2 + beta |f_i - f_j|^2."""
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h_j = np.asarray(h_j, dtype=np.float64)
-    if h_i.shape != h_j.shape:
-        raise AffinityError(f"representation dims differ: {h_i.shape} vs {h_j.shape}")
-    d = float(np.sum((h_i - h_j) ** 2))
-    if beta != 0.0:
-        if f_i is None or f_j is None:
-            raise AffinityError("beta > 0 requires both f vectors")
-        f_i = np.asarray(f_i, dtype=np.float64)
-        f_j = np.asarray(f_j, dtype=np.float64)
-        if f_i.shape != f_j.shape:
-            raise AffinityError(f"assignment dims differ: {f_i.shape} vs {f_j.shape}")
-        d += beta * float(np.sum((f_i - f_j) ** 2))
-    return d
+            fh.write(("%d\t%d\t%.17g\n" * rows.size) % tuple(fields))
 
 
 def _select_rows(D: np.ndarray, cand: np.ndarray, k1: int):

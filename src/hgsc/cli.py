@@ -25,7 +25,7 @@ from .graph import (GraphFormatError, GraphValidationError, build_neighborhoods,
                     load_graph, save_graph)
 from .losses import write_log
 from .synth import SynthSpec, generate
-from .trainer import NumericalDivergence, TrainConfig, fit, rebuild_affinity
+from .trainer import NumericalDivergence, TrainConfig, fit
 from .verify import run_suite, write_results
 
 EXIT_OK = 0

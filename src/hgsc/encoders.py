@@ -89,16 +89,6 @@ class DenseLayer:
         self.gb[:] = 0.0
 
 
-def mlp_forward(layers, X: np.ndarray):
-    """Run a layer sequence; returns output and the per-layer cache list."""
-    caches = []
-    out = X
-    for layer in layers:
-        out, cache = layer.forward(out)
-        caches.append(cache)
-    return out, caches
-
-
 def orthogonal_layer(P: np.ndarray):
     """Map P to Y = sqrt(n) P R^-1 with R from the QR factorization of P.
 
@@ -174,7 +164,11 @@ class EncoderStack:
     Layers: ``g_phi`` (target features -> d1), ``p_phi`` (d1 -> c),
     ``q_gamma`` (d1 -> d2), one input projection per node type and one
     combiner (2 d1 -> d1) per relation. Initialization order is fixed, so
-    a seed fully determines every parameter.
+    a seed fully determines every parameter. The projections and combiners
+    are stored and checkpointed as separate layers, but ``hetero_encode``
+    never runs them one by one: it folds each relation's maps into one
+    small matrix per step, applied to graph constants built once per graph
+    and relation (see ``hetero_encode``).
     """
 
     CHECKPOINT_VERSION = 1
@@ -273,57 +267,96 @@ class EncoderStack:
         return stack, config_json
 
 
+def _fold(stack: EncoderStack, name: str, nbr_type: str, aggregate: bool):
+    """Right factor T_r of relation ``name``'s pre-activation B_r T_r.
+
+    Rows: [W_t W_c1; W_n W_c2; b_t W_c1 + b_c; b_n W_c2], matching the
+    column blocks of ``RelationNeighborhood.combiner_input``; without
+    ``aggregate`` the W_n W_c2 block is returned apart instead of stacked.
+    """
+    d1 = stack.d1
+    f_t = stack.f_theta[stack.target_type]
+    f_n = stack.f_theta[nbr_type]
+    comb = stack.combiners[name]
+    W_c1, W_c2 = comb.W[:d1], comb.W[d1:]
+    M_n = f_n.W @ W_c2
+    rows = [f_t.W @ W_c1, M_n] if aggregate else [f_t.W @ W_c1]
+    return np.vstack(rows + [f_t.b @ W_c1 + comb.b, f_n.b @ W_c2]), M_n
+
+
 def hetero_encode(stack: EncoderStack, g, nb):
     """Relation-wise neighbor aggregation into n x d1 representations.
 
     Per relation: project the target row and the summed neighbor rows with
     the per-type linear maps, concatenate, squash through the relation's
-    combiner, then average over relations.
+    combiner, then average over relations. Everything before the
+    combiner's relu is linear, so each relation's pre-activation is
+    computed as one product B_r T_r: B_r = [X_t | A_r X_n | 1 | deg_r]
+    holds only graph constants and is built once per graph and relation
+    (``RelationNeighborhood.combiner_input``), and T_r is a small
+    (f_t + f_n + 2) x d1 matrix folded from the weights (``_fold``).
+    Neighbor features wider than d1 (such as synthesized one-hot ones) are
+    not densified: their block is applied as A_r (X_n (W_n W_c2)) instead.
     """
     if not nb.entries:
         raise EncoderConfigError("no relations touch the target type")
-    X_tgt = g.features[stack.target_type]
-    proj: dict[str, tuple[np.ndarray, tuple]] = {}
-
-    def project_type(t: str):
-        if t not in stack.f_theta:
-            raise EncoderConfigError(f"no input projection configured for type {t!r}")
-        if t not in proj:
-            proj[t] = stack.f_theta[t].forward(g.features[t])
-        return proj[t][0]
-
-    F_tgt = project_type(stack.target_type)
-    rel_caches = {}
-    total = np.zeros((nb.n, stack.d1))
     names = sorted(nb.entries)
+    pre: dict[str, np.ndarray] = {}
+    inputs: dict[str, tuple[np.ndarray, bool]] = {}
+    Zt = None
     for name in names:
         nbr_type, _ = nb.entries[name]
+        for t in (stack.target_type, nbr_type):
+            if t not in stack.f_theta:
+                raise EncoderConfigError(f"no input projection configured for type {t!r}")
         if name not in stack.combiners:
             raise EncoderConfigError(f"no combiner configured for relation {name!r}")
-        A = nb.aggregation_matrix(name)
-        agg = A @ project_type(nbr_type)
-        concat = np.hstack([F_tgt, agg])
-        out, cache = stack.combiners[name].forward(concat)
-        total += out
-        rel_caches[name] = (nbr_type, cache)
-    Zt = total / len(names)
-    return Zt, {"proj": proj, "rel": rel_caches, "names": names, "nb": nb}
+        X_n = g.features[nbr_type]
+        aggregate = X_n.shape[1] <= stack.d1
+        T, M_n = _fold(stack, name, nbr_type, aggregate)
+        B = nb.combiner_input(name, g.features, aggregate)
+        inputs[name] = (B, aggregate)
+        pre[name] = B @ T
+        if not aggregate:
+            pre[name] += nb.aggregation_matrix(name) @ (X_n @ M_n)
+        out = np.maximum(pre[name], 0.0)
+        if Zt is None:
+            Zt = out
+        else:
+            Zt += out
+    Zt /= len(names)
+    return Zt, {"pre": pre, "inputs": inputs, "names": names, "g": g, "nb": nb}
 
 
 def hetero_backward(stack: EncoderStack, cache, grad_Zt: np.ndarray) -> None:
-    """Backward pass mirroring ``hetero_encode``; accumulates layer grads."""
-    names = cache["names"]
-    nb = cache["nb"]
-    proj = cache["proj"]
+    """Backward pass mirroring ``hetero_encode``; accumulates layer grads.
+
+    Per relation, one B_r^T g_r product reduces the n rows to an
+    (f_t + f_n + 2) x d1 matrix; the ``f_theta`` and ``combiner``
+    gradients follow from it by small products with the weights.
+    """
+    names, g, nb = cache["names"], cache["g"], cache["nb"]
     d1 = stack.d1
-    grad_F: dict[str, np.ndarray] = {
-        t: np.zeros_like(val[0]) for t, val in proj.items()}
-    g_each = grad_Zt / len(names)
+    f_t = stack.f_theta[stack.target_type]
+    k_t = f_t.in_dim
     for name in names:
-        nbr_type, comb_cache = cache["rel"][name]
-        g_concat = stack.combiners[name].backward(comb_cache, g_each)
-        grad_F[stack.target_type] += g_concat[:, :d1]
-        A = nb.aggregation_matrix(name)
-        grad_F[nbr_type] += A.T @ g_concat[:, d1:]
-    for t, gF in grad_F.items():
-        stack.f_theta[t].backward(proj[t][1], gF)
+        nbr_type, _ = nb.entries[name]
+        f_n, comb = stack.f_theta[nbr_type], stack.combiners[name]
+        W_c1, W_c2 = comb.W[:d1], comb.W[d1:]
+        B, aggregate = cache["inputs"][name]
+        # the 1/R of the relation average is applied to the reduced rows
+        g_r = grad_Zt * (cache["pre"][name] > 0.0)
+        G = B.T @ g_r / len(names)
+        G_t, g_1, g_deg = G[:k_t], G[-2], G[-1]
+        if aggregate:
+            G_n = G[k_t:-2]
+        else:
+            X_n = g.features[nbr_type]
+            G_n = X_n.T @ (nb.aggregation_matrix(name).T @ g_r) / len(names)
+        comb.gw[:d1] += f_t.W.T @ G_t + np.outer(f_t.b, g_1)
+        comb.gw[d1:] += f_n.W.T @ G_n + np.outer(f_n.b, g_deg)
+        comb.gb += g_1
+        f_t.gw += G_t @ W_c1.T
+        f_t.gb += g_1 @ W_c1.T
+        f_n.gw += G_n @ W_c2.T
+        f_n.gb += g_deg @ W_c2.T

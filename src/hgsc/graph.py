@@ -57,10 +57,6 @@ class HeteroGraph:
     def n_target(self) -> int:
         return self.counts[self.target_type]
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1
-
     def validate(self) -> None:
         if self.target_type not in self.node_types:
             raise GraphValidationError(f"unknown target type {self.target_type!r}")
@@ -113,7 +109,8 @@ class RelationNeighborhood:
     """Per-relation one-hop neighbor lists indexed by target node.
 
     ``entries`` maps relation name to (neighbor type, list of sorted,
-    deduplicated index arrays; one array per target node).
+    deduplicated index arrays; one array per target node). Each relation's
+    aggregation matrix and encoder input are built on first use and cached.
     """
 
     target_type: str
@@ -135,6 +132,28 @@ class RelationNeighborhood:
             self._agg_cache[name] = csr_matrix(
                 (data, indices, indptr), shape=(self.n, max(self.counts[nbr_type], 1)))
         return self._agg_cache[name]
+
+    def combiner_input(self, name: str, features: dict[str, np.ndarray],
+                       aggregate: bool) -> np.ndarray:
+        """Constant left factor B = [X_t | A X_n | 1 | deg] of relation ``name``.
+
+        X_t and X_n are the target and neighbor features, A is
+        ``aggregation_matrix(name)`` and deg its row sums (neighbor counts).
+        With ``aggregate`` False the A X_n block is left out and the caller
+        applies A sparsely. Built on first use and cached per relation for as
+        long as the same feature arrays are passed.
+        """
+        nbr_type = self.entries[name][0]
+        x_tgt, x_nbr = features[self.target_type], features[nbr_type]
+        key = (name, aggregate)
+        hit = self._agg_cache.get(key)
+        if hit is None or hit[0] is not x_tgt or hit[1] is not x_nbr:
+            A = self.aggregation_matrix(name)
+            deg = np.diff(A.indptr).astype(np.float64)[:, None]
+            blocks = [x_tgt, A @ x_nbr] if aggregate else [x_tgt]
+            hit = (x_tgt, x_nbr, np.hstack(blocks + [np.ones_like(deg), deg]))
+            self._agg_cache[key] = hit
+        return hit[2]
 
 
 def _read_rows(path: str) -> list[list[str]]:

@@ -160,8 +160,8 @@ def _relu_margin(stepper) -> float:
     margins = []
     for key in ("c_g", "c_q1", "c_q2"):
         margins.append(np.abs(cache[key][1]).min())
-    for _, (_, comb_cache) in cache["c_h"]["rel"].items():
-        margins.append(np.abs(comb_cache[1]).min())
+    for pre in cache["c_h"]["pre"].values():
+        margins.append(np.abs(pre).min())
     return float(min(margins))
 
 

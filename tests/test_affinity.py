@@ -4,7 +4,7 @@ import pytest
 import hgsc.affinity as aff
 from hgsc.affinity import (AffinityError, AffinityMatrix, build_affinity,
                            compute_alpha, laplacian, nearest_candidates,
-                           pairwise_distance, propagate, solve_affinity_row)
+                           propagate, solve_affinity_row)
 from hgsc.verify import component_count, qp_oracle
 
 
@@ -20,41 +20,6 @@ def brute_force_knn(X, k):
         idx[i] = order
         dist[i] = d[order]
     return idx, dist
-
-
-# ---------------------------------------------------------------- distances
-
-def test_pairwise_distance_identity():
-    v = np.array([1.0, 2.0, 3.0])
-    assert pairwise_distance(v, v, v, v, beta=1.0) == 0.0
-
-
-def test_pairwise_distance_unit_square():
-    assert pairwise_distance([1.0, 0.0], [0.0, 1.0], beta=0.0) == 2.0
-
-
-def test_pairwise_distance_with_assignment_term():
-    # cross-checked against an independent norm routine
-    h_i, h_j = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    f_i, f_j = np.array([1.0]), np.array([0.0])
-    got = pairwise_distance(h_i, h_j, f_i, f_j, beta=2.0)
-    expect = np.linalg.norm(h_i - h_j) ** 2 + 2.0 * np.linalg.norm(f_i - f_j) ** 2
-    assert got == pytest.approx(4.0)
-    assert got == pytest.approx(expect)
-
-
-def test_pairwise_distance_dim_mismatch():
-    with pytest.raises(AffinityError):
-        pairwise_distance([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-def test_pairwise_distance_symmetry():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        a, b = rng.standard_normal((2, 5))
-        f, g = rng.standard_normal((2, 3))
-        assert pairwise_distance(a, b, f, g, 0.5) == pytest.approx(
-            pairwise_distance(b, a, g, f, 0.5))
 
 
 # ------------------------------------------------------------- closed form
@@ -452,6 +417,29 @@ def test_scan_matches_brute_force_with_ties():
         idx_o, dist_o = brute_force_knn(X, k)
         assert np.array_equal(idx, idx_o)
         assert np.allclose(dist, dist_o)
+
+
+def test_affinity_tsv_matches_per_entry_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    n, k = 6, 3
+    weights = rng.dirichlet(np.ones(k), size=n)
+    weights[1] = [0.7, 0.3, 0.0]            # zero weight is skipped
+    weights[2] = [1.0, 0.0, 0.0]
+    weights[3] = 1.0 / 3.0                  # degenerate row: uniform
+    weights[4, 2] = 1e-300
+    indices = np.array([rng.permutation(n)[:k] for _ in range(n)])
+    degenerate = np.zeros(n, dtype=bool)
+    degenerate[3] = True
+    S = AffinityMatrix(n=n, k=k, indices=indices, weights=weights, degenerate=degenerate)
+    path = tmp_path / "aff.tsv"
+    S.save_tsv(str(path))
+    expect = []
+    for i in range(n):
+        for j, w in zip(indices[i], weights[i]):
+            if w > 0.0:
+                expect.append(f"{i}\t{j}\t{format(w, '.17g')}\n")
+    assert path.read_bytes() == "".join(expect).encode("utf-8")
+    assert len(expect) == n * k - 3
 
 
 def test_affinity_tsv_export(tmp_path):

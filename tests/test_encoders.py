@@ -3,9 +3,9 @@ import pytest
 
 from hgsc.encoders import (DenseLayer, EncoderConfigError, EncoderStack,
                            RankDeficientError, cluster_assign, hetero_encode,
-                           hetero_backward, mlp_forward, orthogonal_backward,
+                           hetero_backward, orthogonal_backward,
                            orthogonal_layer)
-from hgsc.graph import build_neighborhoods
+from hgsc.graph import HeteroGraph, Relation, build_neighborhoods
 from hgsc.synth import SynthSpec, generate
 
 
@@ -28,29 +28,12 @@ def gram_schmidt(P):
     return Q
 
 
-# ------------------------------------------------------------- mlp_forward
+# ------------------------------------------------------------- dense layer
 
-def test_mlp_identity_passthrough():
-    X = np.abs(np.random.default_rng(0).standard_normal((5, 3)))
-    layer = make_layer(np.eye(3))
-    out, _ = mlp_forward([layer], X)
-    assert np.array_equal(out, X)
-
-
-def test_mlp_zero_weights():
+def test_dense_layer_zero_weights():
     X = np.random.default_rng(1).standard_normal((4, 3))
-    out, _ = mlp_forward([make_layer(np.zeros((3, 2)))], X)
+    out, _ = make_layer(np.zeros((3, 2))).forward(X)
     assert np.array_equal(out, np.zeros((4, 2)))
-
-
-def test_mlp_matches_dense_oracle():
-    rng = np.random.default_rng(2)
-    X = rng.standard_normal((3, 2))
-    W = rng.standard_normal((2, 4))
-    b = rng.standard_normal(4)
-    out, _ = mlp_forward([make_layer(W, b, activation="none")], X)
-    oracle = np.einsum("ni,io->no", X, W) + b
-    assert np.abs(out - oracle).max() < 1e-10
 
 
 def test_mlp_dim_mismatch():
@@ -393,6 +376,103 @@ def test_hetero_backward_fd():
             flat[idx] = orig
             fd = (f_plus - f_minus) / (2 * h)
             assert abs(fd - gflat[idx]) / max(abs(fd), abs(gflat[idx]), 1e-6) < 1e-4
+
+
+def reference_encode(stack, g, nb):
+    """The unfolded encoder: project every type, aggregate the projected
+    neighbor rows, concatenate and run each relation's combiner."""
+    proj = {}
+
+    def project(t):
+        if t not in proj:
+            proj[t] = stack.f_theta[t].forward(g.features[t])
+        return proj[t][0]
+
+    F_t = project(stack.target_type)
+    rel = {}
+    total = np.zeros((nb.n, stack.d1))
+    for name in sorted(nb.entries):
+        nbr_type, _ = nb.entries[name]
+        agg = nb.aggregation_matrix(name) @ project(nbr_type)
+        out, cache = stack.combiners[name].forward(np.hstack([F_t, agg]))
+        total += out
+        rel[name] = (nbr_type, cache)
+    return total / len(rel), (proj, rel)
+
+
+def reference_backward(stack, nb, cache, grad_Zt):
+    proj, rel = cache
+    d1 = stack.d1
+    grad_F = {t: np.zeros_like(val[0]) for t, val in proj.items()}
+    for name, (nbr_type, comb_cache) in rel.items():
+        g_concat = stack.combiners[name].backward(comb_cache, grad_Zt / len(rel))
+        grad_F[stack.target_type] += g_concat[:, :d1]
+        grad_F[nbr_type] += nb.aggregation_matrix(name).T @ g_concat[:, d1:]
+    for t, gF in grad_F.items():
+        stack.f_theta[t].backward(proj[t][1], gF)
+
+
+def random_relation_graph(rng, d1):
+    """Target type "item" with a target->target relation, a narrow "ctx"
+    neighbor type (f <= d1), a one-hot "tag" type (f > d1) linked from the
+    aux side, and target nodes that have no neighbor in any relation."""
+    n, m_ctx, m_tag = int(rng.integers(12, 30)), int(rng.integers(3, 9)), d1 + 7
+    lonely = rng.choice(n, size=3, replace=False)
+    linked = np.setdiff1d(np.arange(n), lonely)
+
+    def edges(src_pool, dst_count, count):
+        e = np.column_stack([rng.choice(src_pool, count), rng.integers(0, dst_count, count)])
+        return np.unique(e, axis=0)
+
+    it = edges(linked, n, 3 * n)
+    it = it[(it[:, 0] != it[:, 1]) & ~np.isin(it[:, 1], lonely)]
+    ic = edges(linked, m_ctx, 2 * n)
+    ti = edges(np.arange(m_tag), n, 2 * n)
+    ti = ti[~np.isin(ti[:, 1], lonely)]
+    g = HeteroGraph(
+        node_types=["item", "ctx", "tag"],
+        counts={"item": n, "ctx": m_ctx, "tag": m_tag},
+        features={"item": rng.standard_normal((n, 5)),
+                  "ctx": rng.standard_normal((m_ctx, 3)),
+                  "tag": np.eye(m_tag)},
+        relations=[Relation("it", "item", "item", it), Relation("ic", "item", "ctx", ic),
+                   Relation("ti", "tag", "item", ti)],
+        target_type="item", labels=np.zeros(n, dtype=np.int64),
+        train_idx=np.arange(0), test_idx=np.arange(0))
+    g.validate()
+    return g, build_neighborhoods(g), lonely
+
+
+def test_folded_encoder_matches_unfolded_formulas():
+    rng = np.random.default_rng(21)
+    d1 = 6
+    for trial in range(10):
+        g, nb, lonely = random_relation_graph(rng, d1)
+        assert sorted(nb.entries) == ["ic", "it", "ti"]
+        for name in nb.entries:
+            assert all(nb.entries[name][1][i].size == 0 for i in lonely)
+        stack = make_stack(g, nb, d1=d1, seed=trial)
+        for p in stack.named_params().values():  # biases start at zero
+            p += 0.3 * rng.standard_normal(p.shape)
+        grad_Zt = rng.standard_normal((nb.n, d1))
+
+        Zt, cache = hetero_encode(stack, g, nb)
+        stack.zero_grads()
+        hetero_backward(stack, cache, grad_Zt)
+        got = {k: v.copy() for k, v in stack.named_grads().items()}
+        # the one-hot type takes the sparse branch, the others the dense one
+        assert {name: agg for name, (_, agg) in cache["inputs"].items()} == {
+            "it": True, "ic": True, "ti": False}
+
+        Zt_ref, ref_cache = reference_encode(stack, g, nb)
+        stack.zero_grads()
+        reference_backward(stack, nb, ref_cache, grad_Zt)
+        assert np.abs(Zt - Zt_ref).max() <= 1e-12 * np.abs(Zt_ref).max()
+        for name, ref in stack.named_grads().items():
+            if name.startswith(("g_phi", "p_phi", "q_gamma")):
+                continue
+            assert np.abs(ref).max() > 0.0, name
+            assert np.abs(got[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 # ------------------------------------------------------------- stack state

@@ -39,7 +39,7 @@ def star_dataset(tmp_path, edges="0\t0\n0\t1\n"):
 def test_load_degenerate_no_edges(tmp_path):
     g = load_graph(minimal_dataset(tmp_path))
     assert g.n_target == 3
-    assert g.num_classes == 2
+    assert g.labels.tolist() == [0, 1, 0]
     nb = build_neighborhoods(g)
     assert nb.entries == {}
 
@@ -227,3 +227,29 @@ def test_neighborhoods_match_set_reference():
             assert got.dtype == np.int64
             assert got.tolist() == sorted(want)
         assert all(lists[i].size == 0 for i in range(n - 5, n))
+
+
+def test_combiner_input_rows_and_cache():
+    rng = np.random.default_rng(5)
+    n, m = 9, 6
+    g = HeteroGraph(
+        node_types=["t", "a"], counts={"t": n, "a": m},
+        features={"t": rng.standard_normal((n, 2)), "a": rng.standard_normal((m, 3))},
+        relations=[Relation("ta", "t", "a", np.array([[0, 1], [0, 4], [2, 4], [5, 0]]))],
+        target_type="t", labels=np.zeros(n, dtype=np.int64),
+        train_idx=np.arange(n), test_idx=np.empty(0, dtype=np.int64))
+    nb = build_neighborhoods(g)
+    B = nb.combiner_input("ta", g.features, aggregate=True)
+    assert B.shape == (n, 2 + 3 + 2)
+    for i, nbrs in enumerate(nb.entries["ta"][1]):
+        want = np.concatenate([g.features["t"][i], g.features["a"][nbrs].sum(axis=0),
+                               [1.0, len(nbrs)]])
+        assert np.allclose(B[i], want, rtol=0, atol=1e-15)
+    # without aggregation the neighbor block is left out
+    B_sparse = nb.combiner_input("ta", g.features, aggregate=False)
+    assert np.array_equal(B_sparse, B[:, [0, 1, 5, 6]])
+    # built once while the feature arrays stay the same, rebuilt for new ones
+    assert nb.combiner_input("ta", g.features, aggregate=True) is B
+    features = dict(g.features, a=2.0 * g.features["a"])
+    B2 = nb.combiner_input("ta", features, aggregate=True)
+    assert np.array_equal(B2[:, 2:5], 2.0 * B[:, 2:5])

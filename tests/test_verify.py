@@ -211,6 +211,33 @@ def test_gradient_check_full_objective():
         assert gradient_check("total", seed=seed) < 1e-4
 
 
+def test_relu_margin_includes_each_relation_pre_activation():
+    from hgsc.encoders import EncoderStack
+    from hgsc.graph import build_neighborhoods
+    from hgsc.trainer import TrainConfig, TrainStepper, rebuild_affinity
+    from hgsc.verify import _relu_margin
+    g = generate(SynthSpec(n=12, c=2, feature_dim=4, aux_count=8, aux_feature_dim=3,
+                           relations=2, edges_per_node=2, seed=0))
+    nb = build_neighborhoods(g)
+    cfg = TrainConfig(c=2, d1=6, d2=4, k=3, seed=0)
+    dims = {t: g.features[t].shape[1] for t in g.node_types}
+    rels = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
+    stack = EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, cfg.seed)
+    stepper = TrainStepper(stack, g, nb, cfg)
+    stepper.forward(rebuild_affinity(stack, g, cfg, None))
+    cache = stepper._cache
+    pre = cache["c_h"]["pre"]
+    assert sorted(pre) == sorted(nb.entries)
+    margins = [np.abs(cache[key][1]).min() for key in ("c_g", "c_q1", "c_q2")]
+    margins += [np.abs(p).min() for p in pre.values()]
+    assert _relu_margin(stepper) == min(margins)
+    # a kink closer than every other layer's is found in each relation
+    for i, name in enumerate(sorted(pre)):
+        tiny = 1e-20 / (i + 1)
+        pre[name][3, 1] = -tiny
+        assert _relu_margin(stepper) == tiny
+
+
 def test_gradient_check_unknown_term():
     with pytest.raises(ValueError):
         gradient_check("bogus", seed=0)
