@@ -14,6 +14,7 @@ projected ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
@@ -46,7 +47,8 @@ class AffinityMatrix:
     ``indices[i]`` holds node i's k nearest candidates sorted by distance,
     ``weights[i]`` the matching weights. Rows flagged ``degenerate`` hit a
     distance tie through the (k+1)-th candidate and fall back to uniform
-    weights.
+    weights. The sparse forms the training step multiplies by (``csr``,
+    ``csr_t``, ``sym_degree``) are built on first use and kept with S.
     """
 
     n: int
@@ -54,6 +56,24 @@ class AffinityMatrix:
     indices: np.ndarray
     weights: np.ndarray
     degenerate: np.ndarray
+
+    @cached_property
+    def csr(self) -> csr_matrix:
+        """``to_csr()``, built once per S (S is not modified once built)."""
+        return self.to_csr()
+
+    @cached_property
+    def csr_t(self) -> csr_matrix:
+        """S^T as an explicit CSR, built once per S. Its products equal
+        those of the CSC view ``csr.T`` bit for bit: both add each output
+        row's terms in source-row order."""
+        return self.csr.T.tocsr()
+
+    @cached_property
+    def sym_degree(self) -> np.ndarray:
+        """Degrees of the symmetrized part (S + S^T)/2."""
+        return 0.5 * (self.row_sums() + np.bincount(self.indices.ravel(), self.weights.ravel(),
+                                                    minlength=self.n))
 
     def to_csr(self) -> csr_matrix:
         indptr = np.arange(0, self.n * self.k + 1, self.k, dtype=np.int64)
@@ -334,4 +354,4 @@ def propagate(S: AffinityMatrix, H: np.ndarray) -> np.ndarray:
     H = np.asarray(H, dtype=np.float64)
     if H.shape[0] != S.n:
         raise AffinityError(f"S is {S.n}x{S.n} but H has {H.shape[0]} rows")
-    return S.to_csr() @ H
+    return S.csr @ H

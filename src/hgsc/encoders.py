@@ -38,6 +38,10 @@ class DenseLayer:
     Activations: "relu" or "none". The cluster head stays
     linear: a relu there can zero out a whole column of the assignment
     matrix and make the QR step rank deficient.
+
+    Memory contract: the forward applies relu in place and caches only its
+    input and, for relu, the boolean mask ``pre > 0`` (an eighth of the
+    float pre-activation); the pre-activation itself is not kept.
     """
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "relu",
@@ -59,30 +63,37 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.W.shape[1]
 
+    def pre_activation(self, X: np.ndarray) -> np.ndarray:
+        """X W + b, the expression the forward applies its activation to."""
+        out = X @ self.W
+        out += self.b
+        return out
+
     def forward(self, X: np.ndarray):
+        """Return (out, cache); cache = (X, relu mask or None)."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.in_dim:
             raise EncoderConfigError(
                 f"layer expects (*, {self.in_dim}) input, got {X.shape}")
-        Z = X @ self.W + self.b
+        out = self.pre_activation(X)
+        mask = None
         if self.activation == "relu":
-            out = np.maximum(Z, 0.0)
-        else:
-            out = Z
-        return out, (X, Z)
+            mask = out > 0.0
+            np.maximum(out, 0.0, out=out)
+        return out, (X, mask)
 
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        X, Z = cache
-        if grad_out.shape != Z.shape:
+    def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
+        """Accumulate gw/gb; return the input gradient, or None when
+        ``input_grad`` is False (its n x in_dim product is then skipped)."""
+        X, mask = cache
+        if grad_out.shape != (X.shape[0], self.out_dim):
             raise EncoderConfigError(
-                f"upstream gradient shape {grad_out.shape} != output {Z.shape}")
-        if self.activation == "relu":
-            g = grad_out * (Z > 0.0)
-        else:
-            g = grad_out
+                f"upstream gradient shape {grad_out.shape} != output "
+                f"{(X.shape[0], self.out_dim)}")
+        g = grad_out * mask if mask is not None else grad_out
         self.gw += X.T @ g
         self.gb += g.sum(axis=0)
-        return g @ self.W.T
+        return g @ self.W.T if input_grad else None
 
     def zero_grads(self) -> None:
         self.gw[:] = 0.0
@@ -150,12 +161,13 @@ class ClusterAssignment:
 def cluster_assign(p_head: DenseLayer, H: np.ndarray):
     """Cluster assignment from representations: P = p(H) (linear head), then QR.
 
-    Returns (ClusterAssignment, cache).
+    Returns (ClusterAssignment, cache) with cache = (the head's cache, P):
+    the head caches no output, and ``orthogonal_backward`` needs P.
     """
     P, cache = p_head.forward(H)
     Y, R = orthogonal_layer(P)
     yhat = np.argmax(Y, axis=1)
-    return ClusterAssignment(Y=Y, yhat=yhat, R=R), cache
+    return ClusterAssignment(Y=Y, yhat=yhat, R=R), (cache, P)
 
 
 class EncoderStack:
@@ -284,6 +296,23 @@ def _fold(stack: EncoderStack, name: str, nbr_type: str, aggregate: bool):
     return np.vstack(rows + [f_t.b @ W_c1 + comb.b, f_n.b @ W_c2]), M_n
 
 
+def _relation_pre(stack: EncoderStack, g, nb, name: str, B: np.ndarray,
+                  aggregate: bool) -> np.ndarray:
+    """Pre-activation B_r T_r of relation ``name``'s combiner.
+
+    Without ``aggregate`` the neighbor block is added sparsely as
+    A_r (X_n (W_n W_c2)). The forward and ``relation_pre_activations`` both
+    call this, so a recomputed pre-activation equals the forward's bit for
+    bit.
+    """
+    nbr_type = nb.entries[name][0]
+    T, M_n = _fold(stack, name, nbr_type, aggregate)
+    pre = B @ T
+    if not aggregate:
+        pre += nb.aggregation_matrix(name) @ (g.features[nbr_type] @ M_n)
+    return pre
+
+
 def hetero_encode(stack: EncoderStack, g, nb):
     """Relation-wise neighbor aggregation into n x d1 representations.
 
@@ -297,11 +326,15 @@ def hetero_encode(stack: EncoderStack, g, nb):
     (f_t + f_n + 2) x d1 matrix folded from the weights (``_fold``).
     Neighbor features wider than d1 (such as synthesized one-hot ones) are
     not densified: their block is applied as A_r (X_n (W_n W_c2)) instead.
+
+    Memory contract: relu is applied in place and the cache keeps, per
+    relation, the boolean mask ``pre > 0`` and the graph-constant B_r, not
+    the float pre-activation (``relation_pre_activations`` recomputes it).
     """
     if not nb.entries:
         raise EncoderConfigError("no relations touch the target type")
     names = sorted(nb.entries)
-    pre: dict[str, np.ndarray] = {}
+    masks: dict[str, np.ndarray] = {}
     inputs: dict[str, tuple[np.ndarray, bool]] = {}
     Zt = None
     for name in names:
@@ -311,21 +344,26 @@ def hetero_encode(stack: EncoderStack, g, nb):
                 raise EncoderConfigError(f"no input projection configured for type {t!r}")
         if name not in stack.combiners:
             raise EncoderConfigError(f"no combiner configured for relation {name!r}")
-        X_n = g.features[nbr_type]
-        aggregate = X_n.shape[1] <= stack.d1
-        T, M_n = _fold(stack, name, nbr_type, aggregate)
+        aggregate = g.features[nbr_type].shape[1] <= stack.d1
         B = nb.combiner_input(name, g.features, aggregate)
         inputs[name] = (B, aggregate)
-        pre[name] = B @ T
-        if not aggregate:
-            pre[name] += nb.aggregation_matrix(name) @ (X_n @ M_n)
-        out = np.maximum(pre[name], 0.0)
+        out = _relation_pre(stack, g, nb, name, B, aggregate)
+        masks[name] = out > 0.0
+        np.maximum(out, 0.0, out=out)
         if Zt is None:
             Zt = out
         else:
             Zt += out
+        del out
     Zt /= len(names)
-    return Zt, {"pre": pre, "inputs": inputs, "names": names, "g": g, "nb": nb}
+    return Zt, {"masks": masks, "inputs": inputs, "names": names, "g": g, "nb": nb}
+
+
+def relation_pre_activations(stack: EncoderStack, cache) -> dict[str, np.ndarray]:
+    """Each relation's combiner pre-activation, recomputed from a
+    ``hetero_encode`` cache; bitwise equal to the forward's."""
+    return {name: _relation_pre(stack, cache["g"], cache["nb"], name, *cache["inputs"][name])
+            for name in cache["names"]}
 
 
 def hetero_backward(stack: EncoderStack, cache, grad_Zt: np.ndarray) -> None:
@@ -333,7 +371,8 @@ def hetero_backward(stack: EncoderStack, cache, grad_Zt: np.ndarray) -> None:
 
     Per relation, one B_r^T g_r product reduces the n rows to an
     (f_t + f_n + 2) x d1 matrix; the ``f_theta`` and ``combiner``
-    gradients follow from it by small products with the weights.
+    gradients follow from it by small products with the weights. Only one
+    relation's n x d1 gradient g_r is alive at a time.
     """
     names, g, nb = cache["names"], cache["g"], cache["nb"]
     d1 = stack.d1
@@ -345,7 +384,7 @@ def hetero_backward(stack: EncoderStack, cache, grad_Zt: np.ndarray) -> None:
         W_c1, W_c2 = comb.W[:d1], comb.W[d1:]
         B, aggregate = cache["inputs"][name]
         # the 1/R of the relation average is applied to the reduced rows
-        g_r = grad_Zt * (cache["pre"][name] > 0.0)
+        g_r = grad_Zt * cache["masks"][name]
         G = B.T @ g_r / len(names)
         G_t, g_1, g_deg = G[:k_t], G[-2], G[-1]
         if aggregate:
@@ -353,6 +392,7 @@ def hetero_backward(stack: EncoderStack, cache, grad_Zt: np.ndarray) -> None:
         else:
             X_n = g.features[nbr_type]
             G_n = X_n.T @ (nb.aggregation_matrix(name).T @ g_r) / len(names)
+        del g_r
         comb.gw[:d1] += f_t.W.T @ G_t + np.outer(f_t.b, g_1)
         comb.gw[d1:] += f_n.W.T @ G_n + np.outer(f_n.b, g_deg)
         comb.gb += g_1

@@ -8,7 +8,7 @@ in all backward passes.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,14 +21,17 @@ ENTROPY_EPS = 1e-8
 
 @dataclass
 class LossReport:
-    """Scalars of one objective evaluation; total = l_sp + mu*l_nc + delta*l_cc."""
+    """Scalars of one objective evaluation; total = l_sp + mu*l_nc + delta*l_cc.
+
+    A report holds no arrays: ``fit`` keeps one per epoch, and the loss
+    gradients stay in the ``TrainStepper`` cache that the backward frees.
+    """
 
     l_sp: float
     l_nc: float
     l_cc: float
     total: float
     entropy: float
-    grads: dict = field(default_factory=dict, repr=False)
 
     def row(self, epoch: int) -> str:
         return (f"{epoch}\t{self.l_sp:.12g}\t{self.l_nc:.12g}\t{self.l_cc:.12g}"
@@ -64,10 +67,7 @@ def spectral_loss(S: AffinityMatrix, Y: np.ndarray, gamma: float):
         raise ValueError(f"Y has {Y.shape[0]} rows, affinity is over {n} nodes")
     diff = Y[:, None, :] - Y[S.indices]
     smooth = float((S.weights * np.einsum("ikc,ikc->ik", diff, diff)).sum()) / n**2
-    C = S.to_csr()
-    deg = 0.5 * (S.row_sums() + np.bincount(S.indices.ravel(), S.weights.ravel(),
-                                            minlength=n))
-    grad = (4.0 / n**2) * (deg[:, None] * Y - 0.5 * (C @ Y + C.T @ Y))
+    grad = (4.0 / n**2) * (S.sym_degree[:, None] * Y - 0.5 * (S.csr @ Y + S.csr_t @ Y))
     h, grad_h = assignment_entropy(Y)
     value = smooth - gamma * h
     grad = grad - gamma * grad_h

@@ -169,7 +169,14 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 class TrainStepper:
-    """One full forward/backward of the objective with S held fixed."""
+    """One full forward/backward of the objective with S held fixed.
+
+    Memory contract: the forward's cache holds what the backward needs (the
+    layers' inputs, relu masks rather than pre-activations, and the loss
+    gradients); the returned ``LossReport`` holds scalars only. The
+    backward pops each cache entry and drops each upstream gradient as soon
+    as it has been used, so activations are released in reverse order.
+    """
 
     def __init__(self, stack: EncoderStack, g: HeteroGraph,
                  nb: RelationNeighborhood, cfg: TrainConfig):
@@ -179,14 +186,18 @@ class TrainStepper:
         self.cfg = cfg
         self._cache = None
 
-    def forward(self, S: aff.AffinityMatrix, yhat: np.ndarray | None = None) -> LossReport:
+    def forward(self, S: aff.AffinityMatrix, yhat: np.ndarray | None = None,
+                semantic: tuple | None = None) -> LossReport:
         """Evaluate the objective. The hard indicators are constants of the
         backward pass; ``yhat`` fixes them (gradient checks), otherwise they
-        are the argmax of the current assignment.
+        are the argmax of the current assignment. ``semantic`` is the
+        (H, cache) pair of ``g_phi.forward`` on the current parameters when
+        the caller has already computed it (an affinity rebuild).
         """
         stack, cfg = self.stack, self.cfg
-        X = self.g.features[stack.target_type]
-        H, c_g = stack.g_phi.forward(X)
+        if semantic is None:
+            semantic = stack.g_phi.forward(self.g.features[stack.target_type])
+        H, c_g = semantic
         assign, c_p = cluster_assign(stack.p_phi, H)
         if yhat is None:
             yhat = assign.yhat
@@ -197,18 +208,17 @@ class TrainStepper:
         Qt, c_q2 = stack.q_gamma.forward(Zt)
         l_nc, g_Q_nc, g_Qt_nc = node_consistency(Q, Qt, cfg.eta)
         Qhat, counts = cluster_pool(Q, yhat, cfg.c)
+        del Q  # nothing else holds it: freed before the cluster term's temporaries
         l_cc, g_Qt_cc, g_Qhat = cluster_consistency(Qt, Qhat, yhat)
         total = total_objective(l_sp, l_nc, l_cc, cfg.mu, cfg.delta)
-        report = LossReport(l_sp=l_sp, l_nc=l_nc, l_cc=l_cc, total=total,
-                            entropy=entropy,
-                            grads={"Y": g_Y, "Q_nc": g_Q_nc, "Qt_nc": g_Qt_nc,
-                                   "Qt_cc": g_Qt_cc, "Qhat": g_Qhat})
         self._cache = {
             "S": S, "c_g": c_g, "c_p": c_p, "c_h": c_h,
             "c_q1": c_q1, "c_q2": c_q2, "assign": assign, "yhat": yhat,
-            "counts": counts, "report": report,
+            "counts": counts,
+            "grads": {"Y": g_Y, "Q_nc": g_Q_nc, "Qt_nc": g_Qt_nc,
+                      "Qt_cc": g_Qt_cc, "Qhat": g_Qhat},
         }
-        return report
+        return LossReport(l_sp=l_sp, l_nc=l_nc, l_cc=l_cc, total=total, entropy=entropy)
 
     def backward(self, weights: tuple[float, float, float] | None = None
                  ) -> dict[str, np.ndarray]:
@@ -221,24 +231,29 @@ class TrainStepper:
         cache, cfg, stack = self._cache, self.cfg, self.stack
         self._cache = None
         w_sp, w_nc, w_cc = weights if weights is not None else (1.0, cfg.mu, cfg.delta)
-        g = cache["report"].grads
-        d_Q = w_nc * g["Q_nc"]
-        d_Qt = w_nc * g["Qt_nc"] + w_cc * g["Qt_cc"]
-        counts = cache["counts"]
-        per_row = np.zeros_like(g["Qhat"])
+        g = cache.pop("grads")
+        counts, g_Qhat = cache.pop("counts"), g.pop("Qhat")
+        per_row = np.zeros_like(g_Qhat)
         nonempty = counts > 0
-        per_row[nonempty] = g["Qhat"][nonempty] / counts[nonempty, None]
-        d_Q = d_Q + w_cc * per_row[cache["yhat"]]
+        per_row[nonempty] = g_Qhat[nonempty] / counts[nonempty, None]
+        d_Q = w_nc * g.pop("Q_nc")
+        d_Q += w_cc * per_row[cache.pop("yhat")]
+        d_Qt = w_nc * g.pop("Qt_nc")
+        d_Qt += w_cc * g.pop("Qt_cc")
         stack.zero_grads()
-        d_Z = stack.q_gamma.backward(cache["c_q1"], d_Q)
-        d_Zt = stack.q_gamma.backward(cache["c_q2"], d_Qt)
-        hetero_backward(stack, cache["c_h"], d_Zt)
-        S: aff.AffinityMatrix = cache["S"]
-        d_H = S.to_csr().T @ d_Z
-        P = cache["c_p"][1]  # the head is linear: its output is its pre-activation
-        d_P = orthogonal_backward(w_sp * g["Y"], P, cache["assign"].R)
-        d_H = d_H + stack.p_phi.backward(cache["c_p"], d_P)
-        stack.g_phi.backward(cache["c_g"], d_H)
+        d_Z = stack.q_gamma.backward(cache.pop("c_q1"), d_Q)
+        del d_Q
+        d_Zt = stack.q_gamma.backward(cache.pop("c_q2"), d_Qt)
+        del d_Qt
+        hetero_backward(stack, cache.pop("c_h"), d_Zt)
+        del d_Zt
+        d_H = cache.pop("S").csr_t @ d_Z
+        del d_Z
+        c_p, P = cache.pop("c_p")
+        d_P = orthogonal_backward(w_sp * g.pop("Y"), P, cache.pop("assign").R)
+        d_H += stack.p_phi.backward(c_p, d_P)
+        del c_p, d_P
+        stack.g_phi.backward(cache.pop("c_g"), d_H, input_grad=False)
         return {k: v.copy() for k, v in stack.named_grads().items()}
 
 
@@ -256,10 +271,15 @@ class TrainState:
 
 
 def rebuild_affinity(stack: EncoderStack, g: HeteroGraph, cfg: TrainConfig,
-                     last_Y: np.ndarray | None) -> aff.AffinityMatrix:
-    """Closed-form affinity from current H and the latest assignment."""
-    X = g.features[stack.target_type]
-    H, _ = stack.g_phi.forward(X)
+                     last_Y: np.ndarray | None,
+                     H: np.ndarray | None = None) -> aff.AffinityMatrix:
+    """Closed-form affinity from current H and the latest assignment.
+
+    ``H`` is g_phi's output on the current parameters; it is computed here
+    when not given.
+    """
+    if H is None:
+        H, _ = stack.g_phi.forward(g.features[stack.target_type])
     Y = last_Y
     if Y is None and cfg.beta != 0.0:
         assign, _ = cluster_assign(stack.p_phi, H)
@@ -271,10 +291,14 @@ def train_epoch(state: TrainState, g: HeteroGraph, nb: RelationNeighborhood,
                 stack: EncoderStack, cfg: TrainConfig) -> LossReport:
     """One epoch: optional affinity rebuild, forward, backward, update."""
     state.epoch += 1
+    semantic = None
     if state.S is None or (state.epoch - 1) % cfg.rebuild_period == 0:
-        state.S = rebuild_affinity(stack, g, cfg, state.last_Y)
+        # the rebuild's H and g_phi cache serve the forward too
+        semantic = stack.g_phi.forward(g.features[stack.target_type])
+        state.S = rebuild_affinity(stack, g, cfg, state.last_Y, semantic[0])
     stepper = TrainStepper(stack, g, nb, cfg)
-    report = stepper.forward(state.S)
+    report = stepper.forward(state.S, semantic=semantic)
+    del semantic  # the stepper's cache holds what the backward needs
     for term, value in (("l_sp", report.l_sp), ("l_nc", report.l_nc),
                         ("l_cc", report.l_cc), ("total", report.total)):
         if not np.isfinite(value):

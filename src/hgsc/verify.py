@@ -152,15 +152,19 @@ def ratiocut_check(W: np.ndarray, partition: list[list[int]]):
 
 
 def _relu_margin(stepper) -> float:
-    """Smallest |pre-activation| across cached relu layers of the last forward.
+    """Smallest |pre-activation| across the relu layers of the last forward.
 
-    The cluster head is linear (no kink), so it is excluded.
+    The cluster head is linear (no kink), so it is excluded. The caches
+    hold inputs and relu masks only; each pre-activation is recomputed
+    from its cached input with the forward's own expression, so it equals
+    the forward's bit for bit.
     """
-    cache = stepper._cache
-    margins = []
-    for key in ("c_g", "c_q1", "c_q2"):
-        margins.append(np.abs(cache[key][1]).min())
-    for pre in cache["c_h"]["pre"].values():
+    from .encoders import relation_pre_activations
+
+    stack, cache = stepper.stack, stepper._cache
+    layers = (("c_g", stack.g_phi), ("c_q1", stack.q_gamma), ("c_q2", stack.q_gamma))
+    margins = [np.abs(layer.pre_activation(cache[key][0])).min() for key, layer in layers]
+    for pre in relation_pre_activations(stack, cache["c_h"]).values():
         margins.append(np.abs(pre).min())
     return float(min(margins))
 

@@ -253,6 +253,22 @@ def test_propagate_matches_dense_product():
     assert np.abs(Z - S.to_csr().toarray() @ H).max() < 1e-10
 
 
+def test_explicit_transpose_products_equal_csc_products():
+    # the training step multiplies by S^T through an explicit CSR built once
+    # per S; it must add each row's terms in the CSC product's order
+    rng = np.random.default_rng(23)
+    n = 8000
+    H = rng.standard_normal((n, 6))
+    S = build_affinity(H, rng.standard_normal((n, 3)), beta=2.0, k=8)
+    assert S.csr is S.csr and S.csr_t is S.csr_t
+    for width in (1, 3, 160):
+        V = rng.standard_normal((n, width))
+        assert np.array_equal(S.csr_t @ V, S.to_csr().T @ V)
+        assert np.array_equal(S.csr @ V, S.to_csr() @ V)
+    deg = 0.5 * (S.row_sums() + np.asarray(S.to_csr().sum(axis=0)).ravel())
+    assert np.allclose(S.sym_degree, deg, rtol=1e-14, atol=0.0)
+
+
 def test_propagate_dim_mismatch():
     S = build_affinity(np.random.default_rng(0).standard_normal((10, 2)), k=2)
     with pytest.raises(AffinityError):

@@ -321,6 +321,27 @@ def test_zero_upstream_gives_zero_grads():
     assert np.abs(g_in).max() == 0.0
 
 
+def test_dense_backward_skips_unused_input_gradient():
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((9, 4))
+    grad = rng.standard_normal((9, 3))
+    layer = DenseLayer(4, 3, "relu", rng)
+    layer.b[:] = rng.standard_normal(3)
+    out, cache = layer.forward(X)
+    g_in = layer.backward(cache, grad)
+    full = (layer.gw.copy(), layer.gb.copy())
+    layer.zero_grads()
+    assert layer.backward(cache, grad, input_grad=False) is None
+    assert np.array_equal(layer.gw, full[0]) and np.array_equal(layer.gb, full[1])
+    # the cache holds the input and a boolean mask, not the pre-activation
+    X_c, mask = cache
+    assert X_c is X and mask.dtype == bool
+    pre = X @ layer.W + layer.b
+    assert np.array_equal(mask, pre > 0.0)
+    assert np.array_equal(out, np.maximum(pre, 0.0))
+    assert np.array_equal(g_in, (grad * (pre > 0.0)) @ layer.W.T)
+
+
 def test_dense_layer_fd_gradient():
     rng = np.random.default_rng(10)
     X = rng.standard_normal((6, 4))
@@ -473,6 +494,132 @@ def test_folded_encoder_matches_unfolded_formulas():
                 continue
             assert np.abs(ref).max() > 0.0, name
             assert np.abs(got[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+class ParentStep:
+    """The training step as it was when every relu layer cached its float
+    pre-activation and the loss gradients travelled in the report: kept
+    here as the bitwise reference for the memory-lean step."""
+
+    @staticmethod
+    def dense_forward(layer, X):
+        Z = X @ layer.W + layer.b
+        return (np.maximum(Z, 0.0) if layer.activation == "relu" else Z), (X, Z)
+
+    @staticmethod
+    def dense_backward(layer, cache, grad_out):
+        X, Z = cache
+        g = grad_out * (Z > 0.0) if layer.activation == "relu" else grad_out
+        layer.gw += X.T @ g
+        layer.gb += g.sum(axis=0)
+        return g @ layer.W.T
+
+    @staticmethod
+    def hetero_forward(stack, g, nb):
+        from hgsc.encoders import _fold
+        names = sorted(nb.entries)
+        pre, inputs, Zt = {}, {}, None
+        for name in names:
+            nbr_type, _ = nb.entries[name]
+            X_n = g.features[nbr_type]
+            aggregate = X_n.shape[1] <= stack.d1
+            T, M_n = _fold(stack, name, nbr_type, aggregate)
+            B = nb.combiner_input(name, g.features, aggregate)
+            inputs[name] = (B, aggregate)
+            pre[name] = B @ T
+            if not aggregate:
+                pre[name] += nb.aggregation_matrix(name) @ (X_n @ M_n)
+            out = np.maximum(pre[name], 0.0)
+            if Zt is None:
+                Zt = out
+            else:
+                Zt += out
+        Zt /= len(names)
+        return Zt, (pre, inputs, names)
+
+    @staticmethod
+    def hetero_backward(stack, g, nb, cache, grad_Zt):
+        pre, inputs, names = cache
+        d1 = stack.d1
+        f_t = stack.f_theta[stack.target_type]
+        k_t = f_t.in_dim
+        for name in names:
+            nbr_type, _ = nb.entries[name]
+            f_n, comb = stack.f_theta[nbr_type], stack.combiners[name]
+            W_c1, W_c2 = comb.W[:d1], comb.W[d1:]
+            B, aggregate = inputs[name]
+            g_r = grad_Zt * (pre[name] > 0.0)
+            G = B.T @ g_r / len(names)
+            G_t, g_1, g_deg = G[:k_t], G[-2], G[-1]
+            if aggregate:
+                G_n = G[k_t:-2]
+            else:
+                X_n = g.features[nbr_type]
+                G_n = X_n.T @ (nb.aggregation_matrix(name).T @ g_r) / len(names)
+            comb.gw[:d1] += f_t.W.T @ G_t + np.outer(f_t.b, g_1)
+            comb.gw[d1:] += f_n.W.T @ G_n + np.outer(f_n.b, g_deg)
+            comb.gb += g_1
+            f_t.gw += G_t @ W_c1.T
+            f_t.gb += g_1 @ W_c1.T
+            f_n.gw += G_n @ W_c2.T
+            f_n.gb += g_deg @ W_c2.T
+
+    @classmethod
+    def step(cls, stack, g, nb, cfg, S):
+        from hgsc import affinity as aff
+        from hgsc.losses import (cluster_consistency, cluster_pool,
+                                 node_consistency, spectral_loss)
+        H, c_g = cls.dense_forward(stack.g_phi, g.features[stack.target_type])
+        P, c_p = cls.dense_forward(stack.p_phi, H)
+        Y, R = orthogonal_layer(P)
+        yhat = np.argmax(Y, axis=1)
+        _, g_Y, _ = spectral_loss(S, Y, cfg.gamma)
+        Z = S.to_csr() @ H
+        Zt, c_h = cls.hetero_forward(stack, g, nb)
+        Q, c_q1 = cls.dense_forward(stack.q_gamma, Z)
+        Qt, c_q2 = cls.dense_forward(stack.q_gamma, Zt)
+        _, g_Q_nc, g_Qt_nc = node_consistency(Q, Qt, cfg.eta)
+        Qhat, counts = cluster_pool(Q, yhat, cfg.c)
+        _, g_Qt_cc, g_Qhat = cluster_consistency(Qt, Qhat, yhat)
+        w_sp, w_nc, w_cc = 1.0, cfg.mu, cfg.delta
+        d_Q = w_nc * g_Q_nc
+        d_Qt = w_nc * g_Qt_nc + w_cc * g_Qt_cc
+        per_row = np.zeros_like(g_Qhat)
+        nonempty = counts > 0
+        per_row[nonempty] = g_Qhat[nonempty] / counts[nonempty, None]
+        d_Q = d_Q + w_cc * per_row[yhat]
+        stack.zero_grads()
+        d_Z = cls.dense_backward(stack.q_gamma, c_q1, d_Q)
+        d_Zt = cls.dense_backward(stack.q_gamma, c_q2, d_Qt)
+        cls.hetero_backward(stack, g, nb, c_h, d_Zt)
+        d_H = S.to_csr().T @ d_Z
+        d_P = orthogonal_backward(w_sp * g_Y, c_p[1], R)
+        d_H = d_H + cls.dense_backward(stack.p_phi, c_p, d_P)
+        cls.dense_backward(stack.g_phi, c_g, d_H)
+        return {k: v.copy() for k, v in stack.named_grads().items()}
+
+
+def test_training_step_matches_parent_formulas_bitwise():
+    from hgsc.trainer import TrainConfig, TrainStepper, rebuild_affinity
+    rng = np.random.default_rng(31)
+    for trial in range(6):
+        g, nb, _ = random_relation_graph(rng, d1=6)
+        cfg = TrainConfig(c=3, d1=6, d2=4, k=3, beta=2.0, gamma=0.3, eta=0.8,
+                          mu=0.7, delta=1.3, seed=trial)
+        stack = make_stack(g, nb, d1=cfg.d1, d2=cfg.d2, c=cfg.c, seed=trial)
+        for p in stack.named_params().values():  # biases start at zero
+            p += 0.3 * rng.standard_normal(p.shape)
+        S = rebuild_affinity(stack, g, cfg, None)
+        ref = ParentStep.step(stack, g, nb, cfg, S)
+        stepper = TrainStepper(stack, g, nb, cfg)
+        stepper.forward(S)
+        assert {name: agg for name, (_, agg) in stepper._cache["c_h"]["inputs"].items()} == {
+            "it": True, "ic": True, "ti": False}
+        got = stepper.backward()
+        assert sorted(got) == sorted(ref)
+        for name in ref:
+            assert np.array_equal(got[name], ref[name]), (trial, name)
+        assert all(np.abs(ref[f"combiner.{r}.W"]).max() > 0.0 for r in ("it", "ic", "ti"))
 
 
 # ------------------------------------------------------------- stack state

@@ -187,6 +187,101 @@ def test_cluster_head_gradient_has_no_scale_component():
         assert abs(gu @ u) <= 1e-10 * np.linalg.norm(gu) * np.linalg.norm(u)
 
 
+def make_stack(g, nb, cfg):
+    from hgsc.encoders import EncoderStack
+    dims = {t: g.features[t].shape[1] for t in g.node_types}
+    rels = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
+    return EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, cfg.seed)
+
+
+def test_rebuild_epoch_runs_g_phi_once():
+    # the rebuild's H and g_phi cache serve the forward; g_phi's input
+    # gradient (n x f_t) is read by nothing, so it is not computed
+    g, nb, cfg = toy_setup(beta=1.0, rebuild_period=2)
+    stack = make_stack(g, nb, cfg)
+    layer = stack.g_phi
+    calls = {"forward": 0, "backward": []}
+
+    def forward(X):
+        calls["forward"] += 1
+        return type(layer).forward(layer, X)
+
+    def backward(*args, **kwargs):
+        out = type(layer).backward(layer, *args, **kwargs)
+        calls["backward"].append(out)
+        return out
+
+    layer.forward, layer.backward = forward, backward
+    state = TrainState()
+    for epoch in range(1, 5):
+        rebuilt = state.S
+        train_epoch(state, g, nb, stack, cfg)
+        assert (state.S is not rebuilt) == (epoch % 2 == 1)
+        assert calls["forward"] == epoch
+    assert calls["backward"] == [None] * 4
+
+
+def test_affinity_sparse_forms_built_once_per_s(monkeypatch):
+    from hgsc.affinity import AffinityMatrix
+    g, nb, cfg = toy_setup(rebuild_period=3)
+    stack = make_stack(g, nb, cfg)
+    built = []
+    to_csr = AffinityMatrix.to_csr
+    monkeypatch.setattr(AffinityMatrix, "to_csr",
+                        lambda S: built.append(S) or to_csr(S))
+    state = TrainState()
+    for _ in range(6):
+        train_epoch(state, g, nb, stack, cfg)
+    # spectral_loss, propagate and the backward share one CSR per rebuild
+    assert len(built) == 2 and built[0] is not built[1]
+
+
+def test_fit_log_holds_no_arrays():
+    # fit keeps one report per epoch: arrays there would grow with
+    # max_epochs (n x d2 gradients per epoch)
+    g, nb, cfg = toy_setup(max_epochs=4)
+    result = fit(g, cfg, nb)
+    assert len(result.log) == 4
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            return 1
+        if isinstance(obj, dict):
+            obj = list(obj.values())
+        if isinstance(obj, (list, tuple)):
+            return sum(arrays(v) for v in obj)
+        return 0
+
+    for _, rep in result.log:
+        assert arrays(vars(rep)) == 0
+
+
+def test_reuse_epoch_transient_memory_bound():
+    # one reuse epoch on the criterion-10 spec: the caches hold relu masks
+    # and the backward frees what it has consumed, so the transient peak
+    # stays under 10 arrays of n x d1 doubles (it was 14.4 when every relu
+    # layer kept its float pre-activation)
+    import tracemalloc
+    n = 2000
+    g = generate(SynthSpec(n=n, c=3, feature_dim=3, aux_count=n // 2, aux_feature_dim=4,
+                           relations=2, edges_per_node=12, separation=10.0, noise=1.0,
+                           seed=0))
+    nb = build_neighborhoods(g)
+    cfg = TrainConfig(c=3, d1=160, d2=96, k=8, beta=5.0, gamma=1e-2, mu=0.01,
+                      delta=0.01, lr=1e-2, rebuild_period=5, seed=0)
+    stack = make_stack(g, nb, cfg)
+    state = TrainState()
+    for _ in range(2):
+        train_epoch(state, g, nb, stack, cfg)
+    tracemalloc.start()
+    try:
+        train_epoch(state, g, nb, stack, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * n * cfg.d1 * 8
+
+
 # -------------------------------------------------------------------- fit
 
 def test_constant_objective_stops_after_patience():

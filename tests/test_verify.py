@@ -212,7 +212,7 @@ def test_gradient_check_full_objective():
 
 
 def test_relu_margin_includes_each_relation_pre_activation():
-    from hgsc.encoders import EncoderStack
+    from hgsc.encoders import EncoderStack, relation_pre_activations
     from hgsc.graph import build_neighborhoods
     from hgsc.trainer import TrainConfig, TrainStepper, rebuild_affinity
     from hgsc.verify import _relu_margin
@@ -226,16 +226,23 @@ def test_relu_margin_includes_each_relation_pre_activation():
     stepper = TrainStepper(stack, g, nb, cfg)
     stepper.forward(rebuild_affinity(stack, g, cfg, None))
     cache = stepper._cache
-    pre = cache["c_h"]["pre"]
+    # the caches hold inputs and masks; pre-activations are recomputed
+    pre = relation_pre_activations(stack, cache["c_h"])
     assert sorted(pre) == sorted(nb.entries)
-    margins = [np.abs(cache[key][1]).min() for key in ("c_g", "c_q1", "c_q2")]
+    layers = (("c_g", stack.g_phi), ("c_q1", stack.q_gamma), ("c_q2", stack.q_gamma))
+    margins = [np.abs(cache[key][0] @ layer.W + layer.b).min() for key, layer in layers]
     margins += [np.abs(p).min() for p in pre.values()]
     assert _relu_margin(stepper) == min(margins)
-    # a kink closer than every other layer's is found in each relation
+    # a kink closer than every other layer's is found in each relation:
+    # scaling B_r by a power of two scales its pre-activation exactly
+    inputs = cache["c_h"]["inputs"]
     for i, name in enumerate(sorted(pre)):
-        tiny = 1e-20 / (i + 1)
-        pre[name][3, 1] = -tiny
-        assert _relu_margin(stepper) == tiny
+        B, aggregate = inputs[name]
+        assert aggregate
+        scale = 2.0 ** -(60 + i)
+        inputs[name] = (B * scale, aggregate)
+        assert _relu_margin(stepper) == scale * np.abs(pre[name]).min()
+        inputs[name] = (B, aggregate)
 
 
 def test_gradient_check_unknown_term():
