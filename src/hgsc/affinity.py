@@ -8,7 +8,8 @@ for small inputs, and for large ones a filter-and-refine search (kd-tree
 over a principal-direction projection, whose distances bound the true
 ones from below) that returns the same neighbors. Most rows of that search
 are settled by one projected k-nearest query; only the rest query a
-projected ball.
+projected ball. Every path ranks candidates by the rule stated in
+``_rank_pairs``.
 """
 
 from __future__ import annotations
@@ -99,51 +100,22 @@ class AffinityMatrix:
             fh.write(("%d\t%d\t%.17g\n" * rows.size) % tuple(fields))
 
 
-def _select_rows(D: np.ndarray, cand: np.ndarray, k1: int):
-    """Pick the k1 smallest entries per row of D with (value, index) order.
+def _rank_pairs(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, n_rows: int,
+                k1: int):
+    """The k1 nearest of each row's (col, dist) pairs, as (n_rows, k1) arrays.
 
-    ``cand`` maps D's columns to node indices. Ties at the selection
-    boundary are resolved exactly: every column with a value equal to the
-    boundary value is considered and the lowest node indices win. The tie
-    test uses one extra partitioned value per row, so the generic case
-    costs a single partition pass.
+    This is the one ranking rule of every search path: ascending distance,
+    and an exact tie goes to the lower node index. ``rows`` holds positions
+    0..n_rows-1; within a row the pairs come with ascending ``cols``, so the
+    stable sort settles ties by index. A row with fewer than k1 pairs (or
+    none) raises AffinityError.
     """
-    b, width = D.shape
-    if width < k1:
-        raise AffinityError("candidate distances are not finite (feature overflow?)")
-    idx_out = np.empty((b, k1), dtype=np.int64)
-    dist_out = np.empty((b, k1), dtype=np.float64)
-    if width == k1:
-        order = np.lexsort((np.broadcast_to(cand, D.shape), D), axis=1)
-        cidx = np.broadcast_to(cand, D.shape)
-        idx_out[:] = np.take_along_axis(cidx, order, axis=1)
-        dist_out[:] = np.take_along_axis(D, order, axis=1)
-        if not np.isfinite(dist_out).all():
-            raise AffinityError("candidate distances are not finite (feature overflow?)")
-        return idx_out, dist_out
-    part = np.argpartition(D, k1, axis=1)[:, :k1 + 1]
-    vals = np.take_along_axis(D, part, axis=1)
-    inner = np.partition(vals, k1 - 1, axis=1)
-    kthval = inner[:, k1 - 1]
-    nextval = inner[:, k1]
-    if not np.isfinite(kthval).all():
-        raise AffinityError("candidate distances are not finite (feature overflow?)")
-    clean = nextval > kthval
-    if clean.any():
-        rows = np.nonzero(clean)[0]
-        sub = vals[rows]
-        cidx = cand[part[rows]]
-        order = np.lexsort((cidx, sub), axis=1)[:, :k1]
-        idx_out[rows] = np.take_along_axis(cidx, order, axis=1)
-        dist_out[rows] = np.take_along_axis(sub, order, axis=1)
-    for r in np.nonzero(~clean)[0]:
-        cols = np.nonzero(D[r] <= kthval[r])[0]
-        if cols.size < k1:
-            raise AffinityError("candidate distances are not finite (feature overflow?)")
-        order = np.lexsort((cand[cols], D[r, cols]))[:k1]
-        idx_out[r] = cand[cols[order]]
-        dist_out[r] = D[r, cols[order]]
-    return idx_out, dist_out
+    counts = np.bincount(rows, minlength=n_rows)
+    if (counts < k1).any():
+        raise AffinityError(f"a row has fewer than {k1} candidate distances (feature overflow?)")
+    order = np.lexsort((dist, rows))
+    take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k1)]
+    return cols[take], dist[take]
 
 
 def _scan_block(X: np.ndarray, sq: np.ndarray, rows, k1: int):
@@ -152,12 +124,18 @@ def _scan_block(X: np.ndarray, sq: np.ndarray, rows, k1: int):
     ``rows`` is a slice or an index array. ``_knn_scan`` passes slices:
     when one block is all of X, numpy computes X @ X.T by a symmetric
     rank-k update, whose rounding a copied block would not reproduce.
+    Every column at or below a row's k1-th value is ranked, so a tie
+    group at the boundary is ranked whole.
     """
     D = sq[rows, None] + sq[None, :] - 2.0 * (X[rows] @ X.T)
     np.maximum(D, 0.0, out=D)
-    cand = np.arange(X.shape[0], dtype=np.int64)
-    D[np.arange(D.shape[0]), cand[rows]] = np.inf
-    return _select_rows(D, cand, k1)
+    b, m = D.shape
+    D[np.arange(b), np.arange(m)[rows]] = np.inf
+    kth = np.partition(D, k1 - 1, axis=1)[:, k1 - 1]
+    if not np.isfinite(kth).all():
+        raise AffinityError("candidate distances are not finite (feature overflow?)")
+    flat = np.flatnonzero(D <= kth[:, None])
+    return _rank_pairs(flat // m, flat % m, D.ravel()[flat], b, k1)
 
 
 def _knn_scan(X: np.ndarray, k: int, block: int = 2048):
@@ -187,10 +165,10 @@ def _knn_projected(X: np.ndarray, k: int):
     candidate lies outside that ball is resolved: every point outside the
     candidate set is at least as far in projection, so the candidates hold
     every point within tau, whole tie groups included, and they are ranked
-    directly. The other rows query their balls and rank the exact
-    distances on those pairs. When those balls exceed ``_REFINE_BUDGET``
-    pair coordinates (high intrinsic dimension) the rows are scanned
-    instead and ranked as ``_knn_scan`` ranks them.
+    directly, by the rule of ``_rank_pairs``. The other rows query their
+    balls and rank the exact distances on those pairs through
+    ``_rank_pairs``. When those balls exceed ``_REFINE_BUDGET`` pair
+    coordinates (high intrinsic dimension) the rows are scanned instead.
     """
     # imported here: scipy.spatial costs ~6 MiB that small inputs never need
     from scipy.spatial import cKDTree
@@ -230,27 +208,23 @@ def _knn_projected(X: np.ndarray, k: int):
         if counts.sum() * d > _REFINE_BUDGET:
             idx[rows], dist[rows] = _scan_block(X, sq, rows, k + 1)
             continue
-        cols = np.concatenate(tree.query_ball_point(Z[rows], radius))
-        pair_rows = np.repeat(rows, counts)
-        keep = cols != pair_rows
+        cols = np.concatenate(tree.query_ball_point(Z[rows], radius, return_sorted=True))
+        pair_rows = np.repeat(np.arange(rows.size), counts)
+        keep = cols != rows[pair_rows]
         pair_rows, cols = pair_rows[keep], cols[keep]
-        diff = X[pair_rows]
+        diff = X[rows[pair_rows]]
         diff -= X[cols]
         diff *= diff
-        dr = diff.sum(axis=1)
-        order = np.lexsort((cols, dr, pair_rows))
-        # each ball holds its own row once; the rest are >= k+1 candidates
-        start = np.cumsum(counts - 1) - (counts - 1)
-        take = order[start[:, None] + np.arange(k + 1)]
-        idx[rows], dist[rows] = cols[take], dr[take]
+        idx[rows], dist[rows] = _rank_pairs(pair_rows, cols, diff.sum(axis=1), rows.size,
+                                            k + 1)
     return idx, dist
 
 
 def nearest_candidates(X: np.ndarray, k: int):
     """(k+1)-nearest neighbor search behind ``build_affinity``.
 
-    Candidates are sorted ascending by squared distance; exact ties break
-    toward the lower node index. Self matches are excluded. Inputs of at
+    Candidates are ranked by squared distance under the rule stated in
+    ``_rank_pairs``. Self matches are excluded. Inputs of at
     most ``_SCAN_MAX_N`` rows are scanned in full; larger ones go through
     the projected filter-and-refine search, which returns the same
     neighbors.
@@ -316,7 +290,7 @@ def build_affinity(H: np.ndarray, Y: np.ndarray | None = None, beta: float = 0.0
 
     The candidate metric is |h_i - h_j|^2 + beta |y_i - y_j|^2, realized as
     squared Euclidean distance on [H, sqrt(beta) Y]. Deterministic given
-    inputs; distance ties break toward lower node index.
+    inputs; candidates rank as ``nearest_candidates`` ranks them.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2:

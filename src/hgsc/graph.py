@@ -13,7 +13,7 @@ On-disk dataset layout (all files UTF-8, tab-separated, LF endings,
     split.tsv              target node index, "train" or "test"
 
 Non-target types may omit their features file; features are then
-synthesized at load time (one-hot or constant, see ``load_graph``).
+synthesized at load time as one-hot rows (see ``load_graph``).
 """
 
 from __future__ import annotations
@@ -168,19 +168,11 @@ def _read_rows(path: str) -> list[list[str]]:
     return rows
 
 
-def _synth_features(count: int, kind: str) -> np.ndarray:
-    if kind == "onehot":
-        return np.eye(count, dtype=np.float64)
-    if kind == "constant":
-        return np.ones((count, 1), dtype=np.float64)
-    raise GraphFormatError(f"unknown feature synthesis mode {kind!r}")
-
-
-def load_graph(path: str, missing_features: str = "onehot") -> HeteroGraph:
+def load_graph(path: str) -> HeteroGraph:
     """Load and validate a dataset directory.
 
-    ``missing_features`` controls how feature matrices are synthesized for
-    non-target node types without a features file ("onehot" or "constant").
+    A non-target node type without a features file gets one-hot features
+    (the identity matrix over its nodes).
     """
     meta = _read_rows(os.path.join(path, "meta.tsv"))
     node_types: list[str] = []
@@ -213,7 +205,7 @@ def load_graph(path: str, missing_features: str = "onehot") -> HeteroGraph:
             if counts[t] == 0:
                 feats = feats.reshape(0, dims[t])
         elif t != target_type:
-            feats = _synth_features(counts[t], missing_features)
+            feats = np.eye(counts[t], dtype=np.float64)
         else:
             raise GraphFormatError(f"missing file: {fpath}")
         features[t] = feats

@@ -52,8 +52,9 @@ class TrainConfig:
     grad_clip: float = 5.0
 
     def validate(self) -> None:
-        if self.c < 1:
-            raise ValueError("c must be >= 1")
+        for name in ("c", "d1", "d2", "k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.lr < 0:

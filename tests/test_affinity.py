@@ -435,6 +435,70 @@ def test_scan_matches_brute_force_with_ties():
         assert np.allclose(dist, dist_o)
 
 
+def _rank_oracle(pairs, n_rows, k1):
+    """Per-row sorted((d, j)) over a list of (row, col, dist) pairs."""
+    idx = np.zeros((n_rows, k1), dtype=np.int64)
+    dist = np.zeros((n_rows, k1))
+    for i in range(n_rows):
+        best = sorted((d, j) for r, j, d in pairs if r == i)[:k1]
+        idx[i] = [j for _, j in best]
+        dist[i] = [d for d, _ in best]
+    return idx, dist
+
+
+def _rank_input(pairs):
+    rows, cols, dist = (np.array(v) for v in zip(*pairs))
+    return rows.astype(np.int64), cols.astype(np.int64), dist.astype(float)
+
+
+def test_rank_pairs_matches_sorted_oracle():
+    rng = np.random.default_rng(53)
+    k1 = 3
+    # row 2's group comes first; rows hold 3 to 9 pairs; row 0 has a
+    # boundary tie group of five at 1.0, row 1 an inf pair, and row 3's
+    # distances are drawn from {0, 1, 2}, so ties fall at every rank
+    groups = {
+        2: [(j, float(rng.random())) for j in (0, 4, 7, 9)],
+        0: [(j, 1.0) for j in (1, 3, 5, 6, 8)] + [(9, 2.0), (11, 0.5)],
+        1: [(0, 0.25), (2, np.inf), (5, 0.25)],
+        3: [(j, float(rng.integers(0, 3))) for j in range(9)],
+    }
+    pairs = [(r, j, d) for r in (2, 0, 1, 3) for j, d in sorted(groups[r])]
+    idx, dist = aff._rank_pairs(*_rank_input(pairs), 4, k1)
+    idx_o, dist_o = _rank_oracle(pairs, 4, k1)
+    assert np.array_equal(idx, idx_o)
+    assert np.array_equal(dist, dist_o)
+    assert idx[0].tolist() == [11, 1, 3]
+    assert idx[1].tolist() == [0, 5, 2] and dist[1, 2] == np.inf
+    for _ in range(50):
+        n_rows, k1 = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        pairs = [(i, int(j), float(rng.integers(0, 4)))
+                 for i in range(n_rows)
+                 for j in np.sort(rng.choice(40, int(rng.integers(k1, 12)), replace=False))]
+        idx, dist = aff._rank_pairs(*_rank_input(pairs), n_rows, k1)
+        idx_o, dist_o = _rank_oracle(pairs, n_rows, k1)
+        assert np.array_equal(idx, idx_o)
+        assert np.array_equal(dist, dist_o)
+
+
+def test_rank_pairs_rejects_short_and_empty_rows():
+    full = [(0, j, float(j)) for j in range(4)] + [(2, j, 1.0) for j in range(4)]
+    with pytest.raises(AffinityError):  # row 1 has two pairs, k1 = 3
+        aff._rank_pairs(*_rank_input(full + [(1, 0, 0.5), (1, 3, 0.2)]), 3, 3)
+    with pytest.raises(AffinityError):  # row 1 has none
+        aff._rank_pairs(*_rank_input(full), 3, 3)
+
+
+@pytest.mark.parametrize("n", [40, aff._SCAN_MAX_N + 1])
+def test_overflowing_features_raise(n):
+    # finite features whose squared norms overflow, on the scan path
+    # (n <= _SCAN_MAX_N) and on the projected path
+    X = np.random.default_rng(59).choice([-1e200, 1e200], size=(n, 3))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(AffinityError, match="feature overflow"):
+        nearest_candidates(X, 3)
+
+
 def test_affinity_tsv_matches_per_entry_writer(tmp_path):
     rng = np.random.default_rng(3)
     n, k = 6, 3

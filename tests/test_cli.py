@@ -167,6 +167,14 @@ def test_train_rejects_cc_pool_grad_false(tmp_path, dataset, capsys):
     assert "cc_pool_grad" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--k", "--d1", "--d2"])
+def test_train_rejects_nonpositive_sizes(tmp_path, dataset, capsys, flag):
+    rc = cli.main(train_args(dataset, str(tmp_path / "run"), [flag, "0"]))
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {flag[2:]} must be >= 1\n"
+
+
 @pytest.mark.parametrize("command", ["eval", "export"])
 def test_unsupported_checkpoint_version_exits_1(tmp_path, dataset, capsys, command):
     run = str(tmp_path / "run")

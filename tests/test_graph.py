@@ -118,10 +118,8 @@ def test_target_self_loop_rejected(tmp_path):
 def test_missing_aux_features_synthesized(tmp_path):
     path = star_dataset(tmp_path)
     (tmp_path / "features_author.tsv").unlink()
-    g = load_graph(path, missing_features="onehot")
+    g = load_graph(path)
     assert np.array_equal(g.features["author"], np.eye(3))
-    g = load_graph(path, missing_features="constant")
-    assert g.features["author"].shape == (3, 1)
 
 
 def test_round_trip_identity(tmp_path):
