@@ -121,9 +121,10 @@ def _rank_pairs(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, n_rows: in
 def _scan_block(X: np.ndarray, sq: np.ndarray, rows, k1: int):
     """Exact k1-nearest candidates of X[rows] against all rows of X.
 
-    ``rows`` is a slice or an index array. ``_knn_scan`` passes slices:
-    when one block is all of X, numpy computes X @ X.T by a symmetric
-    rank-k update, whose rounding a copied block would not reproduce.
+    ``rows`` is a slice or an index array. ``_knn_scan`` passes the slice
+    of all rows: X[rows] is then a view of X, so numpy computes X @ X.T by
+    a symmetric rank-k update, whose rounding a copied block would not
+    reproduce.
     Every column at or below a row's k1-th value is ranked, so a tie
     group at the boundary is ranked whole.
     """
@@ -138,16 +139,10 @@ def _scan_block(X: np.ndarray, sq: np.ndarray, rows, k1: int):
     return _rank_pairs(flat // m, flat % m, D.ravel()[flat], b, k1)
 
 
-def _knn_scan(X: np.ndarray, k: int, block: int = 2048):
-    """Exact (k+1)-nearest candidates by blocked full pairwise scan."""
-    n = X.shape[0]
+def _knn_scan(X: np.ndarray, k: int):
+    """Exact (k+1)-nearest candidates by one full pairwise scan."""
     sq = np.einsum("ij,ij->i", X, X)
-    idx = np.empty((n, k + 1), dtype=np.int64)
-    dist = np.empty((n, k + 1), dtype=np.float64)
-    for s in range(0, n, block):
-        e = min(n, s + block)
-        idx[s:e], dist[s:e] = _scan_block(X, sq, slice(s, e), k + 1)
-    return idx, dist
+    return _scan_block(X, sq, slice(0, X.shape[0]), k + 1)
 
 
 def _knn_projected(X: np.ndarray, k: int):

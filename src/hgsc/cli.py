@@ -120,20 +120,16 @@ def _load_config(args) -> TrainConfig:
         cfg = TrainConfig.from_tsv(args.config)
     else:
         cfg = TrainConfig(c=2)
-    for name in ("c", "d1", "d2", "k", "beta", "gamma", "eta", "mu", "delta",
-                 "lr", "max_epochs", "patience", "seed", "rebuild_period"):
-        val = getattr(args, name, None)
+    for f in fields(TrainConfig):
+        val = getattr(args, f.name)
         if val is not None:
-            setattr(cfg, name, val)
+            setattr(cfg, f.name, val)
     cfg.validate()
     return cfg
 
 
 def _write_embeddings(path: str, Z: np.ndarray, Zt: np.ndarray) -> None:
-    E = np.hstack([Z, Zt])
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in E:
-            fh.write("\t".join(format(v, ".10g") for v in row) + "\n")
+    np.savetxt(path, np.hstack([Z, Zt]), fmt="%.10g", delimiter="\t")
 
 
 def _forward_representations(stack: EncoderStack, g, nb, cfg: TrainConfig):
@@ -324,9 +320,9 @@ def cmd_export(args) -> int:
     _, assign, S, Z, Zt = _forward_representations(stack, g, nb, cfg)
     _write_embeddings(os.path.join(out, "embeddings.tsv"), Z, Zt)
     S.save_tsv(os.path.join(out, "affinity.tsv"))
-    with open(os.path.join(out, "assignments.tsv"), "w", encoding="utf-8") as fh:
-        for i, c in enumerate(assign.yhat):
-            fh.write(f"{i}\t{c}\n")
+    np.savetxt(os.path.join(out, "assignments.tsv"),
+               np.column_stack([np.arange(assign.yhat.size), assign.yhat]),
+               fmt="%d", delimiter="\t")
     _finish(man, out)
     print(f"exported embeddings, affinity, assignments to {out}")
     return EXIT_OK
@@ -347,20 +343,9 @@ def build_parser() -> _Parser:
         q.add_argument("--data", required=True)
         q.add_argument("--config")
         q.add_argument("--out", required=True)
-        q.add_argument("--seed", type=int)
-        q.add_argument("--c", type=int)
-        q.add_argument("--d1", type=int)
-        q.add_argument("--d2", type=int)
-        q.add_argument("--k", type=int)
-        q.add_argument("--beta", type=float)
-        q.add_argument("--gamma", type=float)
-        q.add_argument("--eta", type=float)
-        q.add_argument("--mu", type=float)
-        q.add_argument("--delta", type=float)
-        q.add_argument("--lr", type=float)
-        q.add_argument("--max-epochs", dest="max_epochs", type=int)
-        q.add_argument("--patience", type=int)
-        q.add_argument("--rebuild-period", dest="rebuild_period", type=int)
+        for f in fields(TrainConfig):
+            q.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=int if f.type == "int" else float)
         q.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
 
     sp = sub.add_parser("train", help="fit the model and write run artifacts")

@@ -305,11 +305,11 @@ def _relation_pre(stack: EncoderStack, g, nb, name: str, B: np.ndarray,
     call this, so a recomputed pre-activation equals the forward's bit for
     bit.
     """
-    nbr_type = nb.entries[name][0]
+    nbr_type, A = nb.entries[name]
     T, M_n = _fold(stack, name, nbr_type, aggregate)
     pre = B @ T
     if not aggregate:
-        pre += nb.aggregation_matrix(name) @ (g.features[nbr_type] @ M_n)
+        pre += A @ (g.features[nbr_type] @ M_n)
     return pre
 
 
@@ -379,7 +379,7 @@ def hetero_backward(stack: EncoderStack, cache, grad_Zt: np.ndarray) -> None:
     f_t = stack.f_theta[stack.target_type]
     k_t = f_t.in_dim
     for name in names:
-        nbr_type, _ = nb.entries[name]
+        nbr_type, A = nb.entries[name]
         f_n, comb = stack.f_theta[nbr_type], stack.combiners[name]
         W_c1, W_c2 = comb.W[:d1], comb.W[d1:]
         B, aggregate = cache["inputs"][name]
@@ -391,7 +391,7 @@ def hetero_backward(stack: EncoderStack, cache, grad_Zt: np.ndarray) -> None:
             G_n = G[k_t:-2]
         else:
             X_n = g.features[nbr_type]
-            G_n = X_n.T @ (nb.aggregation_matrix(name).T @ g_r) / len(names)
+            G_n = X_n.T @ (A.T @ g_r) / len(names)
         del g_r
         comb.gw[:d1] += f_t.W.T @ G_t + np.outer(f_t.b, g_1)
         comb.gw[d1:] += f_n.W.T @ G_n + np.outer(f_n.b, g_deg)

@@ -12,16 +12,21 @@ On-disk dataset layout (all files UTF-8, tab-separated, LF endings,
     labels.tsv             target node index, integer class id
     split.tsv              target node index, "train" or "test"
 
-Non-target types may omit their features file; features are then
-synthesized at load time as one-hot rows (see ``load_graph``).
+Edges, labels and split are read by their first two columns; later fields
+are ignored, an empty edges file is a relation without edges, and a short
+or unparsable row raises ``GraphFormatError`` naming the file. Non-target
+types may omit their features file; features are then synthesized at load
+time as one-hot rows (see ``load_graph``).
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 
 class GraphFormatError(Exception):
@@ -106,53 +111,38 @@ class HeteroGraph:
 
 @dataclass
 class RelationNeighborhood:
-    """Per-relation one-hop neighbor lists indexed by target node.
+    """Per-relation one-hop neighborhoods of the target nodes.
 
-    ``entries`` maps relation name to (neighbor type, list of sorted,
-    deduplicated index arrays; one array per target node). Each relation's
-    aggregation matrix and encoder input are built on first use and cached.
+    ``entries`` maps relation name to (neighbor type, A), where A is the
+    (n x n_neighbor_type) CSR 0/1 matrix whose row i marks the distinct
+    neighbors of target node i, so A X sums neighbor rows. Each relation's
+    encoder input is built on first use and cached.
     """
 
     target_type: str
     n: int
-    entries: dict[str, tuple[str, list[np.ndarray]]]
-    counts: dict[str, int]
-    _agg_cache: dict = field(default_factory=dict, repr=False)
-
-    def aggregation_matrix(self, name: str):
-        """Sparse (n x n_neighbor_type) 0/1 matrix summing neighbor rows."""
-        from scipy.sparse import csr_matrix
-
-        if name not in self._agg_cache:
-            nbr_type, lists = self.entries[name]
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            indptr[1:] = np.cumsum([len(a) for a in lists])
-            indices = np.concatenate(lists) if indptr[-1] else np.empty(0, dtype=np.int64)
-            data = np.ones(indptr[-1], dtype=np.float64)
-            self._agg_cache[name] = csr_matrix(
-                (data, indices, indptr), shape=(self.n, max(self.counts[nbr_type], 1)))
-        return self._agg_cache[name]
+    entries: dict[str, tuple[str, csr_matrix]]
+    _input_cache: dict = field(default_factory=dict, repr=False)
 
     def combiner_input(self, name: str, features: dict[str, np.ndarray],
                        aggregate: bool) -> np.ndarray:
         """Constant left factor B = [X_t | A X_n | 1 | deg] of relation ``name``.
 
-        X_t and X_n are the target and neighbor features, A is
-        ``aggregation_matrix(name)`` and deg its row sums (neighbor counts).
+        X_t and X_n are the target and neighbor features, A is the
+        relation's matrix in ``entries`` and deg its row sums (neighbor counts).
         With ``aggregate`` False the A X_n block is left out and the caller
         applies A sparsely. Built on first use and cached per relation for as
         long as the same feature arrays are passed.
         """
-        nbr_type = self.entries[name][0]
+        nbr_type, A = self.entries[name]
         x_tgt, x_nbr = features[self.target_type], features[nbr_type]
         key = (name, aggregate)
-        hit = self._agg_cache.get(key)
+        hit = self._input_cache.get(key)
         if hit is None or hit[0] is not x_tgt or hit[1] is not x_nbr:
-            A = self.aggregation_matrix(name)
             deg = np.diff(A.indptr).astype(np.float64)[:, None]
             blocks = [x_tgt, A @ x_nbr] if aggregate else [x_tgt]
             hit = (x_tgt, x_nbr, np.hstack(blocks + [np.ones_like(deg), deg]))
-            self._agg_cache[key] = hit
+            self._input_cache[key] = hit
         return hit[2]
 
 
@@ -166,6 +156,24 @@ def _read_rows(path: str) -> list[list[str]]:
             if line:
                 rows.append(line.split("\t"))
     return rows
+
+
+def _read_pairs(path: str, dtype=np.int64) -> np.ndarray:
+    """The first two columns of a TSV table as an (m, 2) array.
+
+    Later fields are ignored and an empty file gives shape (0, 2). A
+    missing file, a short row or a value that does not parse as ``dtype``
+    raises GraphFormatError naming the file.
+    """
+    if not os.path.isfile(path):
+        raise GraphFormatError(f"missing file: {path}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file has no rows
+            return np.loadtxt(path, dtype=dtype, delimiter="\t", ndmin=2, comments=None,
+                              usecols=(0, 1), encoding="utf-8")
+    except ValueError as e:
+        raise GraphFormatError(f"malformed file {path}: {e}") from None
 
 
 def load_graph(path: str) -> HeteroGraph:
@@ -212,37 +220,32 @@ def load_graph(path: str) -> HeteroGraph:
 
     relations = []
     for name, src, dst in rel_decls:
-        epath = os.path.join(path, f"edges_{name}.tsv")
-        rows = _read_rows(epath)
-        if rows:
-            edges = np.array([[int(r[0]), int(r[1])] for r in rows], dtype=np.int64)
-            edges = np.unique(edges, axis=0)
-        else:
-            edges = np.empty((0, 2), dtype=np.int64)
-        relations.append(Relation(name, src, dst, edges))
+        edges = _read_pairs(os.path.join(path, f"edges_{name}.tsv"))
+        relations.append(Relation(name, src, dst, np.unique(edges, axis=0)))
 
     n = counts[target_type]
-    labels = np.full(n, -1, dtype=np.int64)
-    for r in _read_rows(os.path.join(path, "labels.tsv")):
-        i, cls = int(r[0]), int(r[1])
+    node, cls = _read_pairs(os.path.join(path, "labels.tsv")).T
+    bad = (node < 0) | (node >= n) | (cls < 0)
+    if bad.any():
+        i = int(node[np.argmax(bad)])
         if i < 0 or i >= n:
             raise GraphValidationError(f"labels.tsv: node index {i} out of range")
-        if cls < 0:
-            raise GraphValidationError(f"labels.tsv: negative class id for node {i}")
-        labels[i] = cls
+        raise GraphValidationError(f"labels.tsv: negative class id for node {i}")
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[node] = cls
     if (labels < 0).any():
         missing = int(np.argmax(labels < 0))
         raise GraphValidationError(f"labels.tsv: no label for target node {missing}")
 
-    train, test = [], []
-    for r in _read_rows(os.path.join(path, "split.tsv")):
-        i, part = int(r[0]), r[1]
-        if part == "train":
-            train.append(i)
-        elif part == "test":
-            test.append(i)
-        else:
-            raise GraphFormatError(f"split.tsv: unknown split {part!r}")
+    split_path = os.path.join(path, "split.tsv")
+    node, part = _read_pairs(split_path, dtype=str).T
+    unknown = (part != "train") & (part != "test")
+    if unknown.any():
+        raise GraphFormatError(f"split.tsv: unknown split {str(part[np.argmax(unknown)])!r}")
+    try:
+        node = node.astype(np.int64)
+    except ValueError as e:
+        raise GraphFormatError(f"malformed file {split_path}: {e}") from None
 
     g = HeteroGraph(
         node_types=node_types,
@@ -251,15 +254,11 @@ def load_graph(path: str) -> HeteroGraph:
         relations=relations,
         target_type=target_type,
         labels=labels,
-        train_idx=np.array(sorted(train), dtype=np.int64),
-        test_idx=np.array(sorted(test), dtype=np.int64),
+        train_idx=np.sort(node[part == "train"]),
+        test_idx=np.sort(node[part == "test"]),
     )
     g.validate()
     return g
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 def save_graph(g: HeteroGraph, path: str) -> None:
@@ -272,33 +271,29 @@ def save_graph(g: HeteroGraph, path: str) -> None:
             fh.write(f"edge\t{rel.name}\t{rel.src_type}\t{rel.dst_type}\n")
         fh.write(f"target\t{g.target_type}\n")
     for t in g.node_types:
-        with open(os.path.join(path, f"features_{t}.tsv"), "w", encoding="utf-8") as fh:
-            for row in g.features[t]:
-                fh.write("\t".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(os.path.join(path, f"features_{t}.tsv"), g.features[t],
+                   fmt="%.17g", delimiter="\t")
     for rel in g.relations:
-        with open(os.path.join(path, f"edges_{rel.name}.tsv"), "w", encoding="utf-8") as fh:
-            for s, d in rel.edges:
-                fh.write(f"{s}\t{d}\n")
-    with open(os.path.join(path, "labels.tsv"), "w", encoding="utf-8") as fh:
-        for i, cls in enumerate(g.labels):
-            fh.write(f"{i}\t{cls}\n")
+        np.savetxt(os.path.join(path, f"edges_{rel.name}.tsv"), rel.edges,
+                   fmt="%d", delimiter="\t")
+    np.savetxt(os.path.join(path, "labels.tsv"),
+               np.column_stack([np.arange(g.labels.size), g.labels]), fmt="%d", delimiter="\t")
     with open(os.path.join(path, "split.tsv"), "w", encoding="utf-8") as fh:
-        for i in g.train_idx:
-            fh.write(f"{i}\ttrain\n")
-        for i in g.test_idx:
-            fh.write(f"{i}\ttest\n")
+        np.savetxt(fh, g.train_idx, fmt="%d\ttrain")
+        np.savetxt(fh, g.test_idx, fmt="%d\ttest")
 
 
 def build_neighborhoods(g: HeteroGraph) -> RelationNeighborhood:
-    """Collect one-hop neighbor lists per relation, indexed by target node.
+    """One CSR neighborhood matrix per relation, rows indexed by target node.
 
     Relation direction is normalized: whichever endpoint is the target type
-    indexes the list, the other endpoint supplies the neighbors. Relations
-    not touching the target type are skipped. Lists are deduplicated and
-    sorted ascending; empty lists are kept.
+    indexes the rows, the other endpoint supplies the neighbors. Relations
+    not touching the target type are skipped. Each row holds its distinct
+    neighbors in ascending order; a target node without neighbors has an
+    empty row.
     """
     n = g.n_target
-    entries: dict[str, tuple[str, list[np.ndarray]]] = {}
+    entries: dict[str, tuple[str, csr_matrix]] = {}
     for rel in g.relations:
         touches_src = rel.src_type == g.target_type
         touches_dst = rel.dst_type == g.target_type
@@ -319,8 +314,8 @@ def build_neighborhoods(g: HeteroGraph) -> RelationNeighborhood:
         m = int(nbr.max()) + 1 if nbr.size else 1
         keys = np.unique(tgt * m + nbr)
         tgt, nbr = keys // m, keys % m
-        bounds = np.searchsorted(tgt, np.arange(n + 1)).tolist()
-        lists = [nbr[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        entries[rel.name] = (nbr_type, lists)
-    return RelationNeighborhood(
-        target_type=g.target_type, n=n, entries=entries, counts=dict(g.counts))
+        indptr = np.searchsorted(tgt, np.arange(n + 1))
+        A = csr_matrix((np.ones(nbr.size), nbr, indptr),
+                       shape=(n, max(g.counts[nbr_type], 1)))
+        entries[rel.name] = (nbr_type, A)
+    return RelationNeighborhood(target_type=g.target_type, n=n, entries=entries)

@@ -116,12 +116,7 @@ class TrainConfig:
 
 
 def _parse_field(key: str, val: str):
-    kind = TrainConfig.__dataclass_fields__[key].type
-    if kind == "int":
-        return int(val)
-    if kind == "float":
-        return float(val)
-    return val
+    return int(val) if TrainConfig.__dataclass_fields__[key].type == "int" else float(val)
 
 
 class AdamState:

@@ -175,6 +175,44 @@ def test_train_rejects_nonpositive_sizes(tmp_path, dataset, capsys, flag):
     assert err == f"error: {flag[2:]} must be >= 1\n"
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--k", "23", "need k+1=24 candidates"),
+    ("--c", "30", "need at least 30 rows"),
+], ids=["k23", "c30"])
+def test_train_numerical_failure_exits_2(tmp_path, dataset, capsys, flag, value, message):
+    rc = cli.main(train_args(dataset, str(tmp_path / "run"), [flag, value]))
+    assert rc == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and message in err
+
+
+def test_train_one_column_edge_row_exits_1(tmp_path, dataset, capsys):
+    path = os.path.join(dataset, "edges_rel0.tsv")
+    with open(path, "w") as fh:
+        fh.write("0\n")
+    rc = cli.main(train_args(dataset, str(tmp_path / "run")))
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "edges_rel0.tsv" in err
+
+
+def test_every_config_field_round_trips_through_its_flag():
+    from dataclasses import fields
+
+    from hgsc.trainer import TrainConfig
+
+    want, argv = {}, ["train", "--data", "d", "--out", "o"]
+    for i, f in enumerate(fields(TrainConfig)):
+        want[f.name] = 3 + i if f.type == "int" else 0.5 + i
+        argv += ["--" + f.name.replace("_", "-"), str(want[f.name])]
+    assert {"--max-epochs", "--rebuild-period", "--grad-clip"} <= set(argv)
+    cfg = cli._load_config(cli.build_parser().parse_args(argv))
+    for name, value in want.items():
+        got = getattr(cfg, name)
+        assert got == value and type(got) is type(value), name
+
+
 @pytest.mark.parametrize("command", ["eval", "export"])
 def test_unsupported_checkpoint_version_exits_1(tmp_path, dataset, capsys, command):
     run = str(tmp_path / "run")

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from hgsc.encoders import (DenseLayer, EncoderConfigError, EncoderStack,
                            RankDeficientError, cluster_assign, hetero_encode,
                            hetero_backward, orthogonal_backward,
                            orthogonal_layer)
-from hgsc.graph import HeteroGraph, Relation, build_neighborhoods
+from hgsc.graph import (HeteroGraph, Relation, RelationNeighborhood,
+                        build_neighborhoods)
 from hgsc.synth import SynthSpec, generate
 
 
@@ -204,9 +206,14 @@ def make_stack(g, nb, d1=5, d2=3, c=2, seed=0):
 def test_hetero_encode_empty_neighborhood():
     g, nb = small_graph()
     # disconnect node 0 everywhere
-    for name in nb.entries:
-        nb.entries[name][1][0] = np.array([], dtype=np.int64)
-    nb._agg_cache.clear()
+    entries = {}
+    for name, (nbr_type, A) in nb.entries.items():
+        A = A.copy()
+        A.data[A.indptr[0]:A.indptr[1]] = 0.0
+        A.eliminate_zeros()
+        assert A.indptr[1] == 0
+        entries[name] = (nbr_type, A)
+    nb = RelationNeighborhood(nb.target_type, nb.n, entries)
     stack = make_stack(g, nb)
     Zt, _ = hetero_encode(stack, g, nb)
     f0 = g.features[g.target_type][0] @ stack.f_theta[g.target_type].W \
@@ -222,10 +229,11 @@ def test_hetero_encode_empty_neighborhood():
 def test_hetero_encode_single_neighbor_concat():
     g, nb = small_graph(relations=1)
     name = next(iter(nb.entries))
-    nbr_type, lists = nb.entries[name]
-    for i in range(nb.n):
-        lists[i] = np.array([1], dtype=np.int64) if i == 0 else np.array([], dtype=np.int64)
-    nb._agg_cache.clear()
+    nbr_type, A = nb.entries[name]
+    # node 0's only neighbor is node 1; every other node has none
+    indptr = np.r_[0, np.ones(nb.n, dtype=np.int64)]
+    A = csr_matrix(([1.0], [1], indptr), shape=A.shape)
+    nb = RelationNeighborhood(nb.target_type, nb.n, {name: (nbr_type, A)})
     stack = make_stack(g, nb)
     Zt, _ = hetero_encode(stack, g, nb)
     ft = stack.f_theta
@@ -241,8 +249,8 @@ def test_hetero_encode_identical_relations_average():
     names = sorted(nb.entries)
     # same neighbor structure and same neighbor type for both relations
     src = nb.entries[names[0]]
-    nb.entries[names[1]] = (src[0], [a.copy() for a in src[1]])
-    nb._agg_cache.clear()
+    nb = RelationNeighborhood(nb.target_type, nb.n,
+                              {names[0]: src, names[1]: (src[0], src[1].copy())})
     stack = make_stack(g, nb)
     # identical combiner parameters make the relation terms equal
     stack.combiners[names[1]].W = stack.combiners[names[0]].W.copy()
@@ -250,8 +258,7 @@ def test_hetero_encode_identical_relations_average():
     Zt, _ = hetero_encode(stack, g, nb)
     single = dict(nb.entries)
     del single[names[1]]
-    nb_single = type(nb)(target_type=nb.target_type, n=nb.n, entries=single,
-                         counts=nb.counts)
+    nb_single = RelationNeighborhood(nb.target_type, nb.n, single)
     stack_single = make_stack(g, nb_single)
     stack_single.set_params({k: v for k, v in stack.named_params().items()
                              if k in stack_single.named_params()})
@@ -413,8 +420,8 @@ def reference_encode(stack, g, nb):
     rel = {}
     total = np.zeros((nb.n, stack.d1))
     for name in sorted(nb.entries):
-        nbr_type, _ = nb.entries[name]
-        agg = nb.aggregation_matrix(name) @ project(nbr_type)
+        nbr_type, A = nb.entries[name]
+        agg = A @ project(nbr_type)
         out, cache = stack.combiners[name].forward(np.hstack([F_t, agg]))
         total += out
         rel[name] = (nbr_type, cache)
@@ -428,7 +435,7 @@ def reference_backward(stack, nb, cache, grad_Zt):
     for name, (nbr_type, comb_cache) in rel.items():
         g_concat = stack.combiners[name].backward(comb_cache, grad_Zt / len(rel))
         grad_F[stack.target_type] += g_concat[:, :d1]
-        grad_F[nbr_type] += nb.aggregation_matrix(name).T @ g_concat[:, d1:]
+        grad_F[nbr_type] += nb.entries[name][1].T @ g_concat[:, d1:]
     for t, gF in grad_F.items():
         stack.f_theta[t].backward(proj[t][1], gF)
 
@@ -470,8 +477,8 @@ def test_folded_encoder_matches_unfolded_formulas():
     for trial in range(10):
         g, nb, lonely = random_relation_graph(rng, d1)
         assert sorted(nb.entries) == ["ic", "it", "ti"]
-        for name in nb.entries:
-            assert all(nb.entries[name][1][i].size == 0 for i in lonely)
+        for _, A in nb.entries.values():
+            assert np.all(np.diff(A.indptr)[lonely] == 0)
         stack = make_stack(g, nb, d1=d1, seed=trial)
         for p in stack.named_params().values():  # biases start at zero
             p += 0.3 * rng.standard_normal(p.shape)
@@ -520,7 +527,7 @@ class ParentStep:
         names = sorted(nb.entries)
         pre, inputs, Zt = {}, {}, None
         for name in names:
-            nbr_type, _ = nb.entries[name]
+            nbr_type, A = nb.entries[name]
             X_n = g.features[nbr_type]
             aggregate = X_n.shape[1] <= stack.d1
             T, M_n = _fold(stack, name, nbr_type, aggregate)
@@ -528,7 +535,7 @@ class ParentStep:
             inputs[name] = (B, aggregate)
             pre[name] = B @ T
             if not aggregate:
-                pre[name] += nb.aggregation_matrix(name) @ (X_n @ M_n)
+                pre[name] += A @ (X_n @ M_n)
             out = np.maximum(pre[name], 0.0)
             if Zt is None:
                 Zt = out
@@ -544,7 +551,7 @@ class ParentStep:
         f_t = stack.f_theta[stack.target_type]
         k_t = f_t.in_dim
         for name in names:
-            nbr_type, _ = nb.entries[name]
+            nbr_type, A = nb.entries[name]
             f_n, comb = stack.f_theta[nbr_type], stack.combiners[name]
             W_c1, W_c2 = comb.W[:d1], comb.W[d1:]
             B, aggregate = inputs[name]
@@ -555,7 +562,7 @@ class ParentStep:
                 G_n = G[k_t:-2]
             else:
                 X_n = g.features[nbr_type]
-                G_n = X_n.T @ (nb.aggregation_matrix(name).T @ g_r) / len(names)
+                G_n = X_n.T @ (A.T @ g_r) / len(names)
             comb.gw[:d1] += f_t.W.T @ G_t + np.outer(f_t.b, g_1)
             comb.gw[d1:] += f_n.W.T @ G_n + np.outer(f_n.b, g_deg)
             comb.gb += g_1

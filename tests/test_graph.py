@@ -5,6 +5,12 @@ from hgsc.graph import (GraphFormatError, GraphValidationError, HeteroGraph,
                         Relation, build_neighborhoods, load_graph, save_graph)
 
 
+def neighbor_rows(nb, name):
+    """Each target node's neighbor indices: the rows of the relation's CSR."""
+    A = nb.entries[name][1]
+    return [A.indices[a:b] for a, b in zip(A.indptr[:-1], A.indptr[1:])]
+
+
 def write_dataset(tmp_path, meta, files):
     (tmp_path / "meta.tsv").write_text(meta)
     for name, content in files.items():
@@ -47,8 +53,8 @@ def test_load_degenerate_no_edges(tmp_path):
 def test_load_star_graph(tmp_path):
     g = load_graph(star_dataset(tmp_path))
     nb = build_neighborhoods(g)
-    nbr_type, lists = nb.entries["pa"]
-    assert nbr_type == "author"
+    assert nb.entries["pa"][0] == "author"
+    lists = neighbor_rows(nb, "pa")
     assert lists[0].tolist() == [0, 1]
     assert lists[1].tolist() == []
 
@@ -56,7 +62,7 @@ def test_load_star_graph(tmp_path):
 def test_duplicate_edges_deduplicated(tmp_path):
     g = load_graph(star_dataset(tmp_path, edges="0\t0\n0\t0\n0\t1\n"))
     nb = build_neighborhoods(g)
-    _, lists = nb.entries["pa"]
+    lists = neighbor_rows(nb, "pa")
     # oracle: set construction
     assert lists[0].tolist() == sorted({0, 0, 1})
 
@@ -72,6 +78,26 @@ def test_missing_file_names_it(tmp_path):
     (tmp_path / "labels.tsv").unlink()
     with pytest.raises(GraphFormatError, match="labels.tsv"):
         load_graph(path)
+
+
+@pytest.mark.parametrize("name", ["edges_pa.tsv", "labels.tsv", "split.tsv"])
+def test_one_column_row_names_the_file(tmp_path, name):
+    path = star_dataset(tmp_path)
+    (tmp_path / name).write_text("0\n")
+    with pytest.raises(GraphFormatError, match=name):
+        load_graph(path)
+
+
+def test_empty_edges_file_and_extra_fields(tmp_path):
+    # an empty edges file is a relation without edges; fields after the
+    # second column are ignored
+    path = star_dataset(tmp_path, edges="")
+    (tmp_path / "labels.tsv").write_text("0\t0\tnote\n1\t1\t\n")
+    g = load_graph(path)
+    assert g.relations[0].edges.shape == (0, 2)
+    assert g.labels.tolist() == [0, 1]
+    A = build_neighborhoods(g).entries["pa"][1]
+    assert A.shape == (2, 3) and A.nnz == 0
 
 
 def test_missing_label_rejected(tmp_path):
@@ -166,7 +192,7 @@ def test_neighborhood_sizes_sum_to_edge_count(tmp_path):
         })
     g = load_graph(path)
     nb = build_neighborhoods(g)
-    _, lists = nb.entries["r"]
+    lists = neighbor_rows(nb, "r")
     assert sum(len(x) for x in lists) == len(edges)
 
 
@@ -184,8 +210,8 @@ def test_direction_normalized_to_target(tmp_path):
         })
     g = load_graph(path)
     nb = build_neighborhoods(g)
-    nbr_type, lists = nb.entries["ap"]
-    assert nbr_type == "author"
+    assert nb.entries["ap"][0] == "author"
+    lists = neighbor_rows(nb, "ap")
     assert lists[0].tolist() == []
     assert lists[1].tolist() == [0, 1]
 
@@ -218,11 +244,13 @@ def test_neighborhoods_match_set_reference():
                 ref[s].add(int(d))
             if rel.dst_type == "t":
                 ref[d].add(int(s))
-        nbr_type, lists = nb.entries[rel.name]
+        nbr_type, A = nb.entries[rel.name]
         assert nbr_type == ("t" if rel.name == "tt" else "a")
-        assert len(lists) == n
+        assert A.shape == (n, g.counts[nbr_type])
+        assert A.dtype == np.float64 and np.all(A.data == 1.0)
+        lists = neighbor_rows(nb, rel.name)
         for got, want in zip(lists, ref):
-            assert got.dtype == np.int64
+            assert np.issubdtype(got.dtype, np.integer)
             assert got.tolist() == sorted(want)
         assert all(lists[i].size == 0 for i in range(n - 5, n))
 
@@ -239,7 +267,7 @@ def test_combiner_input_rows_and_cache():
     nb = build_neighborhoods(g)
     B = nb.combiner_input("ta", g.features, aggregate=True)
     assert B.shape == (n, 2 + 3 + 2)
-    for i, nbrs in enumerate(nb.entries["ta"][1]):
+    for i, nbrs in enumerate(neighbor_rows(nb, "ta")):
         want = np.concatenate([g.features["t"][i], g.features["a"][nbrs].sum(axis=0),
                                [1.0, len(nbrs)]])
         assert np.allclose(B[i], want, rtol=0, atol=1e-15)
