@@ -19,13 +19,13 @@ import numpy as np
 
 from . import affinity as aff
 from .encoders import (EncoderConfigError, EncoderStack, RankDeficientError,
-                       cluster_assign)
+                       cluster_assign, hetero_encode)
 from .evaluation import EvalError, evaluate
 from .graph import (GraphFormatError, GraphValidationError, build_neighborhoods,
-                    load_graph, save_graph)
+                    field_type, load_graph, save_graph)
 from .losses import write_log
 from .synth import SynthSpec, generate
-from .trainer import NumericalDivergence, TrainConfig, fit
+from .trainer import NumericalDivergence, TrainConfig, fit, rebuild_affinity
 from .verify import run_suite, write_results
 
 EXIT_OK = 0
@@ -134,11 +134,9 @@ def _write_embeddings(path: str, Z: np.ndarray, Zt: np.ndarray) -> None:
 
 def _forward_representations(stack: EncoderStack, g, nb, cfg: TrainConfig):
     """Best-parameter representations: H, Y, S, Z = SH, and hetero Zt."""
-    from .encoders import hetero_encode
-
     H, _ = stack.g_phi.forward(g.features[stack.target_type])
     assign, _ = cluster_assign(stack.p_phi, H)
-    S = aff.build_affinity(H, assign.Y, beta=cfg.beta, k=cfg.k)
+    S = rebuild_affinity(H, assign.Y, cfg)
     Z = aff.propagate(S, H)
     Zt, _ = hetero_encode(stack, g, nb)
     return H, assign, S, Z, Zt
@@ -345,7 +343,7 @@ def build_parser() -> _Parser:
         q.add_argument("--out", required=True)
         for f in fields(TrainConfig):
             q.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                           type=int if f.type == "int" else float)
+                           type=field_type(f))
         q.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
 
     sp = sub.add_parser("train", help="fit the model and write run artifacts")

@@ -13,10 +13,10 @@ On-disk dataset layout (all files UTF-8, tab-separated, LF endings,
     split.tsv              target node index, "train" or "test"
 
 Edges, labels and split are read by their first two columns; later fields
-are ignored, an empty edges file is a relation without edges, and a short
-or unparsable row raises ``GraphFormatError`` naming the file. Non-target
-types may omit their features file; features are then synthesized at load
-time as one-hot rows (see ``load_graph``).
+are ignored and an empty edges file is a relation without edges. A short or
+unparsable row, or a features file not ``feature_dim`` wide, raises
+``GraphFormatError`` naming the file. Non-target types may omit their
+features file; it is then synthesized as one-hot rows (see ``load_graph``).
 """
 
 from __future__ import annotations
@@ -158,11 +158,10 @@ def _read_rows(path: str) -> list[list[str]]:
     return rows
 
 
-def _read_pairs(path: str, dtype=np.int64) -> np.ndarray:
-    """The first two columns of a TSV table as an (m, 2) array.
+def _read_table(path: str, **kwargs) -> np.ndarray:
+    """A TSV table as a 2-d array (``np.loadtxt`` with ``kwargs``).
 
-    Later fields are ignored and an empty file gives shape (0, 2). A
-    missing file, a short row or a value that does not parse as ``dtype``
+    A missing file, a row of another width or a value that does not parse
     raises GraphFormatError naming the file.
     """
     if not os.path.isfile(path):
@@ -170,10 +169,15 @@ def _read_pairs(path: str, dtype=np.int64) -> np.ndarray:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # an empty file has no rows
-            return np.loadtxt(path, dtype=dtype, delimiter="\t", ndmin=2, comments=None,
-                              usecols=(0, 1), encoding="utf-8")
+            return np.loadtxt(path, delimiter="\t", ndmin=2, encoding="utf-8", **kwargs)
     except ValueError as e:
         raise GraphFormatError(f"malformed file {path}: {e}") from None
+
+
+def _read_pairs(path: str, dtype=np.int64) -> np.ndarray:
+    """The first two columns of a TSV table as an (m, 2) array; an empty
+    file gives shape (0, 2)."""
+    return _read_table(path, dtype=dtype, comments=None, usecols=(0, 1))
 
 
 def load_graph(path: str) -> HeteroGraph:
@@ -209,9 +213,13 @@ def load_graph(path: str) -> HeteroGraph:
     for t in node_types:
         fpath = os.path.join(path, f"features_{t}.tsv")
         if os.path.isfile(fpath):
-            feats = np.loadtxt(fpath, delimiter="\t", ndmin=2, dtype=np.float64)
+            feats = _read_table(fpath, dtype=np.float64)
             if counts[t] == 0:
                 feats = feats.reshape(0, dims[t])
+            elif feats.shape[1] != dims[t]:
+                raise GraphFormatError(
+                    f"{fpath}: type {t!r} declares feature_dim {dims[t]} in meta.tsv, "
+                    f"the file has {feats.shape[1]} columns")
         elif t != target_type:
             feats = np.eye(counts[t], dtype=np.float64)
         else:
@@ -281,6 +289,32 @@ def save_graph(g: HeteroGraph, path: str) -> None:
     with open(os.path.join(path, "split.tsv"), "w", encoding="utf-8") as fh:
         np.savetxt(fh, g.train_idx, fmt="%d\ttrain")
         np.savetxt(fh, g.test_idx, fmt="%d\ttest")
+
+
+def field_type(f) -> type:
+    """int for a dataclass field annotated ``int``, else float."""
+    return int if f.type == "int" else float
+
+
+def read_fields(path: str, fields: dict) -> dict:
+    """The ``key<TAB>value`` lines of a config or generator-spec file; a
+    key in ``fields`` (a ``__dataclass_fields__``) has its value parsed by
+    ``field_type``, any other keeps its text. Blank and '#' lines are
+    skipped; a line without two fields or with an unparsable value raises
+    ValueError naming the file and line.
+    """
+    values = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                key, val = line.split("\t")
+                values[key] = field_type(fields[key])(val) if key in fields else val
+            except ValueError as e:
+                raise ValueError(f"{path}, line {lineno}: {e}") from None
+    return values
 
 
 def build_neighborhoods(g: HeteroGraph) -> RelationNeighborhood:

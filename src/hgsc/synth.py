@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .graph import HeteroGraph, Relation
+from .graph import HeteroGraph, Relation, read_fields
 
 
 @dataclass
@@ -47,17 +47,10 @@ class SynthSpec:
 
     @classmethod
     def from_tsv(cls, path: str) -> "SynthSpec":
-        kwargs = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, val = line.split("\t")
-                if key not in cls.__dataclass_fields__:
-                    raise ValueError(f"unknown generator key {key!r}")
-                kind = cls.__dataclass_fields__[key].type
-                kwargs[key] = int(val) if kind == "int" else float(val)
+        kwargs = read_fields(path, cls.__dataclass_fields__)
+        for key in kwargs:
+            if key not in cls.__dataclass_fields__:
+                raise ValueError(f"unknown generator key {key!r}")
         spec = cls(**kwargs)
         spec.validate()
         return spec

@@ -1,13 +1,15 @@
 """Alternating training loop: closed-form affinity, then a gradient step.
 
-Within an epoch the affinity matrix is a constant; it is rebuilt from the
-current representations only at rebuild boundaries. Parameters follow
-adaptive-moment updates with bias correction and a global-norm gradient
-clip. Early stopping tracks the best total objective.
+An epoch is one forward and backward. At rebuild boundaries the forward
+rebuilds the affinity matrix from its own H and the last assignment; in
+between S is a constant. Parameters follow adaptive-moment updates with
+bias correction and a global-norm gradient clip. ``fit`` early-stops on
+the best total objective.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -15,7 +17,8 @@ import numpy as np
 from . import affinity as aff
 from .encoders import (EncoderStack, cluster_assign, hetero_encode,
                        hetero_backward, orthogonal_backward)
-from .graph import HeteroGraph, RelationNeighborhood, build_neighborhoods
+from .graph import (HeteroGraph, RelationNeighborhood, build_neighborhoods,
+                    read_fields)
 from .losses import (LossReport, cluster_consistency, cluster_pool,
                      node_consistency, spectral_loss, total_objective)
 
@@ -103,20 +106,7 @@ class TrainConfig:
 
     @classmethod
     def from_tsv(cls, path: str) -> "TrainConfig":
-        values = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, val = line.split("\t")
-                known = key in cls.__dataclass_fields__
-                values[key] = _parse_field(key, val) if known else val
-        return cls.from_dict(values)
-
-
-def _parse_field(key: str, val: str):
-    return int(val) if TrainConfig.__dataclass_fields__[key].type == "int" else float(val)
+        return cls.from_dict(read_fields(path, cls.__dataclass_fields__))
 
 
 class AdamState:
@@ -165,10 +155,11 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 class TrainStepper:
-    """One full forward/backward of the objective with S held fixed.
+    """One full forward/backward of the objective; ``S`` and ``Y`` are the
+    affinity and assignment of the last forward.
 
     Memory contract: the forward's cache holds what the backward needs (the
-    layers' inputs, relu masks rather than pre-activations, and the loss
+    layers' inputs, relu masks rather than pre-activations, R and the loss
     gradients); the returned ``LossReport`` holds scalars only. The
     backward pops each cache entry and drops each upstream gradient as soon
     as it has been used, so activations are released in reverse order.
@@ -180,21 +171,23 @@ class TrainStepper:
         self.g = g
         self.nb = nb
         self.cfg = cfg
-        self._cache = None
+        self.S = self.Y = self._cache = None
 
-    def forward(self, S: aff.AffinityMatrix, yhat: np.ndarray | None = None,
-                semantic: tuple | None = None) -> LossReport:
-        """Evaluate the objective. The hard indicators are constants of the
-        backward pass; ``yhat`` fixes them (gradient checks), otherwise they
-        are the argmax of the current assignment. ``semantic`` is the
-        (H, cache) pair of ``g_phi.forward`` on the current parameters when
-        the caller has already computed it (an affinity rebuild).
+    def forward(self, S: aff.AffinityMatrix | None = None,
+                last_Y: np.ndarray | None = None,
+                yhat: np.ndarray | None = None) -> LossReport:
+        """Evaluate the objective. Without ``S`` it is rebuilt from this
+        forward's H and ``last_Y`` (default: this forward's Y). The hard
+        indicators are constants of the backward pass; ``yhat`` fixes them
+        (gradient checks), otherwise they are the argmax of the assignment.
         """
         stack, cfg = self.stack, self.cfg
-        if semantic is None:
-            semantic = stack.g_phi.forward(self.g.features[stack.target_type])
-        H, c_g = semantic
+        H, c_g = stack.g_phi.forward(self.g.features[stack.target_type])
         assign, c_p = cluster_assign(stack.p_phi, H)
+        self.Y = assign.Y
+        if S is None:
+            S = rebuild_affinity(H, self.Y if last_Y is None else last_Y, cfg)
+        self.S = S
         if yhat is None:
             yhat = assign.yhat
         l_sp, g_Y, entropy = spectral_loss(S, assign.Y, cfg.gamma)
@@ -208,8 +201,8 @@ class TrainStepper:
         l_cc, g_Qt_cc, g_Qhat = cluster_consistency(Qt, Qhat, yhat)
         total = total_objective(l_sp, l_nc, l_cc, cfg.mu, cfg.delta)
         self._cache = {
-            "S": S, "c_g": c_g, "c_p": c_p, "c_h": c_h,
-            "c_q1": c_q1, "c_q2": c_q2, "assign": assign, "yhat": yhat,
+            "c_g": c_g, "c_p": c_p, "c_h": c_h,
+            "c_q1": c_q1, "c_q2": c_q2, "R": assign.R, "yhat": yhat,
             "counts": counts,
             "grads": {"Y": g_Y, "Q_nc": g_Q_nc, "Qt_nc": g_Qt_nc,
                       "Qt_cc": g_Qt_cc, "Qhat": g_Qhat},
@@ -220,7 +213,8 @@ class TrainStepper:
                  ) -> dict[str, np.ndarray]:
         """Backpropagate w_sp*l_sp + w_nc*l_nc + w_cc*l_cc into the parameters.
 
-        ``weights`` defaults to (1, mu, delta), the total objective.
+        ``weights`` defaults to (1, mu, delta), the total objective. Returns
+        the layers' own gradient arrays, valid until the next backward.
         """
         if self._cache is None:
             raise StepStateError("backward called without a pending forward")
@@ -243,63 +237,44 @@ class TrainStepper:
         del d_Qt
         hetero_backward(stack, cache.pop("c_h"), d_Zt)
         del d_Zt
-        d_H = cache.pop("S").csr_t @ d_Z
+        d_H = self.S.csr_t @ d_Z
         del d_Z
         c_p, P = cache.pop("c_p")
-        d_P = orthogonal_backward(w_sp * g.pop("Y"), P, cache.pop("assign").R)
+        d_P = orthogonal_backward(w_sp * g.pop("Y"), P, cache.pop("R"))
         d_H += stack.p_phi.backward(c_p, d_P)
         del c_p, d_P
         stack.g_phi.backward(cache.pop("c_g"), d_H, input_grad=False)
-        return {k: v.copy() for k, v in stack.named_grads().items()}
+        return stack.named_grads()
 
 
 @dataclass
 class TrainState:
+    """What one epoch hands the next."""
+
     epoch: int = 0
-    best_total: float = np.inf
-    since_improve: int = 0
     adam: AdamState = field(default_factory=AdamState)
     S: aff.AffinityMatrix | None = None
     last_Y: np.ndarray | None = None
-    best_params: dict | None = None
-    best_S: aff.AffinityMatrix | None = None
-    log: list = field(default_factory=list)
 
 
-def rebuild_affinity(stack: EncoderStack, g: HeteroGraph, cfg: TrainConfig,
-                     last_Y: np.ndarray | None,
-                     H: np.ndarray | None = None) -> aff.AffinityMatrix:
-    """Closed-form affinity from current H and the latest assignment.
-
-    ``H`` is g_phi's output on the current parameters; it is computed here
-    when not given.
-    """
-    if H is None:
-        H, _ = stack.g_phi.forward(g.features[stack.target_type])
-    Y = last_Y
-    if Y is None and cfg.beta != 0.0:
-        assign, _ = cluster_assign(stack.p_phi, H)
-        Y = assign.Y
+def rebuild_affinity(H: np.ndarray, Y: np.ndarray,
+                     cfg: TrainConfig) -> aff.AffinityMatrix:
+    """The closed-form affinity from g_phi's output H and assignment Y."""
     return aff.build_affinity(H, Y, beta=cfg.beta, k=cfg.k)
 
 
 def train_epoch(state: TrainState, g: HeteroGraph, nb: RelationNeighborhood,
                 stack: EncoderStack, cfg: TrainConfig) -> LossReport:
-    """One epoch: optional affinity rebuild, forward, backward, update."""
+    """One epoch: forward (rebuilding S at a boundary), backward, update."""
     state.epoch += 1
-    semantic = None
-    if state.S is None or (state.epoch - 1) % cfg.rebuild_period == 0:
-        # the rebuild's H and g_phi cache serve the forward too
-        semantic = stack.g_phi.forward(g.features[stack.target_type])
-        state.S = rebuild_affinity(stack, g, cfg, state.last_Y, semantic[0])
+    rebuild = state.S is None or (state.epoch - 1) % cfg.rebuild_period == 0
     stepper = TrainStepper(stack, g, nb, cfg)
-    report = stepper.forward(state.S, semantic=semantic)
-    del semantic  # the stepper's cache holds what the backward needs
+    report = stepper.forward(None if rebuild else state.S, state.last_Y)
     for term, value in (("l_sp", report.l_sp), ("l_nc", report.l_nc),
                         ("l_cc", report.l_cc), ("total", report.total)):
         if not np.isfinite(value):
             raise NumericalDivergence(term, state.epoch)
-    state.last_Y = stepper._cache["assign"].Y.copy()
+    state.S, state.last_Y = stepper.S, stepper.Y
     grads = stepper.backward()
     clip_gradients(grads, cfg.grad_clip)
     optimizer_step(stack.named_params(), grads, state.adam, cfg.lr)
@@ -321,9 +296,10 @@ def fit(g: HeteroGraph, cfg: TrainConfig,
     """Run the training loop with early stopping on the total objective.
 
     Stops once the objective has not improved for ``cfg.patience``
-    consecutive epochs or at ``cfg.max_epochs``. The returned stack holds
-    the parameters of the best epoch; the affinity matrix is the one in
-    effect at that epoch. With ``checkpoint_every`` > 0 a snapshot is
+    consecutive epochs or at ``cfg.max_epochs``. The log and the best epoch
+    are kept here, not in ``TrainState``. The returned stack holds the
+    parameters of the best epoch; the affinity matrix is the one in effect
+    at that epoch. With ``checkpoint_every`` > 0 a snapshot is
     written to ``<checkpoint_dir>/epoch_<n>.ckpt`` every that many epochs.
     """
     cfg.validate()
@@ -334,27 +310,20 @@ def fit(g: HeteroGraph, cfg: TrainConfig,
     stack = EncoderStack(feature_dims, g.target_type, relations,
                          d1=cfg.d1, d2=cfg.d2, c=cfg.c, seed=cfg.seed)
     state = TrainState()
-    best_epoch = 0
-    while state.epoch < cfg.max_epochs:
+    log = []
+    best_total, best_epoch = np.inf, 0
+    while state.epoch < cfg.max_epochs and state.epoch - best_epoch < cfg.patience:
         pre_step = stack.snapshot()
         report = train_epoch(state, g, nb, stack, cfg)
-        state.log.append((state.epoch, report))
+        log.append((state.epoch, report))
         if checkpoint_every > 0 and checkpoint_dir is not None \
                 and state.epoch % checkpoint_every == 0:
-            import os
             stack.save(os.path.join(checkpoint_dir, f"epoch_{state.epoch}.ckpt"))
-        if report.total < state.best_total:
+        if report.total < best_total:
             # the report was measured before the update, so the matching
             # parameters are the pre-step ones
-            state.best_total = report.total
-            state.since_improve = 0
-            state.best_params = pre_step
-            state.best_S = state.S
-            best_epoch = state.epoch
-        else:
-            state.since_improve += 1
-            if state.since_improve >= cfg.patience:
-                break
-    if state.best_params is not None:
-        stack.set_params(state.best_params)
-    return FitResult(stack=stack, S=state.best_S, log=state.log, best_epoch=best_epoch)
+            best_total, best_epoch = report.total, state.epoch
+            best_params, best_S = pre_step, state.S
+    # the first epoch always improves on inf: a non-finite total raises
+    stack.set_params(best_params)
+    return FitResult(stack=stack, S=best_S, log=log, best_epoch=best_epoch)

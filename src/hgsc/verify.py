@@ -203,7 +203,7 @@ def gradient_check(loss_name: str, seed: int, step: float = 1e-5,
     """
     from .synth import SynthSpec, generate
     from .graph import build_neighborhoods
-    from .trainer import TrainConfig, TrainStepper, rebuild_affinity
+    from .trainer import TrainConfig, TrainStepper
     from .encoders import EncoderStack
 
     cfg = TrainConfig(c=2, d1=6, d2=4, k=3, beta=0.7, gamma=0.5, eta=0.8,
@@ -219,12 +219,12 @@ def gradient_check(loss_name: str, seed: int, step: float = 1e-5,
         relations = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
         stack = EncoderStack(feature_dims, g.target_type, relations,
                              d1=cfg.d1, d2=cfg.d2, c=cfg.c, seed=attempt)
-        S = rebuild_affinity(stack, g, cfg, None)
         stepper = TrainStepper(stack, g, nb, cfg)
-        base_report = stepper.forward(S)
+        base_report = stepper.forward()
         if _relu_margin(stepper) > 20.0 * step:
             break
         attempt += 101
+    S = stepper.S
     yhat = stepper._cache["yhat"].copy()
     weights = _term_weights(loss_name, cfg)
     analytic = stepper.backward(weights=weights)

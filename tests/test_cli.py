@@ -197,6 +197,34 @@ def test_train_one_column_edge_row_exits_1(tmp_path, dataset, capsys):
     assert err.startswith("error: ") and "edges_rel0.tsv" in err
 
 
+def test_train_short_features_row_exits_1(tmp_path, dataset, capsys):
+    path = os.path.join(dataset, "features_item.tsv")
+    with open(path) as fh:
+        first = fh.readline()
+    with open(path, "w") as fh:
+        fh.write(first + "0.5\n")
+    rc = cli.main(train_args(dataset, str(tmp_path / "run")))
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: malformed file ") and path in err
+
+
+@pytest.mark.parametrize("line", ["seed\t3\t4", "seed", "seed\tx"],
+                         ids=["3-field", "1-field", "not-int"])
+@pytest.mark.parametrize("command", ["train", "prepare"])
+def test_bad_key_value_line_exits_1(tmp_path, dataset, capsys, command, line):
+    path = tmp_path / "settings.tsv"
+    path.write_text(f"c\t2\n{line}\n")
+    if command == "train":
+        argv = train_args(dataset, str(tmp_path / "run"), ["--config", str(path)])
+    else:
+        argv = ["prepare", "--source", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}, line 2: ") and err.count("\n") == 1
+
+
 def test_every_config_field_round_trips_through_its_flag():
     from dataclasses import fields
 

@@ -607,7 +607,7 @@ class ParentStep:
 
 
 def test_training_step_matches_parent_formulas_bitwise():
-    from hgsc.trainer import TrainConfig, TrainStepper, rebuild_affinity
+    from hgsc.trainer import TrainConfig, TrainStepper
     rng = np.random.default_rng(31)
     for trial in range(6):
         g, nb, _ = random_relation_graph(rng, d1=6)
@@ -616,10 +616,9 @@ def test_training_step_matches_parent_formulas_bitwise():
         stack = make_stack(g, nb, d1=cfg.d1, d2=cfg.d2, c=cfg.c, seed=trial)
         for p in stack.named_params().values():  # biases start at zero
             p += 0.3 * rng.standard_normal(p.shape)
-        S = rebuild_affinity(stack, g, cfg, None)
-        ref = ParentStep.step(stack, g, nb, cfg, S)
         stepper = TrainStepper(stack, g, nb, cfg)
-        stepper.forward(S)
+        stepper.forward()
+        ref = ParentStep.step(stack, g, nb, cfg, stepper.S)
         assert {name: agg for name, (_, agg) in stepper._cache["c_h"]["inputs"].items()} == {
             "it": True, "ic": True, "ti": False}
         got = stepper.backward()

@@ -88,6 +88,24 @@ def test_one_column_row_names_the_file(tmp_path, name):
         load_graph(path)
 
 
+def test_short_features_row_names_the_file(tmp_path):
+    path = star_dataset(tmp_path)
+    (tmp_path / "features_paper.tsv").write_text("1\t0\n0\n")
+    with pytest.raises(GraphFormatError, match="malformed file .*features_paper.tsv"):
+        load_graph(path)
+
+
+def test_features_width_must_match_declared_dim(tmp_path):
+    # meta.tsv declares author 1 wide; a features file of width 2 is an
+    # error, while a type without a file still gets one-hot rows
+    path = star_dataset(tmp_path)
+    (tmp_path / "features_author.tsv").write_text("1\t2\n3\t4\n5\t6\n")
+    with pytest.raises(GraphFormatError,
+                       match=r"features_author.tsv: type 'author' declares "
+                             r"feature_dim 1 in meta.tsv, the file has 2 columns"):
+        load_graph(path)
+
+
 def test_empty_edges_file_and_extra_fields(tmp_path):
     # an empty edges file is a relation without edges; fields after the
     # second column are ignored

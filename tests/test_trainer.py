@@ -10,7 +10,7 @@ from hgsc.graph import build_neighborhoods
 from hgsc.synth import SynthSpec, generate
 from hgsc.trainer import (AdamState, NumericalDivergence, StepStateError,
                           TrainConfig, TrainState, TrainStepper, fit,
-                          optimizer_step, rebuild_affinity, train_epoch)
+                          optimizer_step, train_epoch)
 from hgsc.verify import component_count
 
 
@@ -161,8 +161,7 @@ def test_backward_without_forward_is_state_error():
     stepper = TrainStepper(stack, g, nb, cfg)
     with pytest.raises(StepStateError):
         stepper.backward()
-    S = rebuild_affinity(stack, g, cfg, None)
-    stepper.forward(S)
+    stepper.forward()
     stepper.backward()
     with pytest.raises(StepStateError):
         stepper.backward()
@@ -178,7 +177,7 @@ def test_cluster_head_gradient_has_no_scale_component():
     stack = EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, cfg.seed)
     stack.p_phi.b[:] = np.random.default_rng(4).standard_normal(cfg.c)
     stepper = TrainStepper(stack, g, nb, cfg)
-    stepper.forward(rebuild_affinity(stack, g, cfg, None))
+    stepper.forward()
     grads = stepper.backward()
     for j in range(cfg.c):
         u = np.append(stack.p_phi.W[:, j], stack.p_phi.b[j])
@@ -194,13 +193,22 @@ def make_stack(g, nb, cfg):
     return EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, cfg.seed)
 
 
-def test_rebuild_epoch_runs_g_phi_once():
-    # the rebuild's H and g_phi cache serve the forward; g_phi's input
-    # gradient (n x f_t) is read by nothing, so it is not computed
+def test_rebuild_epoch_runs_g_phi_once(monkeypatch):
+    # the forward builds S from its own H, and on the first epoch (no
+    # previous Y) from its own QR; g_phi's input gradient (n x f_t) is read
+    # by nothing, so it is not computed
+    import hgsc.encoders
     g, nb, cfg = toy_setup(beta=1.0, rebuild_period=2)
     stack = make_stack(g, nb, cfg)
     layer = stack.g_phi
-    calls = {"forward": 0, "backward": []}
+    calls = {"forward": 0, "backward": [], "qr": 0}
+    qr = hgsc.encoders.orthogonal_layer
+
+    def counted_qr(P):
+        calls["qr"] += 1
+        return qr(P)
+
+    monkeypatch.setattr(hgsc.encoders, "orthogonal_layer", counted_qr)
 
     def forward(X):
         calls["forward"] += 1
@@ -217,7 +225,7 @@ def test_rebuild_epoch_runs_g_phi_once():
         rebuilt = state.S
         train_epoch(state, g, nb, stack, cfg)
         assert (state.S is not rebuilt) == (epoch % 2 == 1)
-        assert calls["forward"] == epoch
+        assert calls["forward"] == calls["qr"] == epoch
     assert calls["backward"] == [None] * 4
 
 

@@ -214,7 +214,7 @@ def test_gradient_check_full_objective():
 def test_relu_margin_includes_each_relation_pre_activation():
     from hgsc.encoders import EncoderStack, relation_pre_activations
     from hgsc.graph import build_neighborhoods
-    from hgsc.trainer import TrainConfig, TrainStepper, rebuild_affinity
+    from hgsc.trainer import TrainConfig, TrainStepper
     from hgsc.verify import _relu_margin
     g = generate(SynthSpec(n=12, c=2, feature_dim=4, aux_count=8, aux_feature_dim=3,
                            relations=2, edges_per_node=2, seed=0))
@@ -224,7 +224,7 @@ def test_relu_margin_includes_each_relation_pre_activation():
     rels = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
     stack = EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, cfg.seed)
     stepper = TrainStepper(stack, g, nb, cfg)
-    stepper.forward(rebuild_affinity(stack, g, cfg, None))
+    stepper.forward()
     cache = stepper._cache
     # the caches hold inputs and masks; pre-activations are recomputed
     pre = relation_pre_activations(stack, cache["c_h"])
