@@ -22,7 +22,7 @@ from .encoders import (EncoderConfigError, EncoderStack, RankDeficientError,
                        cluster_assign, hetero_encode)
 from .evaluation import EvalError, evaluate
 from .graph import (GraphFormatError, GraphValidationError, build_neighborhoods,
-                    field_type, load_graph, save_graph)
+                    field_type, load_graph, save_graph, write_fields)
 from .losses import write_log
 from .synth import SynthSpec, generate
 from .trainer import NumericalDivergence, TrainConfig, fit, rebuild_affinity
@@ -92,11 +92,6 @@ class RunManifest:
     outputs: str
     finished: str = ""
 
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for f in fields(self):
-                fh.write(f"{f.name}\t{getattr(self, f.name)}\n")
-
 
 def _manifest(command: str, out_dir: str, dataset: str, config_repr: str,
               seed: int, inputs: list[str], outputs: list[str]) -> RunManifest:
@@ -106,13 +101,13 @@ def _manifest(command: str, out_dir: str, dataset: str, config_repr: str,
         input_hash=_hash_inputs(inputs),
         started=time.strftime("%Y-%m-%dT%H:%M:%S"),
         outputs=",".join(outputs))
-    man.write(os.path.join(out_dir, "manifest.tsv"))
+    write_fields(os.path.join(out_dir, "manifest.tsv"), man)
     return man
 
 
 def _finish(man: RunManifest, out_dir: str) -> None:
     man.finished = time.strftime("%Y-%m-%dT%H:%M:%S")
-    man.write(os.path.join(out_dir, "manifest.tsv"))
+    write_fields(os.path.join(out_dir, "manifest.tsv"), man)
 
 
 def _load_config(args) -> TrainConfig:
@@ -174,7 +169,7 @@ def cmd_train(args) -> int:
     nb = build_neighborhoods(g)
     result = fit(g, cfg, nb, checkpoint_dir=out,
                  checkpoint_every=args.checkpoint_every or 0)
-    cfg.to_tsv(os.path.join(out, "config.tsv"))
+    write_fields(os.path.join(out, "config.tsv"), cfg)
     result.stack.save(os.path.join(out, "best.ckpt"), json.dumps(asdict(cfg)))
     write_log(os.path.join(out, "training_log.tsv"), result.log)
     _, _, S, Z, Zt = _forward_representations(result.stack, g, nb, cfg)

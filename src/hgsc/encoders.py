@@ -181,6 +181,12 @@ class EncoderStack:
     never runs them one by one: it folds each relation's maps into one
     small matrix per step, applied to graph constants built once per graph
     and relation (see ``hetero_encode``).
+
+    Every parameter lives in one flat float64 array ``params`` and every
+    gradient in ``grads``, both in ``_layers()`` order (W then b per
+    layer); each layer's ``W``, ``b``, ``gw`` and ``gb`` is a reshaped view
+    into them. Write layers in place (``layer.W[...] = ...``): assigning a
+    new array to the attribute detaches the layer from the buffers.
     """
 
     CHECKPOINT_VERSION = 1
@@ -205,6 +211,22 @@ class EncoderStack:
         self.combiners: dict[str, DenseLayer] = {}
         for name, _ in sorted(relations):
             self.combiners[name] = DenseLayer(2 * d1, d1, "relu", rng)
+        size = sum(layer.W.size + layer.b.size for _, layer in self._layers())
+        self.params, self.grads = np.empty(size), np.zeros(size)
+        self._named_params, self._named_grads = {}, {}
+        at = 0
+        for name, layer in self._layers():
+            for a, ga in (("W", "gw"), ("b", "gb")):
+                init = getattr(layer, a)
+                end = at + init.size
+                p = self.params[at:end].reshape(init.shape)
+                p[...] = init
+                g = self.grads[at:end].reshape(init.shape)
+                setattr(layer, a, p)
+                setattr(layer, ga, g)
+                self._named_params[f"{name}.{a}"] = p
+                self._named_grads[f"{name}.{a}"] = g
+                at = end
 
     def _layers(self):
         yield "g_phi", self.g_phi
@@ -216,30 +238,22 @@ class EncoderStack:
             yield f"combiner.{r}", self.combiners[r]
 
     def named_params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._layers():
-            out[f"{name}.W"] = layer.W
-            out[f"{name}.b"] = layer.b
-        return out
+        """``<layer>.W`` / ``<layer>.b`` -> the layer's view into ``params``."""
+        return self._named_params
 
     def named_grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._layers():
-            out[f"{name}.W"] = layer.gw
-            out[f"{name}.b"] = layer.gb
-        return out
+        """The same names -> the views into ``grads``."""
+        return self._named_grads
 
     def zero_grads(self) -> None:
-        for _, layer in self._layers():
-            layer.zero_grads()
+        self.grads.fill(0.0)
 
-    def set_params(self, values: dict[str, np.ndarray]) -> None:
-        params = self.named_params()
-        for name, v in values.items():
-            params[name][...] = v
+    def set_params(self, flat: np.ndarray) -> None:
+        """Overwrite every parameter from a flat array like ``snapshot()``'s."""
+        self.params[...] = flat
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.named_params().items()}
+    def snapshot(self) -> np.ndarray:
+        return self.params.copy()
 
     def save(self, path: str, config_json: str = "{}") -> None:
         arrays = {f"param:{k}": v for k, v in self.named_params().items()}
@@ -274,8 +288,10 @@ class EncoderStack:
                 target_type=meta["target_type"],
                 relations=[tuple(r) for r in meta["relations"]],
                 d1=meta["dims"][0], d2=meta["dims"][1], c=meta["dims"][2])
-            stack.set_params(
-                {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")})
+            params = stack.named_params()
+            for k in data.files:
+                if k.startswith("param:"):
+                    params[k[len("param:"):]][...] = data[k]
         return stack, config_json
 
 

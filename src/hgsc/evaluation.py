@@ -9,7 +9,7 @@ results are comparable across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,15 +32,15 @@ class EvalReport:
     def to_tsv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("metric\tmean\tstd\n")
-            for name in ("macro_f1", "micro_f1", "nmi", "ari", "silhouette", "complexity"):
-                m, s = getattr(self, name)
-                fh.write(f"{name}\t{m:.6f}\t{s:.6f}\n")
+            for f in fields(self):
+                m, s = getattr(self, f.name)
+                fh.write(f"{f.name}\t{m:.6f}\t{s:.6f}\n")
 
     def summary(self) -> str:
         lines = []
-        for name in ("macro_f1", "micro_f1", "nmi", "ari", "silhouette", "complexity"):
-            m, s = getattr(self, name)
-            lines.append(f"{name:12s} {m:7.4f} +/- {s:.4f}")
+        for f in fields(self):
+            m, s = getattr(self, f.name)
+            lines.append(f"{f.name:12s} {m:7.4f} +/- {s:.4f}")
         return "\n".join(lines)
 
 

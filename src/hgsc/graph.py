@@ -21,6 +21,7 @@ features file; it is then synthesized as one-hot rows (see ``load_graph``).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -76,19 +77,12 @@ class HeteroGraph:
             for side, t in (("src", rel.src_type), ("dst", rel.dst_type)):
                 if t not in self.counts:
                     raise GraphValidationError(f"relation {rel.name!r}: unknown {side} type {t!r}")
-            if rel.edges.size:
-                col = rel.edges[:, 0]
-                bad = (col < 0) | (col >= self.counts[rel.src_type])
+            for col, side, t in ((0, "src", rel.src_type), (1, "dst", rel.dst_type)):
+                bad = (rel.edges[:, col] < 0) | (rel.edges[:, col] >= self.counts[t])
                 if bad.any():
                     e = rel.edges[np.argmax(bad)]
                     raise GraphValidationError(
-                        f"relation {rel.name!r}: edge ({e[0]}, {e[1]}) src index out of range")
-                col = rel.edges[:, 1]
-                bad = (col < 0) | (col >= self.counts[rel.dst_type])
-                if bad.any():
-                    e = rel.edges[np.argmax(bad)]
-                    raise GraphValidationError(
-                        f"relation {rel.name!r}: edge ({e[0]}, {e[1]}) dst index out of range")
+                        f"relation {rel.name!r}: edge ({e[0]}, {e[1]}) {side} index out of range")
             if rel.src_type == self.target_type and rel.dst_type == self.target_type:
                 loops = rel.edges[:, 0] == rel.edges[:, 1]
                 if loops.any():
@@ -146,15 +140,16 @@ class RelationNeighborhood:
         return hit[2]
 
 
-def _read_rows(path: str) -> list[list[str]]:
+def _read_rows(path: str) -> list[tuple[int, list[str]]]:
+    """The non-blank lines of a TSV file as (line number, fields)."""
     if not os.path.isfile(path):
         raise GraphFormatError(f"missing file: {path}")
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if line:
-                rows.append(line.split("\t"))
+                rows.append((lineno, line.split("\t")))
     return rows
 
 
@@ -180,32 +175,40 @@ def _read_pairs(path: str, dtype=np.int64) -> np.ndarray:
     return _read_table(path, dtype=dtype, comments=None, usecols=(0, 1))
 
 
+# fields per meta.tsv row, by tag
+_META_WIDTH = {"node": 4, "edge": 4, "target": 2}
+
+
 def load_graph(path: str) -> HeteroGraph:
     """Load and validate a dataset directory.
 
     A non-target node type without a features file gets one-hot features
     (the identity matrix over its nodes).
     """
-    meta = _read_rows(os.path.join(path, "meta.tsv"))
+    meta_path = os.path.join(path, "meta.tsv")
     node_types: list[str] = []
     counts: dict[str, int] = {}
     dims: dict[str, int] = {}
     rel_decls: list[tuple[str, str, str]] = []
     target_type = None
-    for row in meta:
+    for lineno, row in _read_rows(meta_path):
         tag = row[0]
-        if tag == "node":
-            _, name, count, dim = row
-            node_types.append(name)
-            counts[name] = int(count)
-            dims[name] = int(dim)
-        elif tag == "edge":
-            _, name, src, dst = row
-            rel_decls.append((name, src, dst))
-        elif tag == "target":
-            target_type = row[1]
-        else:
-            raise GraphFormatError(f"meta.tsv: unknown row tag {tag!r}")
+        try:
+            if tag not in _META_WIDTH:
+                raise ValueError(f"unknown row tag {tag!r}")
+            if len(row) != _META_WIDTH[tag]:
+                raise ValueError(f"a {tag} row has {_META_WIDTH[tag]} fields, "
+                                 f"got {len(row)}")
+            if tag == "node":
+                _, name, count, dim = row
+                counts[name], dims[name] = int(count), int(dim)
+                node_types.append(name)
+            elif tag == "edge":
+                rel_decls.append(tuple(row[1:]))
+            else:
+                target_type = row[1]
+        except ValueError as e:
+            raise GraphFormatError(f"{meta_path}, line {lineno}: {e}") from None
     if target_type is None:
         raise GraphFormatError("meta.tsv: no target row")
 
@@ -315,6 +318,14 @@ def read_fields(path: str, fields: dict) -> dict:
             except ValueError as e:
                 raise ValueError(f"{path}, line {lineno}: {e}") from None
     return values
+
+
+def write_fields(path: str, obj) -> None:
+    """Write a dataclass as ``key<TAB>value`` lines, in field order; the
+    inverse of ``read_fields``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for f in dataclasses.fields(obj):
+            fh.write(f"{f.name}\t{getattr(obj, f.name)}\n")
 
 
 def build_neighborhoods(g: HeteroGraph) -> RelationNeighborhood:

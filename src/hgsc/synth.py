@@ -8,7 +8,7 @@ cross-block edge rate. Everything is a deterministic function of the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +39,6 @@ class SynthSpec:
             raise ValueError("cross_edge_rate must be in [0, 1]")
         if not (0.0 < self.train_frac < 1.0):
             raise ValueError("train_frac must be in (0, 1)")
-
-    def to_tsv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for k, v in asdict(self).items():
-                fh.write(f"{k}\t{v}\n")
 
     @classmethod
     def from_tsv(cls, path: str) -> "SynthSpec":

@@ -10,7 +10,7 @@ the best total objective.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,11 +70,6 @@ class TrainConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
-    def to_tsv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for k, v in asdict(self).items():
-                fh.write(f"{k}\t{v}\n")
-
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
         """Validated config from a key/value mapping (a TSV file, the JSON
@@ -110,39 +105,35 @@ class TrainConfig:
 
 
 class AdamState:
-    """Per-parameter first/second moments, decay 0.9/0.999, eps 1e-8."""
+    """First/second moments of the flat parameter vector, decay 0.9/0.999,
+    eps 1e-8; the moments start at zero on the first step."""
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
     def __init__(self):
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
         self.t = 0
 
 
-def optimizer_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+def optimizer_step(params: np.ndarray, grads: np.ndarray,
                    state: AdamState, lr: float) -> None:
-    """One adaptive-moment update, in place, deterministic given state."""
+    """One adaptive-moment update of the flat ``params``, in place,
+    deterministic given state."""
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     state.t += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads * grads
+    params -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -275,9 +266,8 @@ def train_epoch(state: TrainState, g: HeteroGraph, nb: RelationNeighborhood,
         if not np.isfinite(value):
             raise NumericalDivergence(term, state.epoch)
     state.S, state.last_Y = stepper.S, stepper.Y
-    grads = stepper.backward()
-    clip_gradients(grads, cfg.grad_clip)
-    optimizer_step(stack.named_params(), grads, state.adam, cfg.lr)
+    clip_gradients(stepper.backward(), cfg.grad_clip)
+    optimizer_step(stack.params, stack.grads, state.adam, cfg.lr)
     return report
 
 

@@ -169,26 +169,14 @@ def _relu_margin(stepper) -> float:
     return float(min(margins))
 
 
-def _term_value(report, loss_name: str) -> float:
-    if loss_name == "spectral":
-        return report.l_sp
-    if loss_name == "node":
-        return report.l_nc
-    if loss_name == "cluster":
-        return report.l_cc
-    if loss_name == "total":
-        return report.total
-    raise ValueError(f"unknown loss name {loss_name!r}")
-
-
-def _term_weights(loss_name: str, cfg):
-    if loss_name == "spectral":
-        return (1.0, 0.0, 0.0)
-    if loss_name == "node":
-        return (0.0, 1.0, 0.0)
-    if loss_name == "cluster":
-        return (0.0, 0.0, 1.0)
-    return (1.0, cfg.mu, cfg.delta)
+# loss name -> (LossReport field, backward weights; None is the backward's
+# default, the total objective)
+_TERMS = {
+    "spectral": ("l_sp", (1.0, 0.0, 0.0)),
+    "node": ("l_nc", (0.0, 1.0, 0.0)),
+    "cluster": ("l_cc", (0.0, 0.0, 1.0)),
+    "total": ("total", None),
+}
 
 
 def gradient_check(loss_name: str, seed: int, step: float = 1e-5,
@@ -206,6 +194,9 @@ def gradient_check(loss_name: str, seed: int, step: float = 1e-5,
     from .trainer import TrainConfig, TrainStepper
     from .encoders import EncoderStack
 
+    if loss_name not in _TERMS:
+        raise ValueError(f"unknown loss name {loss_name!r}")
+    term, weights = _TERMS[loss_name]
     cfg = TrainConfig(c=2, d1=6, d2=4, k=3, beta=0.7, gamma=0.5, eta=0.8,
                       mu=0.9, delta=1.1, seed=seed)
     attempt = seed
@@ -226,30 +217,27 @@ def gradient_check(loss_name: str, seed: int, step: float = 1e-5,
         attempt += 101
     S = stepper.S
     yhat = stepper._cache["yhat"].copy()
-    weights = _term_weights(loss_name, cfg)
-    analytic = stepper.backward(weights=weights)
+    stepper.backward(weights=weights)
+    analytic = stack.grads.copy()
 
     # entries below the finite-difference resolution are indistinguishable
     # from zero, so the comparison floor scales with the loss magnitude
-    f_base = abs(_term_value(base_report, loss_name))
+    f_base = abs(getattr(base_report, term))
     noise = np.finfo(float).eps * max(1.0, f_base) / (2.0 * step)
     floor = max(1e-6, 3e4 * noise)
 
-    params = stack.named_params()
+    params = stack.params
     worst = 0.0
-    for name, p in params.items():
-        flat = p.ravel()
-        an = analytic[name].ravel()
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            f_plus = _term_value(stepper.forward(S, yhat=yhat), loss_name)
-            flat[idx] = orig - step
-            f_minus = _term_value(stepper.forward(S, yhat=yhat), loss_name)
-            flat[idx] = orig
-            fd = (f_plus - f_minus) / (2.0 * step)
-            err = abs(fd - an[idx]) / max(abs(fd), abs(an[idx]), floor)
-            worst = max(worst, err)
+    for idx in range(params.size):
+        orig = params[idx]
+        params[idx] = orig + step
+        f_plus = getattr(stepper.forward(S, yhat=yhat), term)
+        params[idx] = orig - step
+        f_minus = getattr(stepper.forward(S, yhat=yhat), term)
+        params[idx] = orig
+        fd = (f_plus - f_minus) / (2.0 * step)
+        err = abs(fd - analytic[idx]) / max(abs(fd), abs(analytic[idx]), floor)
+        worst = max(worst, err)
     stepper._cache = None
     return worst
 

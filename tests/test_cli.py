@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hgsc.cli as cli
-from hgsc.graph import load_graph
+from hgsc.graph import load_graph, write_fields
 from hgsc.synth import SynthSpec
 from hgsc.verify import VerificationResult
 
@@ -16,7 +16,7 @@ def synth_spec_file(tmp_path):
     spec = SynthSpec(n=24, c=2, feature_dim=5, aux_count=10, aux_feature_dim=4,
                      relations=2, edges_per_node=2, separation=6.0, seed=0)
     path = tmp_path / "spec.tsv"
-    spec.to_tsv(str(path))
+    write_fields(str(path), spec)
     return str(path)
 
 
@@ -118,7 +118,7 @@ def test_eval_checkpoint_mismatch(tmp_path, dataset, synth_spec_file):
     spec = SynthSpec(n=20, c=2, feature_dim=9, aux_count=10, aux_feature_dim=4,
                      relations=2, edges_per_node=2, seed=0)
     spec_path = tmp_path / "spec2.tsv"
-    spec.to_tsv(str(spec_path))
+    write_fields(str(spec_path), spec)
     other = str(tmp_path / "data2")
     assert cli.main(["prepare", "--source", str(spec_path), "--out", other]) == 0
     rc = cli.main(["eval", "--data", other, "--checkpoint", checkpoint_path(run)])
@@ -208,6 +208,25 @@ def test_train_short_features_row_exits_1(tmp_path, dataset, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: malformed file ") and path in err
+
+
+@pytest.mark.parametrize("tag,bad", [
+    ("node", lambda row: row[:3]),
+    ("node", lambda row: [row[0], row[1], "x", row[3]]),
+    ("target", lambda row: row[:1]),
+], ids=["node-3-field", "node-not-int", "bare-target"])
+def test_bad_meta_row_exits_1(tmp_path, dataset, capsys, tag, bad):
+    path = os.path.join(dataset, "meta.tsv")
+    with open(path) as fh:
+        rows = [line.rstrip("\n").split("\t") for line in fh]
+    lineno = next(i for i, row in enumerate(rows, 1) if row[0] == tag)
+    rows[lineno - 1] = bad(rows[lineno - 1])
+    with open(path, "w") as fh:
+        fh.writelines("\t".join(row) + "\n" for row in rows)
+    rc = cli.main(train_args(dataset, str(tmp_path / "run")))
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}, line {lineno}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("line", ["seed\t3\t4", "seed", "seed\tx"],

@@ -253,15 +253,17 @@ def test_hetero_encode_identical_relations_average():
                               {names[0]: src, names[1]: (src[0], src[1].copy())})
     stack = make_stack(g, nb)
     # identical combiner parameters make the relation terms equal
-    stack.combiners[names[1]].W = stack.combiners[names[0]].W.copy()
-    stack.combiners[names[1]].b = stack.combiners[names[0]].b.copy()
+    # written through the views: a reassigned attribute would leave the
+    # stack's parameter buffer behind
+    stack.combiners[names[1]].W[...] = stack.combiners[names[0]].W
+    stack.combiners[names[1]].b[...] = stack.combiners[names[0]].b
     Zt, _ = hetero_encode(stack, g, nb)
     single = dict(nb.entries)
     del single[names[1]]
     nb_single = RelationNeighborhood(nb.target_type, nb.n, single)
     stack_single = make_stack(g, nb_single)
-    stack_single.set_params({k: v for k, v in stack.named_params().items()
-                             if k in stack_single.named_params()})
+    for k, v in stack_single.named_params().items():
+        v[...] = stack.named_params()[k]
     Zt_single, _ = hetero_encode(stack_single, g, nb_single)
     assert np.allclose(Zt, Zt_single, atol=1e-12)
 
@@ -650,3 +652,65 @@ def test_checkpoint_round_trip(tmp_path):
     assert cfg_json == '{"c": 2}'
     for k, v in stack.named_params().items():
         assert np.array_equal(v, loaded.named_params()[k])
+
+
+def _offset(view, buf):
+    """Element offset of ``view``'s first entry inside the flat ``buf``."""
+    return (view.__array_interface__["data"][0]
+            - buf.__array_interface__["data"][0]) // buf.itemsize
+
+
+@pytest.mark.parametrize("kind", ["params", "grads"])
+def test_named_views_tile_the_flat_buffer(kind):
+    g, nb = small_graph()
+    stack = make_stack(g, nb)
+    buf = getattr(stack, kind)
+    named = stack.named_params() if kind == "params" else stack.named_grads()
+    attrs = ("W", "b") if kind == "params" else ("gw", "gb")
+    at = 0
+    for name, layer in stack._layers():
+        for suffix, attr in zip(("W", "b"), attrs):
+            view = named[f"{name}.{suffix}"]
+            assert view is getattr(layer, attr)
+            assert np.shares_memory(view, buf) and view.flags.c_contiguous
+            assert _offset(view, buf) == at
+            at += view.size
+    assert at == buf.size and len(named) == 2 * len(list(stack._layers()))
+
+
+def test_flat_buffers_drive_the_layers():
+    g, nb = small_graph()
+    stack = make_stack(g, nb)
+    saved = stack.snapshot()
+    assert not np.shares_memory(saved, stack.params)
+    stack.params[:] = 0.5
+    assert np.all(stack.g_phi.W == 0.5) and np.all(stack.combiners["rel1"].b == 0.5)
+    stack.grads[:] = 1.0
+    stack.zero_grads()
+    assert not stack.q_gamma.gw.any()
+    stack.set_params(saved)
+    assert np.array_equal(stack.params, saved)
+
+
+def test_per_array_checkpoint_loads_bitwise(tmp_path):
+    """A checkpoint holding one ``param:<name>`` array per layer entry, as
+    the per-array stack wrote it, loads into the views bit for bit."""
+    import json
+
+    g, nb = small_graph()
+    stack = make_stack(g, nb, seed=5)
+    rng = np.random.default_rng(9)
+    written = {k: rng.standard_normal(v.shape) for k, v in stack.named_params().items()}
+    arrays = {f"param:{k}": written[k] for k in reversed(list(written))}
+    arrays["version"] = np.array(1)
+    arrays["config_json"] = np.array('{"c": 2}')
+    arrays["stack_json"] = np.array(json.dumps({
+        "target_type": stack.target_type, "relations": stack.relations,
+        "dims": [stack.d1, stack.d2, stack.c], "feature_dims": stack.feature_dims}))
+    path = str(tmp_path / "per_array.ckpt")
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    loaded, _ = EncoderStack.load(path)
+    for k, v in written.items():
+        assert np.array_equal(loaded.named_params()[k], v)
+    assert np.array_equal(loaded.params, np.concatenate([v.ravel() for v in written.values()]))

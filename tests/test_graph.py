@@ -73,6 +73,12 @@ def test_edge_out_of_range(tmp_path):
         load_graph(path)
 
 
+def test_edge_src_out_of_range(tmp_path):
+    path = star_dataset(tmp_path, edges="2\t0\n")
+    with pytest.raises(GraphValidationError, match=r"\(2, 0\) src index out of range"):
+        load_graph(path)
+
+
 def test_missing_file_names_it(tmp_path):
     path = minimal_dataset(tmp_path)
     (tmp_path / "labels.tsv").unlink()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hgsc
-from hgsc.graph import build_neighborhoods
+from hgsc.graph import build_neighborhoods, write_fields
 from hgsc.synth import SynthSpec, generate
 from hgsc.trainer import (AdamState, NumericalDivergence, StepStateError,
                           TrainConfig, TrainState, TrainStepper, fit,
@@ -28,44 +28,44 @@ def toy_setup(n=12, seed=0, **cfg_kw):
 # ------------------------------------------------------------------- adam
 
 def test_adam_zero_gradient_fresh_state():
-    p = {"w": np.array([1.0, -2.0])}
+    p = np.array([1.0, -2.0])
     state = AdamState()
-    optimizer_step(p, {"w": np.zeros(2)}, state, lr=0.1)
-    assert np.array_equal(p["w"], [1.0, -2.0])
+    optimizer_step(p, np.zeros(2), state, lr=0.1)
+    assert np.array_equal(p, [1.0, -2.0])
 
 
 def test_adam_scalar_recurrence_oracle():
-    p = {"w": np.array([0.0])}
+    p = np.array([0.0])
     state = AdamState()
     # hand-rolled scalar oracle of the update recurrence
     m = v = 0.0
     w_ref = 0.0
     for t in range(1, 6):
-        optimizer_step(p, {"w": np.array([1.0])}, state, lr=0.1)
+        optimizer_step(p, np.array([1.0]), state, lr=0.1)
         m = 0.9 * m + 0.1 * 1.0
         v = 0.999 * v + 0.001 * 1.0
         mhat = m / (1 - 0.9**t)
         vhat = v / (1 - 0.999**t)
         w_ref -= 0.1 * mhat / (np.sqrt(vhat) + 1e-8)
-        assert p["w"][0] == pytest.approx(w_ref, abs=1e-15)
+        assert p[0] == pytest.approx(w_ref, abs=1e-15)
     # the very first step is ~ -lr
     state2 = AdamState()
-    p2 = {"w": np.array([0.0])}
-    optimizer_step(p2, {"w": np.array([1.0])}, state2, lr=0.1)
-    assert p2["w"][0] == pytest.approx(-0.1, abs=1e-8)
+    p2 = np.array([0.0])
+    optimizer_step(p2, np.array([1.0]), state2, lr=0.1)
+    assert p2[0] == pytest.approx(-0.1, abs=1e-8)
 
 
 def test_adam_identical_tensors_identical_updates():
     rng = np.random.default_rng(0)
-    g = rng.standard_normal((3, 2))
-    p = {"a": np.ones((3, 2)), "b": np.ones((3, 2))}
-    optimizer_step(p, {"a": g.copy(), "b": g.copy()}, AdamState(), lr=0.05)
-    assert np.array_equal(p["a"], p["b"])
+    g = rng.standard_normal(6)
+    p = np.ones(12)
+    optimizer_step(p, np.concatenate([g, g]), AdamState(), lr=0.05)
+    assert np.array_equal(p[:6], p[6:])
 
 
 def test_adam_shape_mismatch():
     with pytest.raises(ValueError):
-        optimizer_step({"w": np.zeros(3)}, {"w": np.zeros(2)}, AdamState(), 0.1)
+        optimizer_step(np.zeros(3), np.zeros(2), AdamState(), 0.1)
 
 
 # ------------------------------------------------------------ train_epoch
@@ -368,7 +368,7 @@ def test_config_round_trip(tmp_path):
                       lr=3e-3, max_epochs=11, patience=4, seed=3,
                       rebuild_period=2)
     path = tmp_path / "cfg.tsv"
-    cfg.to_tsv(str(path))
+    write_fields(str(path), cfg)
     cfg2 = TrainConfig.from_tsv(str(path))
     assert cfg == cfg2
 
