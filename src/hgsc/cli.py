@@ -62,21 +62,23 @@ def _limit_threads() -> None:
 
 
 def _hash_inputs(paths: list[str]) -> str:
+    """Digest of what the inputs hold, not where they live: a directory's files
+    by relative path and bytes (its run-time manifest.tsv skipped), a file's bytes."""
     h = hashlib.sha256()
     for p in paths:
         if p is None:
             continue
         if os.path.isdir(p):
-            names = sorted(
-                os.path.join(root, f)
-                for root, _, files in os.walk(p) for f in files)
+            files = sorted(
+                (os.path.relpath(os.path.join(root, f), p), os.path.join(root, f))
+                for root, _, names in os.walk(p) for f in names if f != "manifest.tsv")
         elif os.path.isfile(p):
-            names = [p]
+            files = [("", p)]
         else:
             continue
-        for name in names:
-            h.update(name.encode())
-            with open(name, "rb") as fh:
+        for rel, path in files:
+            h.update(rel.encode())
+            with open(path, "rb") as fh:
                 h.update(fh.read())
     return h.hexdigest()
 

@@ -289,9 +289,15 @@ class EncoderStack:
                 relations=[tuple(r) for r in meta["relations"]],
                 d1=meta["dims"][0], d2=meta["dims"][1], c=meta["dims"][2])
             params = stack.named_params()
-            for k in data.files:
-                if k.startswith("param:"):
-                    params[k[len("param:"):]][...] = data[k]
+            entries = {k.removeprefix("param:"): data[k] for k in data.files
+                       if k.startswith("param:")}
+            for name in sorted(params.keys() | entries.keys()):
+                got = entries[name].shape if name in entries else "no entry"
+                want = params[name].shape if name in params else "no such parameter"
+                if got != want:
+                    raise EncoderConfigError(
+                        f"checkpoint entry param:{name}: got {got}, expected {want}")
+                params[name][...] = entries[name]
         return stack, config_json
 
 

@@ -2,7 +2,9 @@
 
 Linear probe classification (macro/micro F1), k-means clustering scored
 by NMI and adjusted Rand index, silhouette, and a Davies-Bouldin-style
-scatter/separation diagnostic. The probe and k-means are pinned
+scatter/separation diagnostic, each one whole-array pass: the probe's
+repeats descend side by side, and neither k-means nor the silhouette
+holds an (n, c, d) or n x n temporary. The probe and k-means are pinned
 implementations (full-batch gradient descent, Lloyd with k-means++) so
 results are comparable across runs and platforms.
 """
@@ -46,8 +48,7 @@ class EvalReport:
 
 def concat_representation(Z: np.ndarray, Zt: np.ndarray) -> np.ndarray:
     """Row-wise concatenation [Z | Zt]."""
-    Z = np.asarray(Z)
-    Zt = np.asarray(Zt)
+    Z, Zt = np.asarray(Z), np.asarray(Zt)
     if Z.shape[0] != Zt.shape[0]:
         raise EvalError(f"row counts differ: {Z.shape[0]} vs {Zt.shape[0]}")
     return np.hstack([Z, Zt])
@@ -70,68 +71,65 @@ def f1_scores(y_true: np.ndarray, y_pred: np.ndarray, c: int):
     return macro, micro
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def linear_probe(X: np.ndarray, labels: np.ndarray, train_idx: np.ndarray,
                  test_idx: np.ndarray, repeats: int = 5, iters: int = 1000,
                  lr: float = 0.01, seed: int = 0):
     """Multinomial logistic regression on frozen features.
 
     Full-batch gradient descent with a fixed iteration count; inputs are
-    standardized on training statistics. The initialization is reseeded
-    per repeat; returns ((macro mean, std), (micro mean, std)).
+    standardized on training statistics. The repeats descend side by side
+    as column blocks of one (d, repeats*c) weight matrix, block r seeded by
+    ``default_rng(seed + r)``; returns ((macro mean, std), (micro mean, std)).
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
+    if len(test_idx) == 0:
+        raise EvalError("the split has no test nodes")
     c = int(labels.max()) + 1
     tr_labels = labels[train_idx]
-    present = np.bincount(tr_labels, minlength=c)
-    if (present == 0).any():
-        missing = int(np.argmax(present == 0))
-        raise EvalError(f"class {missing} absent from training split")
+    absent = np.flatnonzero(np.bincount(tr_labels, minlength=c) == 0)
+    if absent.size:
+        raise EvalError(f"class {absent[0]} absent from training split")
     mean = X[train_idx].mean(axis=0)
     std = X[train_idx].std(axis=0)
     std[std == 0.0] = 1.0
     Xtr = (X[train_idx] - mean) / std
     Xte = (X[test_idx] - mean) / std
-    onehot = np.zeros((len(train_idx), c))
-    onehot[np.arange(len(train_idx)), tr_labels] = 1.0
-    macros, micros = [], []
-    for rep in range(repeats):
-        rng = np.random.default_rng(seed + rep)
-        W = 0.01 * rng.standard_normal((X.shape[1], c))
-        b = np.zeros(c)
-        for _ in range(iters):
-            probs = _softmax(Xtr @ W + b)
-            g = (probs - onehot) / len(train_idx)
-            W -= lr * (Xtr.T @ g)
-            b -= lr * g.sum(axis=0)
-        pred = np.argmax(Xte @ W + b, axis=1)
-        ma, mi = f1_scores(labels[test_idx], pred, c)
-        macros.append(ma)
-        micros.append(mi)
+    n_tr = len(train_idx)
+    onehot = np.eye(c)[tr_labels][:, None, :]
+    W = np.hstack([0.01 * np.random.default_rng(seed + r).standard_normal((X.shape[1], c))
+                   for r in range(repeats)])
+    b = np.zeros(repeats * c)
+    for _ in range(iters):
+        z = (Xtr @ W + b).reshape(n_tr, repeats, c)
+        e = np.exp(z - z.max(axis=2, keepdims=True))
+        g = (e / e.sum(axis=2, keepdims=True) - onehot).reshape(n_tr, -1) / n_tr
+        W -= lr * (Xtr.T @ g)
+        b -= lr * g.sum(axis=0)
+    pred = np.argmax((Xte @ W + b).reshape(len(test_idx), repeats, c), axis=2)
+    macros, micros = np.array([f1_scores(labels[test_idx], p, c) for p in pred.T]).T
     return ((float(np.mean(macros)), float(np.std(macros))),
             (float(np.mean(micros)), float(np.std(micros))))
+
+
+def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, c) squared distances from the rows of X to the centres, one
+    centre at a time: no (n, c, d) temporary."""
+    D = np.empty((X.shape[0], len(centers)))
+    for j, mu in enumerate(centers):
+        D[:, j] = ((X - mu) ** 2).sum(axis=1)
+    return D
 
 
 def _kmeans_pp_init(X: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
     centers = np.empty((c, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
     for j in range(1, c):
+        d2 = _sq_distances(X, centers[:j]).min(axis=1)
         total = d2.sum()
-        if total > 0:
-            probs = d2 / total
-            pick = rng.choice(n, p=probs)
-        else:
-            pick = int(rng.integers(n))
+        pick = rng.choice(n, p=d2 / total) if total > 0 else int(rng.integers(n))
         centers[j] = X[pick]
-        d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1))
     return centers
 
 
@@ -152,11 +150,10 @@ def kmeans(X: np.ndarray, c: int, restarts: int = 10, seed: int = 0,
         centers = _kmeans_pp_init(X, c, rng)
         assign = None
         for _ in range(max_iter):
-            D = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            D = _sq_distances(X, centers)
             new_assign = np.argmin(D, axis=1)
-            mind = D[np.arange(n), new_assign]
-            counts = np.bincount(new_assign, minlength=c)
-            for empty in np.nonzero(counts == 0)[0]:
+            mind = D.min(axis=1)
+            for empty in np.nonzero(np.bincount(new_assign, minlength=c) == 0)[0]:
                 far = int(np.argmax(mind))
                 centers[empty] = X[far]
                 mind[far] = -np.inf
@@ -164,29 +161,30 @@ def kmeans(X: np.ndarray, c: int, restarts: int = 10, seed: int = 0,
             if assign is not None and np.array_equal(assign, new_assign):
                 break
             assign = new_assign
-            for j in range(c):
-                members = assign == j
-                if members.any():
-                    centers[j] = X[members].mean(axis=0)
-        D = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            for j in np.unique(assign):
+                centers[j] = X[assign == j].mean(axis=0)
+        D = _sq_distances(X, centers)
         assign = np.argmin(D, axis=1)
-        inertia = float(D[np.arange(n), assign].sum())
+        inertia = float(D.min(axis=1).sum())
         if best is None or inertia < best[1]:
             best = (assign, inertia)
     return best
 
 
+def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Float counts of each (label in a, label in b) pair."""
+    ua, ia = np.unique(a, return_inverse=True)
+    ub, ib = np.unique(b, return_inverse=True)
+    pairs = np.bincount(ia * ub.size + ib, minlength=ua.size * ub.size)
+    return pairs.reshape(ua.size, ub.size).astype(np.float64)
+
+
 def nmi(a: np.ndarray, b: np.ndarray) -> float:
     """Normalized mutual information with arithmetic-mean normalization."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    n = a.size
-    ulab_a, ia = np.unique(a, return_inverse=True)
-    ulab_b, ib = np.unique(b, return_inverse=True)
-    if ulab_a.size == 1 and ulab_b.size == 1:
+    cont = _contingency(a, b)
+    if cont.shape == (1, 1):
         return 1.0
-    cont = np.zeros((ulab_a.size, ulab_b.size))
-    np.add.at(cont, (ia, ib), 1.0)
+    n = cont.sum()
     pa = cont.sum(axis=1) / n
     pb = cont.sum(axis=0) / n
     pij = cont / n
@@ -203,21 +201,12 @@ def nmi(a: np.ndarray, b: np.ndarray) -> float:
 
 def ari(a: np.ndarray, b: np.ndarray) -> float:
     """Adjusted Rand index under the permutation model."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    n = a.size
-    _, ia = np.unique(a, return_inverse=True)
-    _, ib = np.unique(b, return_inverse=True)
-    cont = np.zeros((ia.max() + 1, ib.max() + 1))
-    np.add.at(cont, (ia, ib), 1.0)
-
-    def comb2(x):
-        return x * (x - 1.0) / 2.0
-
+    cont = _contingency(a, b)
+    comb2 = lambda x: x * (x - 1.0) / 2.0
     sum_ij = comb2(cont).sum()
     sum_a = comb2(cont.sum(axis=1)).sum()
     sum_b = comb2(cont.sum(axis=0)).sum()
-    total = comb2(n)
+    total = comb2(cont.sum())
     expected = sum_a * sum_b / total if total > 0 else 0.0
     max_index = 0.5 * (sum_a + sum_b)
     if max_index == expected:
@@ -232,45 +221,54 @@ def kmeans_cluster(X: np.ndarray, labels: np.ndarray, c: int,
     return nmi(labels, assign), ari(labels, assign), assign
 
 
-def silhouette(X: np.ndarray, assignment: np.ndarray) -> float:
+# rows of the distance matrix that silhouette holds at once
+_SILHOUETTE_BLOCK = 256
+
+
+def silhouette(X: np.ndarray, assignment: np.ndarray):
     """Mean silhouette (b - a)/max(a, b) under the Euclidean metric.
 
-    Distances are exact (by subtraction); every node's per-cluster distance
-    sums come from one product with the 0/1 membership matrix. Nodes in a
-    singleton cluster, and nodes with a = b = 0, score 0.
+    ``assignment`` is one (n,) clustering, scored as a float, or a
+    (repeats, n) stack, scored as a (repeats,) array in the same pass.
+    Exact distances (by subtraction) are taken ``_SILHOUETTE_BLOCK`` rows
+    at a time; each block's per-cluster distance sums come from products
+    with one 0/1 membership matrix that holds every repeat's clusters. Nodes
+    in a singleton cluster, and nodes with a = b = 0, score 0.
     """
-    return _silhouette(_distances(X), assignment)
-
-
-def _distances(X: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distance matrix of the rows of X, by subtraction."""
     # imported here: scipy.spatial costs ~6 MiB resident, which importing
     # hgsc and training should not pay
     from scipy.spatial.distance import cdist
 
     X = np.asarray(X, dtype=np.float64)
-    return cdist(X, X)
-
-
-def _silhouette(D: np.ndarray, assignment: np.ndarray) -> float:
-    """Mean silhouette from the (n, n) distance matrix D."""
-    clusters, inv = np.unique(np.asarray(assignment), return_inverse=True)
-    if clusters.size < 2:
+    stack = np.atleast_2d(assignment)
+    repeats, n = stack.shape
+    invs = [np.unique(row, return_inverse=True)[1] for row in stack]
+    counts = np.array([inv.max() + 1 for inv in invs])
+    if (counts < 2).any():
         raise EvalError("silhouette needs at least 2 clusters")
-    n = D.shape[0]
-    rows = np.arange(n)
-    member = np.zeros((n, clusters.size))
-    member[rows, inv] = 1.0
-    sums = D @ member
+    starts = np.cumsum(counts) - counts
+    col = np.stack(invs) + starts[:, None]  # each (repeat, node)'s membership column
+    member = np.zeros((n, counts.sum()))
+    member[np.arange(n), col] = 1.0
     sizes = member.sum(axis=0)
-    n_own = sizes[inv]
-    a = sums[rows, inv] / np.maximum(n_own - 1.0, 1.0)
-    means = sums / sizes
-    means[rows, inv] = np.inf
-    b = means.min(axis=1)
-    m = np.maximum(a, b)
-    scores = np.divide(b - a, m, out=np.zeros(n), where=(n_own > 1) & (m > 0.0))
-    return float(scores.mean())
+    n_own = sizes[col]
+    # a product's rounding depends on its width, so each repeat's sums come
+    # from its own columns: a repeat then scores exactly as a lone call does
+    parts = np.split(member, starts[1:], axis=1)
+    scores = np.zeros((repeats, n))
+    for lo in range(0, n, _SILHOUETTE_BLOCK):
+        blk = slice(lo, lo + _SILHOUETTE_BLOCK)
+        D = cdist(X[blk], X)
+        sums = np.hstack([D @ part for part in parts])
+        rows = np.arange(len(D))
+        own = col[:, blk]
+        a = sums[rows, own] / np.maximum(n_own[:, blk] - 1.0, 1.0)
+        means = sums / sizes
+        means[rows, own] = np.inf
+        b = np.minimum.reduceat(means, starts, axis=1).T
+        m = np.maximum(a, b)
+        np.divide(b - a, m, out=scores[:, blk], where=(n_own[:, blk] > 1) & (m > 0.0))
+    return float(scores.mean()) if np.ndim(assignment) == 1 else scores.mean(axis=1)
 
 
 def complexity_measure(O: np.ndarray, labels: np.ndarray) -> float:
@@ -283,25 +281,18 @@ def complexity_measure(O: np.ndarray, labels: np.ndarray) -> float:
     O = np.asarray(O, dtype=np.float64)
     labels = np.asarray(labels)
     classes = np.unique(labels)
-    k = classes.size
-    if k < 2:
+    if classes.size < 2:
         raise EvalError("complexity measure needs at least 2 classes")
     mus = np.stack([O[labels == c].mean(axis=0) for c in classes])
     scat = np.array([
         np.sqrt(((O[labels == c] - mus[i]) ** 2).sum(axis=1).mean())
         for i, c in enumerate(classes)])
-    ratios = np.zeros(k)
-    for i in range(k):
-        worst = 0.0
-        for j in range(k):
-            if i == j:
-                continue
-            sep = np.linalg.norm(mus[i] - mus[j])
-            if sep == 0.0:
-                raise EvalError(f"coincident centroids for classes {classes[i]} and {classes[j]}")
-            worst = max(worst, (scat[i] + scat[j]) / sep)
-        ratios[i] = worst
-    return float(ratios.mean())
+    sep = np.linalg.norm(mus[:, None, :] - mus[None, :, :], axis=2)
+    np.fill_diagonal(sep, np.inf)
+    if (sep == 0.0).any():
+        i, j = np.argwhere(sep == 0.0)[0]
+        raise EvalError(f"coincident centroids for classes {classes[i]} and {classes[j]}")
+    return float(((scat[:, None] + scat[None, :]) / sep).max(axis=1).mean())
 
 
 def evaluate(Z: np.ndarray, Zt: np.ndarray, labels: np.ndarray,
@@ -310,13 +301,13 @@ def evaluate(Z: np.ndarray, Zt: np.ndarray, labels: np.ndarray,
     """Full downstream evaluation on [Z | Zt]."""
     X = concat_representation(Z, Zt)
     (ma, mi) = linear_probe(X, labels, train_idx, test_idx, repeats=repeats, seed=seed)
-    D = _distances(X)  # one matrix scores every repeat's silhouette
-    nmis, aris, sils = [], [], []
-    for rep in range(repeats):
-        v_nmi, v_ari, assign = kmeans_cluster(X, labels, c, restarts=10, seed=seed + rep)
-        nmis.append(v_nmi)
-        aris.append(v_ari)
-        sils.append(_silhouette(D, assign) if np.unique(assign).size > 1 else 0.0)
+    nmis, aris, assigns = map(np.array, zip(*[
+        kmeans_cluster(X, labels, c, restarts=10, seed=seed + rep) for rep in range(repeats)]))
+    # a repeat whose k-means collapsed to one cluster scores silhouette 0
+    split = np.array([np.unique(a).size > 1 for a in assigns])
+    sils = np.zeros(repeats)
+    if split.any():
+        sils[split] = silhouette(X, assigns[split])
     comp = complexity_measure(X, labels)
     agg = lambda xs: (float(np.mean(xs)), float(np.std(xs)))
     return EvalReport(macro_f1=ma, micro_f1=mi, nmi=agg(nmis), ari=agg(aris),

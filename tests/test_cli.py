@@ -1,6 +1,7 @@
 import builtins
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -274,6 +275,68 @@ def test_unsupported_checkpoint_version_exits_1(tmp_path, dataset, capsys, comma
                    "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_USAGE
     assert "version 99" in capsys.readouterr().err
+
+
+def test_eval_split_without_test_nodes_exits_1(tmp_path, dataset, capsys):
+    run = str(tmp_path / "run")
+    assert cli.main(train_args(dataset, run)) == 0
+    split = os.path.join(dataset, "split.tsv")
+    with open(split) as fh:
+        rows = [line.split("\t")[0] for line in fh if line.strip()]
+    with open(split, "w") as fh:
+        fh.writelines(f"{node}\ttrain\n" for node in rows)
+    rc = cli.main(["eval", "--data", dataset, "--checkpoint", checkpoint_path(run),
+                   "--out", str(tmp_path / "eval")])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "no test nodes" in err
+
+
+def _drop_g_phi_w(arrays):
+    del arrays["param:g_phi.W"]
+    return "param:g_phi.W"
+
+
+def _add_unknown(arrays):
+    arrays["param:bogus.W"] = np.zeros((2, 2))
+    return "param:bogus.W"
+
+
+def _one_value_bias(arrays):
+    arrays["param:g_phi.b"] = np.array([0.5])
+    return "param:g_phi.b"
+
+
+@pytest.mark.parametrize("edit", [_drop_g_phi_w, _add_unknown, _one_value_bias],
+                         ids=["missing", "unknown", "one-value"])
+def test_eval_rejects_mismatched_checkpoint_params(tmp_path, dataset, capsys, edit):
+    run = str(tmp_path / "run")
+    assert cli.main(train_args(dataset, run)) == 0
+    ckpt = checkpoint_path(run)
+    with np.load(ckpt) as data:
+        arrays = {name: data[name] for name in data.files}
+    entry = edit(arrays)
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **arrays)
+    rc = cli.main(["eval", "--data", dataset, "--checkpoint", ckpt,
+                   "--out", str(tmp_path / "eval")])
+    assert rc == cli.EXIT_USAGE
+    assert entry in capsys.readouterr().err
+
+
+def test_input_hash_depends_on_contents_not_location(tmp_path, dataset):
+    copy = str(tmp_path / "elsewhere" / "copy")
+    shutil.copytree(dataset, copy)
+    with open(os.path.join(copy, "manifest.tsv"), "a") as fh:
+        fh.write("started\tanother time\n")
+    assert cli._hash_inputs([copy]) == cli._hash_inputs([dataset])
+    labels = os.path.join(copy, "labels.tsv")
+    with open(labels, "rb") as fh:
+        raw = bytearray(fh.read())
+    raw[-2] = ord("0") if raw[-2] != ord("0") else ord("1")
+    with open(labels, "wb") as fh:
+        fh.write(raw)
+    assert cli._hash_inputs([copy]) != cli._hash_inputs([dataset])
 
 
 def test_school_threads_warns_without_threadpoolctl(monkeypatch, capsys):

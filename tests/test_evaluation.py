@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+import hgsc.evaluation as evaluation
 from hgsc.evaluation import (EvalError, ari, complexity_measure,
                              concat_representation, evaluate, f1_scores,
                              kmeans, kmeans_cluster, linear_probe, nmi,
@@ -331,6 +335,168 @@ def test_complexity_needs_two_classes():
         complexity_measure(np.zeros((4, 2)), np.zeros(4, dtype=int))
 
 
+# ------------------------------------------------ whole-array vs reference
+# Serial reference copies: the probe one repeat at a time, k-means on an
+# (n, c, d) temporary, the silhouette on the full n x n distance matrix and
+# the scatter ratio over a pair loop. The whole-array passes must agree.
+
+def reference_linear_probe(X, labels, train_idx, test_idx, repeats=5, iters=1000,
+                           lr=0.01, seed=0):
+    c = int(labels.max()) + 1
+    tr_labels = labels[train_idx]
+    mean, std = X[train_idx].mean(axis=0), X[train_idx].std(axis=0)
+    std[std == 0.0] = 1.0
+    Xtr, Xte = (X[train_idx] - mean) / std, (X[test_idx] - mean) / std
+    onehot = np.zeros((len(train_idx), c))
+    onehot[np.arange(len(train_idx)), tr_labels] = 1.0
+    macros, micros = [], []
+    for rep in range(repeats):
+        rng = np.random.default_rng(seed + rep)
+        W = 0.01 * rng.standard_normal((X.shape[1], c))
+        b = np.zeros(c)
+        for _ in range(iters):
+            z = Xtr @ W + b
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            g = (e / e.sum(axis=1, keepdims=True) - onehot) / len(train_idx)
+            W -= lr * (Xtr.T @ g)
+            b -= lr * g.sum(axis=0)
+        ma, mi = f1_scores(labels[test_idx], np.argmax(Xte @ W + b, axis=1), c)
+        macros.append(ma)
+        micros.append(mi)
+    return ((float(np.mean(macros)), float(np.std(macros))),
+            (float(np.mean(micros)), float(np.std(micros))))
+
+
+def reference_kmeans(X, c, restarts=10, seed=0, max_iter=300, reseeds=None):
+    n = X.shape[0]
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng(seed * 1000 + r)
+        centers = np.empty((c, X.shape[1]))
+        centers[0] = X[rng.integers(n)]
+        d2 = ((X - centers[0]) ** 2).sum(axis=1)
+        for j in range(1, c):
+            total = d2.sum()
+            pick = rng.choice(n, p=d2 / total) if total > 0 else int(rng.integers(n))
+            centers[j] = X[pick]
+            d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1))
+        assign = None
+        for _ in range(max_iter):
+            D = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_assign = np.argmin(D, axis=1)
+            mind = D[np.arange(n), new_assign]
+            for empty in np.nonzero(np.bincount(new_assign, minlength=c) == 0)[0]:
+                if reseeds is not None:
+                    reseeds.append(empty)
+                far = int(np.argmax(mind))
+                centers[empty] = X[far]
+                mind[far] = -np.inf
+                new_assign[far] = empty
+            if assign is not None and np.array_equal(assign, new_assign):
+                break
+            assign = new_assign
+            for j in range(c):
+                if (assign == j).any():
+                    centers[j] = X[assign == j].mean(axis=0)
+        D = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = np.argmin(D, axis=1)
+        inertia = float(D[np.arange(n), assign].sum())
+        if best is None or inertia < best[1]:
+            best = (assign, inertia)
+    return best
+
+
+def reference_silhouette(X, assignment):
+    D = cdist(X, X)
+    clusters, inv = np.unique(assignment, return_inverse=True)
+    n = D.shape[0]
+    rows = np.arange(n)
+    member = np.zeros((n, clusters.size))
+    member[rows, inv] = 1.0
+    sums = D @ member
+    sizes = member.sum(axis=0)
+    n_own = sizes[inv]
+    a = sums[rows, inv] / np.maximum(n_own - 1.0, 1.0)
+    means = sums / sizes
+    means[rows, inv] = np.inf
+    b = means.min(axis=1)
+    m = np.maximum(a, b)
+    return float(np.divide(b - a, m, out=np.zeros(n), where=(n_own > 1) & (m > 0.0)).mean())
+
+
+def reference_complexity(O, labels):
+    classes = np.unique(labels)
+    mus = np.stack([O[labels == c].mean(axis=0) for c in classes])
+    scat = [np.sqrt(((O[labels == c] - mus[i]) ** 2).sum(axis=1).mean())
+            for i, c in enumerate(classes)]
+    ratios = [max((scat[i] + scat[j]) / np.linalg.norm(mus[i] - mus[j])
+                  for j in range(classes.size) if j != i)
+              for i in range(classes.size)]
+    return float(np.mean(ratios))
+
+
+def planted_case(n, c, noise, seed):
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(c), -(-n // c))[:n]
+    Z = 3.0 * np.eye(c, 8)[labels] + noise * rng.standard_normal((n, 8))
+    Zt = rng.standard_normal((n, 6))
+    idx = rng.permutation(n)
+    return Z, Zt, labels, idx[: n // 2], idx[n // 2:]
+
+
+@pytest.mark.parametrize("n,c,noise", [(300, 3, 1.0), (500, 4, 1.5), (700, 3, 2.0),
+                                       (400, 3, 50.0)],
+                         ids=["n300", "n500", "n700", "near-random"])
+def test_whole_array_passes_match_reference(n, c, noise):
+    Z, Zt, labels, train, test = planted_case(n, c, noise, seed=n)
+    X = concat_representation(Z, Zt)
+    assert linear_probe(X, labels, train, test, seed=2) == \
+        reference_linear_probe(X, labels, train, test, seed=2)
+    assigns = []
+    for seed in range(3):
+        got, want = kmeans(X, c, seed=seed), reference_kmeans(X, c, seed=seed)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assigns.append(got[0])
+    want = [reference_silhouette(X, a) for a in assigns]
+    assert np.abs(silhouette(X, np.stack(assigns)) - want).max() <= 1e-12
+    assert complexity_measure(X, labels) == pytest.approx(
+        reference_complexity(X, labels), abs=1e-12)
+
+
+def test_kmeans_matches_reference_when_reseeding_an_empty_cluster():
+    X = np.vstack([np.zeros((30, 2)), [[5.0, 0.0]], [[5.0, 0.5]]])
+    reseeds = []
+    want = reference_kmeans(X, 4, seed=1, reseeds=reseeds)
+    assert reseeds
+    got = kmeans(X, 4, seed=1)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def test_silhouette_ragged_last_block(monkeypatch):
+    monkeypatch.setattr(evaluation, "_SILHOUETTE_BLOCK", 7)
+    rng = np.random.default_rng(16)
+    X = rng.standard_normal((50, 3))
+    stack = rng.integers(0, 3, size=(2, 50))
+    got = silhouette(X, stack)
+    for row, value in zip(stack, got):
+        assert value == pytest.approx(brute_force_silhouette(X, row), abs=1e-12)
+        assert silhouette(X, row) == value
+
+
+def test_silhouette_memory_stays_below_the_distance_matrix():
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((4000, 16))
+    assign = rng.integers(0, 3, size=4000)
+    tracemalloc.start()
+    try:
+        silhouette(X, assign)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full 4000 x 4000 distance matrix alone is 122 MiB
+    assert peak < 32 * 2**20
+
+
 # ------------------------------------------------------------- integration
 
 def test_evaluate_perfect_embeddings():
@@ -362,6 +528,22 @@ def test_evaluate_silhouette_equals_per_call_values():
     sils = [silhouette(X, kmeans_cluster(X, labels, c, seed=3 + rep)[2])
             for rep in range(repeats)]
     assert report.silhouette == (float(np.mean(sils)), float(np.std(sils)))
+
+
+def test_evaluate_scores_collapsed_kmeans_silhouette_zero(monkeypatch):
+    rng = np.random.default_rng(18)
+    n, c = 40, 2
+    labels = np.repeat([0, 1], n // 2)
+    Z = 3.0 * np.eye(c)[labels] + rng.standard_normal((n, c))
+    real = evaluation.kmeans
+    collapsed = lambda X, c, restarts, seed: (
+        (np.zeros(len(X), dtype=int), 0.0) if seed == 1 else real(X, c, restarts, seed))
+    monkeypatch.setattr(evaluation, "kmeans", collapsed)
+    report = evaluate(Z, Z, labels, np.arange(0, n, 2), np.arange(1, n, 2), c,
+                      repeats=2, seed=0)
+    X = concat_representation(Z, Z)
+    kept = silhouette(X, real(X, c, 10, 0)[0])
+    assert report.silhouette == (float(np.mean([kept, 0.0])), float(np.std([kept, 0.0])))
 
 
 def test_eval_report_tsv(tmp_path):
