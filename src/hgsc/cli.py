@@ -95,6 +95,13 @@ class RunManifest:
     finished: str = ""
 
 
+def _manifest_path(out_dir: str, command: str) -> str:
+    """eval writes next to the checkpoint by default, so it records its own
+    manifest and leaves the training run's in place."""
+    name = "eval_manifest.tsv" if command == "eval" else "manifest.tsv"
+    return os.path.join(out_dir, name)
+
+
 def _manifest(command: str, out_dir: str, dataset: str, config_repr: str,
               seed: int, inputs: list[str], outputs: list[str]) -> RunManifest:
     os.makedirs(out_dir, exist_ok=True)
@@ -103,13 +110,13 @@ def _manifest(command: str, out_dir: str, dataset: str, config_repr: str,
         input_hash=_hash_inputs(inputs),
         started=time.strftime("%Y-%m-%dT%H:%M:%S"),
         outputs=",".join(outputs))
-    write_fields(os.path.join(out_dir, "manifest.tsv"), man)
+    write_fields(_manifest_path(out_dir, command), man)
     return man
 
 
 def _finish(man: RunManifest, out_dir: str) -> None:
     man.finished = time.strftime("%Y-%m-%dT%H:%M:%S")
-    write_fields(os.path.join(out_dir, "manifest.tsv"), man)
+    write_fields(_manifest_path(out_dir, man.command), man)
 
 
 def _load_config(args) -> TrainConfig:
@@ -129,11 +136,17 @@ def _write_embeddings(path: str, Z: np.ndarray, Zt: np.ndarray) -> None:
     np.savetxt(path, np.hstack([Z, Zt]), fmt="%.10g", delimiter="\t")
 
 
-def _forward_representations(stack: EncoderStack, g, nb, cfg: TrainConfig):
-    """Best-parameter representations: H, Y, S, Z = SH, and hetero Zt."""
+def _forward_representations(stack: EncoderStack, g, nb, cfg: TrainConfig,
+                             S: aff.AffinityMatrix | None = None):
+    """Best-parameter representations: H, Y, S, Z = SH, and hetero Zt.
+
+    Without ``S`` it is rebuilt from this forward's H and Y (a checkpoint
+    stores no S).
+    """
     H, _ = stack.g_phi.forward(g.features[stack.target_type])
     assign, _ = cluster_assign(stack.p_phi, H)
-    S = rebuild_affinity(H, assign.Y, cfg)
+    if S is None:
+        S = rebuild_affinity(H, assign.Y, cfg)
     Z = aff.propagate(S, H)
     Zt, _ = hetero_encode(stack, g, nb)
     return H, assign, S, Z, Zt
@@ -174,7 +187,8 @@ def cmd_train(args) -> int:
     write_fields(os.path.join(out, "config.tsv"), cfg)
     result.stack.save(os.path.join(out, "best.ckpt"), json.dumps(asdict(cfg)))
     write_log(os.path.join(out, "training_log.tsv"), result.log)
-    _, _, S, Z, Zt = _forward_representations(result.stack, g, nb, cfg)
+    # the files hold what training measured: the best epoch's S, not a rebuild
+    _, _, S, Z, Zt = _forward_representations(result.stack, g, nb, cfg, result.S)
     S.save_tsv(os.path.join(out, "affinity.tsv"))
     _write_embeddings(os.path.join(out, "embeddings.tsv"), Z, Zt)
     _finish(man, out)

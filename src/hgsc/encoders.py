@@ -63,19 +63,14 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.W.shape[1]
 
-    def pre_activation(self, X: np.ndarray) -> np.ndarray:
-        """X W + b, the expression the forward applies its activation to."""
-        out = X @ self.W
-        out += self.b
-        return out
-
     def forward(self, X: np.ndarray):
         """Return (out, cache); cache = (X, relu mask or None)."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.in_dim:
             raise EncoderConfigError(
                 f"layer expects (*, {self.in_dim}) input, got {X.shape}")
-        out = self.pre_activation(X)
+        out = X @ self.W
+        out += self.b
         mask = None
         if self.activation == "relu":
             mask = out > 0.0
@@ -318,23 +313,6 @@ def _fold(stack: EncoderStack, name: str, nbr_type: str, aggregate: bool):
     return np.vstack(rows + [f_t.b @ W_c1 + comb.b, f_n.b @ W_c2]), M_n
 
 
-def _relation_pre(stack: EncoderStack, g, nb, name: str, B: np.ndarray,
-                  aggregate: bool) -> np.ndarray:
-    """Pre-activation B_r T_r of relation ``name``'s combiner.
-
-    Without ``aggregate`` the neighbor block is added sparsely as
-    A_r (X_n (W_n W_c2)). The forward and ``relation_pre_activations`` both
-    call this, so a recomputed pre-activation equals the forward's bit for
-    bit.
-    """
-    nbr_type, A = nb.entries[name]
-    T, M_n = _fold(stack, name, nbr_type, aggregate)
-    pre = B @ T
-    if not aggregate:
-        pre += A @ (g.features[nbr_type] @ M_n)
-    return pre
-
-
 def hetero_encode(stack: EncoderStack, g, nb):
     """Relation-wise neighbor aggregation into n x d1 representations.
 
@@ -351,7 +329,7 @@ def hetero_encode(stack: EncoderStack, g, nb):
 
     Memory contract: relu is applied in place and the cache keeps, per
     relation, the boolean mask ``pre > 0`` and the graph-constant B_r, not
-    the float pre-activation (``relation_pre_activations`` recomputes it).
+    the float pre-activation.
     """
     if not nb.entries:
         raise EncoderConfigError("no relations touch the target type")
@@ -360,7 +338,7 @@ def hetero_encode(stack: EncoderStack, g, nb):
     inputs: dict[str, tuple[np.ndarray, bool]] = {}
     Zt = None
     for name in names:
-        nbr_type, _ = nb.entries[name]
+        nbr_type, A = nb.entries[name]
         for t in (stack.target_type, nbr_type):
             if t not in stack.f_theta:
                 raise EncoderConfigError(f"no input projection configured for type {t!r}")
@@ -369,7 +347,10 @@ def hetero_encode(stack: EncoderStack, g, nb):
         aggregate = g.features[nbr_type].shape[1] <= stack.d1
         B = nb.combiner_input(name, g.features, aggregate)
         inputs[name] = (B, aggregate)
-        out = _relation_pre(stack, g, nb, name, B, aggregate)
+        T, M_n = _fold(stack, name, nbr_type, aggregate)
+        out = B @ T
+        if not aggregate:
+            out += A @ (g.features[nbr_type] @ M_n)
         masks[name] = out > 0.0
         np.maximum(out, 0.0, out=out)
         if Zt is None:
@@ -379,13 +360,6 @@ def hetero_encode(stack: EncoderStack, g, nb):
         del out
     Zt /= len(names)
     return Zt, {"masks": masks, "inputs": inputs, "names": names, "g": g, "nb": nb}
-
-
-def relation_pre_activations(stack: EncoderStack, cache) -> dict[str, np.ndarray]:
-    """Each relation's combiner pre-activation, recomputed from a
-    ``hetero_encode`` cache; bitwise equal to the forward's."""
-    return {name: _relation_pre(stack, cache["g"], cache["nb"], name, *cache["inputs"][name])
-            for name in cache["names"]}
 
 
 def hetero_backward(stack: EncoderStack, cache, grad_Zt: np.ndarray) -> None:

@@ -9,8 +9,9 @@ the best total objective.
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -66,6 +67,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.rebuild_period < 1:
             raise ValueError("rebuild_period must be >= 1")
+        if not self.grad_clip >= 0:  # nan too: it would silently never clip
+            raise ValueError("grad_clip must be >= 0 (0 disables the clip)")
         for name in ("beta", "gamma", "eta", "mu", "delta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -289,8 +292,9 @@ def fit(g: HeteroGraph, cfg: TrainConfig,
     consecutive epochs or at ``cfg.max_epochs``. The log and the best epoch
     are kept here, not in ``TrainState``. The returned stack holds the
     parameters of the best epoch; the affinity matrix is the one in effect
-    at that epoch. With ``checkpoint_every`` > 0 a snapshot is
-    written to ``<checkpoint_dir>/epoch_<n>.ckpt`` every that many epochs.
+    at that epoch. With ``checkpoint_every`` > 0 a snapshot, with the
+    config like ``best.ckpt``, is written to ``<checkpoint_dir>/epoch_<n>.ckpt``
+    every that many epochs.
     """
     cfg.validate()
     if nb is None:
@@ -308,7 +312,8 @@ def fit(g: HeteroGraph, cfg: TrainConfig,
         log.append((state.epoch, report))
         if checkpoint_every > 0 and checkpoint_dir is not None \
                 and state.epoch % checkpoint_every == 0:
-            stack.save(os.path.join(checkpoint_dir, f"epoch_{state.epoch}.ckpt"))
+            stack.save(os.path.join(checkpoint_dir, f"epoch_{state.epoch}.ckpt"),
+                       json.dumps(asdict(cfg)))
         if report.total < best_total:
             # the report was measured before the update, so the matching
             # parameters are the pre-step ones

@@ -81,22 +81,15 @@ def kyfan_check(L, c: int) -> float:
 
 
 def component_count(S: aff.AffinityMatrix, tol: float = 0.0) -> int:
-    """Connected components of the support of S + S^T via union-find."""
-    parent = np.arange(S.n)
+    """Connected components of the support {w > tol} of S + S^T."""
+    # imported here: csgraph loads scipy.linalg, which training never needs
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(S.n):
-        for j, w in zip(S.indices[i], S.weights[i]):
-            if w > tol:
-                ri, rj = find(i), find(int(j))
-                if ri != rj:
-                    parent[ri] = rj
-    return len({find(i) for i in range(S.n)})
+    rows, cols = np.nonzero(S.weights > tol)
+    support = csr_matrix((np.ones(rows.size), (rows, S.indices[rows, cols])),
+                         shape=(S.n, S.n))
+    return int(connected_components(support, directed=False)[0])
 
 
 def enumerate_partitions(n: int, max_parts: int):
@@ -151,22 +144,12 @@ def ratiocut_check(W: np.ndarray, partition: list[list[int]]):
     return trace, cut
 
 
-def _relu_margin(stepper) -> float:
-    """Smallest |pre-activation| across the relu layers of the last forward.
-
-    The cluster head is linear (no kink), so it is excluded. The caches
-    hold inputs and relu masks only; each pre-activation is recomputed
-    from its cached input with the forward's own expression, so it equals
-    the forward's bit for bit.
-    """
-    from .encoders import relation_pre_activations
-
-    stack, cache = stepper.stack, stepper._cache
-    layers = (("c_g", stack.g_phi), ("c_q1", stack.q_gamma), ("c_q2", stack.q_gamma))
-    margins = [np.abs(layer.pre_activation(cache[key][0])).min() for key, layer in layers]
-    for pre in relation_pre_activations(stack, cache["c_h"]).values():
-        margins.append(np.abs(pre).min())
-    return float(min(margins))
+def _relu_masks(stepper) -> list[np.ndarray]:
+    """The relu masks cached by the stepper's last forward; the cluster
+    head is linear and has none."""
+    cache = stepper._cache
+    return [cache["c_g"][1], cache["c_q1"][1], cache["c_q2"][1],
+            *cache["c_h"]["masks"].values()]
 
 
 # loss name -> (LossReport field, backward weights; None is the backward's
@@ -186,8 +169,10 @@ def gradient_check(loss_name: str, seed: int, step: float = 1e-5,
     Only the hard cluster indicators and the affinity matrix are held at
     their base values on both sides, matching the backward contract; the
     QR orthogonalization is refactorized at every perturbed point.
-    Returns the max relative error over every parameter entry. Seeds whose
-    base point sits within the FD step of a relu kink are shifted.
+    Returns the max relative error over every parameter entry. A graph and
+    initialization whose finite differences cross a relu kink are replaced
+    by the next attempt (seed shifted by 101); if all 60 attempts cross
+    one, the result is inf.
     """
     from .synth import SynthSpec, generate
     from .graph import build_neighborhoods
@@ -196,7 +181,6 @@ def gradient_check(loss_name: str, seed: int, step: float = 1e-5,
 
     if loss_name not in _TERMS:
         raise ValueError(f"unknown loss name {loss_name!r}")
-    term, weights = _TERMS[loss_name]
     cfg = TrainConfig(c=2, d1=6, d2=4, k=3, beta=0.7, gamma=0.5, eta=0.8,
                       mu=0.9, delta=1.1, seed=seed)
     attempt = seed
@@ -210,11 +194,25 @@ def gradient_check(loss_name: str, seed: int, step: float = 1e-5,
         relations = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
         stack = EncoderStack(feature_dims, g.target_type, relations,
                              d1=cfg.d1, d2=cfg.d2, c=cfg.c, seed=attempt)
-        stepper = TrainStepper(stack, g, nb, cfg)
-        base_report = stepper.forward()
-        if _relu_margin(stepper) > 20.0 * step:
-            break
+        worst = _fd_check(TrainStepper(stack, g, nb, cfg), loss_name, step)
+        if worst is not None:
+            return worst
         attempt += 101
+    return np.inf
+
+
+def _fd_check(stepper, loss_name: str, step: float) -> float | None:
+    """The worst relative error of ``gradient_check`` at the stepper's
+    current parameters, or None when a perturbed forward crosses a relu kink.
+
+    Every relu input is piecewise linear in any one parameter (the QR
+    feeds no relu), so relu masks equal at -step, 0 and +step mean that no
+    kink lies between those points and the central difference is smooth.
+    """
+    term, weights = _TERMS[loss_name]
+    stack = stepper.stack
+    base_report = stepper.forward()
+    base_masks = _relu_masks(stepper)
     S = stepper.S
     yhat = stepper._cache["yhat"].copy()
     stepper.backward(weights=weights)
@@ -230,12 +228,15 @@ def gradient_check(loss_name: str, seed: int, step: float = 1e-5,
     worst = 0.0
     for idx in range(params.size):
         orig = params[idx]
-        params[idx] = orig + step
-        f_plus = getattr(stepper.forward(S, yhat=yhat), term)
-        params[idx] = orig - step
-        f_minus = getattr(stepper.forward(S, yhat=yhat), term)
+        f, crossed = [], False
+        for x in (orig + step, orig - step):
+            params[idx] = x
+            f.append(getattr(stepper.forward(S, yhat=yhat), term))
+            crossed |= not all(map(np.array_equal, base_masks, _relu_masks(stepper)))
         params[idx] = orig
-        fd = (f_plus - f_minus) / (2.0 * step)
+        if crossed:
+            return None
+        fd = (f[0] - f[1]) / (2.0 * step)
         err = abs(fd - analytic[idx]) / max(abs(fd), abs(analytic[idx]), floor)
         worst = max(worst, err)
     stepper._cache = None

@@ -443,6 +443,56 @@ def test_periodic_checkpoints(tmp_path, dataset):
         path = os.path.join(out, name)
         assert os.path.isfile(path)
         EncoderStack.load(path)
+    # a snapshot carries the run's config, so it evaluates like best.ckpt
+    rc = cli.main(["eval", "--data", dataset, "--checkpoint",
+                   os.path.join(out, "epoch_2.ckpt"), "--out", str(tmp_path / "eval")])
+    assert rc == 0
+
+
+def test_train_files_hold_the_affinity_training_used(tmp_path, dataset):
+    from hgsc.affinity import propagate
+    from hgsc.encoders import hetero_encode
+    from hgsc.graph import build_neighborhoods
+    from hgsc.trainer import TrainConfig, fit
+    run = str(tmp_path / "run")
+    assert cli.main(train_args(dataset, run)) == 0
+    g = load_graph(dataset)
+    nb = build_neighborhoods(g)
+    result = fit(g, TrainConfig(c=2, d1=8, d2=4, k=3, max_epochs=5, patience=30,
+                                seed=1), nb)
+    expected = str(tmp_path / "affinity.tsv")
+    result.S.save_tsv(expected)
+    with open(expected) as f1, open(os.path.join(run, "affinity.tsv")) as f2:
+        assert f1.read() == f2.read()
+    H, _ = result.stack.g_phi.forward(g.features[g.target_type])
+    Zt, _ = hetero_encode(result.stack, g, nb)
+    expected = str(tmp_path / "embeddings.tsv")
+    cli._write_embeddings(expected, propagate(result.S, H), Zt)
+    with open(expected) as f1, open(os.path.join(run, "embeddings.tsv")) as f2:
+        assert f1.read() == f2.read()
+
+
+def test_eval_keeps_the_training_manifest(tmp_path, dataset):
+    run = str(tmp_path / "run")
+    assert cli.main(train_args(dataset, run)) == 0
+    with open(os.path.join(run, "manifest.tsv")) as fh:
+        train_manifest = fh.read()
+    assert "command\ttrain\n" in train_manifest
+    assert cli.main(["eval", "--data", dataset, "--checkpoint",
+                     checkpoint_path(run)]) == 0
+    with open(os.path.join(run, "manifest.tsv")) as fh:
+        assert fh.read() == train_manifest
+    with open(os.path.join(run, "eval_manifest.tsv")) as fh:
+        eval_manifest = fh.read()
+    assert "command\teval\n" in eval_manifest and "finished\t2" in eval_manifest
+    assert os.path.isfile(os.path.join(run, "eval_report.tsv"))
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_train_rejects_negative_grad_clip(tmp_path, dataset, capsys, value):
+    rc = cli.main(train_args(dataset, str(tmp_path / "run"), ["--grad-clip", value]))
+    assert rc == cli.EXIT_USAGE
+    assert "grad_clip must be >= 0" in capsys.readouterr().err
 
 
 def test_sweep_empty_grid(tmp_path, dataset):

@@ -100,6 +100,41 @@ def test_zero_eig_count_trained_matches_union_find():
     assert count_eig == component_count(S)
 
 
+def union_find_components(S, tol=0.0):
+    """Reference: components of the support {w > tol} of S + S^T."""
+    parent = list(range(S.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(S.n):
+        for j, w in zip(S.indices[i], S.weights[i]):
+            if w > tol:
+                parent[find(i)] = find(int(j))
+    return len({find(i) for i in range(S.n)})
+
+
+def test_component_count_matches_union_find():
+    from hgsc.affinity import AffinityMatrix
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        k = int(rng.integers(1, 4))
+        indices = rng.integers(0, n, size=(n, k))
+        weights = rng.random((n, k))
+        # explicit zero weights are not edges
+        weights[rng.random((n, k)) < 0.4] = 0.0
+        S = AffinityMatrix(n, k, indices, weights, np.zeros(n, dtype=bool))
+        for tol in (0.0, 0.3, 0.7):
+            assert component_count(S, tol) == union_find_components(S, tol)
+    S = AffinityMatrix(3, 1, np.array([[1], [2], [0]]), np.zeros((3, 1)),
+                       np.zeros(3, dtype=bool))
+    assert component_count(S) == 3
+
+
 # ------------------------------------------------------------------- ky fan
 
 def test_kyfan_diagonal_reference():
@@ -211,38 +246,55 @@ def test_gradient_check_full_objective():
         assert gradient_check("total", seed=seed) < 1e-4
 
 
-def test_relu_margin_includes_each_relation_pre_activation():
-    from hgsc.encoders import EncoderStack, relation_pre_activations
+def _fd_stepper(seed=0):
+    """The stepper ``gradient_check`` builds for its first attempt."""
+    from hgsc.encoders import EncoderStack
     from hgsc.graph import build_neighborhoods
     from hgsc.trainer import TrainConfig, TrainStepper
-    from hgsc.verify import _relu_margin
-    g = generate(SynthSpec(n=12, c=2, feature_dim=4, aux_count=8, aux_feature_dim=3,
-                           relations=2, edges_per_node=2, seed=0))
+    cfg = TrainConfig(c=2, d1=6, d2=4, k=3, beta=0.7, gamma=0.5, eta=0.8,
+                      mu=0.9, delta=1.1, seed=seed)
+    g = generate(SynthSpec(n=12, c=2, feature_dim=5, aux_count=8, aux_feature_dim=4,
+                           relations=2, edges_per_node=2, separation=3.0,
+                           noise=1.0, cross_edge_rate=0.1, seed=seed))
     nb = build_neighborhoods(g)
-    cfg = TrainConfig(c=2, d1=6, d2=4, k=3, seed=0)
     dims = {t: g.features[t].shape[1] for t in g.node_types}
     rels = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
-    stack = EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, cfg.seed)
-    stepper = TrainStepper(stack, g, nb, cfg)
+    stack = EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, seed)
+    return TrainStepper(stack, g, nb, cfg)
+
+
+@pytest.mark.parametrize("layer", ["g_phi", "q_gamma.Z", "q_gamma.Zt",
+                                   "combiner.rel0", "combiner.rel1"])
+def test_fd_check_rejects_a_kink_within_the_step(layer):
+    from hgsc.encoders import _fold
+    from hgsc.verify import _fd_check
+    step = 1e-5
+    assert _fd_check(_fd_stepper(), "total", step) < 1e-4
+    stepper = _fd_stepper()
+    stack, nb = stepper.stack, stepper.nb
     stepper.forward()
     cache = stepper._cache
-    # the caches hold inputs and masks; pre-activations are recomputed
-    pre = relation_pre_activations(stack, cache["c_h"])
-    assert sorted(pre) == sorted(nb.entries)
-    layers = (("c_g", stack.g_phi), ("c_q1", stack.q_gamma), ("c_q2", stack.q_gamma))
-    margins = [np.abs(cache[key][0] @ layer.W + layer.b).min() for key, layer in layers]
-    margins += [np.abs(p).min() for p in pre.values()]
-    assert _relu_margin(stepper) == min(margins)
-    # a kink closer than every other layer's is found in each relation:
-    # scaling B_r by a power of two scales its pre-activation exactly
-    inputs = cache["c_h"]["inputs"]
-    for i, name in enumerate(sorted(pre)):
-        B, aggregate = inputs[name]
+    # recompute one layer's pre-activation and move one bias entry so that
+    # a pre-activation sits step/2 above zero: the -step side crosses it
+    kind, _, part = layer.partition(".")
+    if kind == "combiner":
+        target = stack.combiners[part]
+        B, aggregate = cache["c_h"]["inputs"][part]
         assert aggregate
-        scale = 2.0 ** -(60 + i)
-        inputs[name] = (B * scale, aggregate)
-        assert _relu_margin(stepper) == scale * np.abs(pre[name]).min()
-        inputs[name] = (B, aggregate)
+        pre = B @ _fold(stack, part, nb.entries[part][0], aggregate)[0]
+    else:
+        target = stack.g_phi if kind == "g_phi" else stack.q_gamma
+        key = {"g_phi": "c_g", "Z": "c_q1", "Zt": "c_q2"}[part or kind]
+        pre = cache[key][0] @ target.W + target.b
+    i, j = np.unravel_index(np.argmin(np.abs(pre)), pre.shape)
+    target.b[j] += step / 2 - pre[i, j]
+    stepper._cache = None
+    assert _fd_check(stepper, "total", step) is None
+
+
+def test_gradient_check_is_inf_when_every_attempt_crosses_a_kink():
+    # a step this wide flips relu masks at every attempt
+    assert gradient_check("total", seed=0, step=1e3) == np.inf
 
 
 def test_gradient_check_unknown_term():
