@@ -33,12 +33,18 @@ class SynthSpec:
     def validate(self) -> None:
         if self.c < 1 or self.n < self.c:
             raise ValueError("need n >= c >= 1")
-        if self.relations < 1:
-            raise ValueError("need at least one relation")
         if not (0.0 <= self.cross_edge_rate <= 1.0):
             raise ValueError("cross_edge_rate must be in [0, 1]")
         if not (0.0 < self.train_frac < 1.0):
             raise ValueError("train_frac must be in (0, 1)")
+        for name in ("relations", "aux_count", "feature_dim", "aux_feature_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.edges_per_node < 0:
+            raise ValueError("edges_per_node must be >= 0")
+        for name in ("separation", "noise"):
+            if not 0.0 <= getattr(self, name) < np.inf:  # nan fails too
+                raise ValueError(f"{name} must be finite and >= 0")
 
     @classmethod
     def from_tsv(cls, path: str) -> "SynthSpec":
@@ -51,14 +57,10 @@ class SynthSpec:
         return spec
 
 
-def _block_of(i: int, total: int, c: int) -> int:
-    return min(i * c // total, c - 1)
-
-
 def _blocked_features(rng, count: int, dim: int, c: int,
                       separation: float, noise: float) -> tuple[np.ndarray, np.ndarray]:
     means = separation * rng.standard_normal((c, dim)) / np.sqrt(dim)
-    blocks = np.array([_block_of(i, count, c) for i in range(count)])
+    blocks = np.minimum(np.arange(count) * c // count, c - 1)
     feats = means[blocks] + noise * rng.standard_normal((count, dim))
     return feats, blocks
 
@@ -83,30 +85,28 @@ def generate(spec: SynthSpec) -> HeteroGraph:
             rng, spec.aux_count, spec.aux_feature_dim, spec.c,
             spec.separation, spec.noise)
         features[aux] = feats_a
-        members = [np.nonzero(blocks_a == b)[0] for b in range(spec.c)]
-        edges = []
-        for i in range(spec.n):
-            b = blocks_t[i]
-            for _ in range(spec.edges_per_node):
-                if spec.c > 1 and rng.random() < spec.cross_edge_rate:
-                    other = int(rng.integers(spec.c - 1))
-                    pick_b = other + (other >= b)
-                else:
-                    pick_b = b
-                pool = members[pick_b]
-                if pool.size == 0:
-                    continue
-                edges.append((i, int(pool[rng.integers(pool.size)])))
-        edges = np.unique(np.array(edges, dtype=np.int64).reshape(-1, 2), axis=0)
+        # blocks are contiguous index ranges: the block index is monotone
+        start = np.searchsorted(blocks_a, np.arange(spec.c + 1))
+        size = np.diff(start)
+        src = np.repeat(np.arange(spec.n), spec.edges_per_node)
+        pick_b = blocks_t[src]
+        if spec.c > 1:
+            cross = rng.random(src.size) < spec.cross_edge_rate
+            other = rng.integers(spec.c - 1, size=int(cross.sum()))
+            pick_b[cross] = other + (other >= pick_b[cross])
+        keep = size[pick_b] > 0  # an empty aux block takes no edge
+        src, pick_b = src[keep], pick_b[keep]
+        dst = start[pick_b] + rng.integers(size[pick_b])
+        keys = np.unique(src * spec.aux_count + dst)
+        edges = np.column_stack((keys // spec.aux_count, keys % spec.aux_count))
         relations.append(Relation(f"rel{r}", target, aux, edges))
 
-    train, test = [], []
+    train = []
     for b in range(spec.c):
-        idx = np.nonzero(blocks_t == b)[0]
-        perm = rng.permutation(idx)
-        cut = max(1, int(round(spec.train_frac * idx.size)))
-        train.extend(perm[:cut].tolist())
-        test.extend(perm[cut:].tolist())
+        perm = rng.permutation(np.flatnonzero(blocks_t == b))
+        cut = max(1, int(round(spec.train_frac * perm.size)))
+        train.append(perm[:cut])
+    train = np.sort(np.concatenate(train))
 
     g = HeteroGraph(
         node_types=node_types,
@@ -114,9 +114,9 @@ def generate(spec: SynthSpec) -> HeteroGraph:
         features=features,
         relations=relations,
         target_type=target,
-        labels=blocks_t.astype(np.int64),
-        train_idx=np.array(sorted(train), dtype=np.int64),
-        test_idx=np.array(sorted(test), dtype=np.int64),
+        labels=blocks_t,
+        train_idx=train,
+        test_idx=np.setdiff1d(np.arange(spec.n), train),
     )
     g.validate()
     return g

@@ -56,22 +56,14 @@ class TrainConfig:
     grad_clip: float = 5.0
 
     def validate(self) -> None:
-        for name in ("c", "d1", "d2", "k"):
+        for name in ("c", "d1", "d2", "k", "patience", "max_epochs", "rebuild_period"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.lr < 0:
-            raise ValueError("learning rate must be >= 0")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.rebuild_period < 1:
-            raise ValueError("rebuild_period must be >= 1")
         if not self.grad_clip >= 0:  # nan too: it would silently never clip
             raise ValueError("grad_clip must be >= 0 (0 disables the clip)")
-        for name in ("beta", "gamma", "eta", "mu", "delta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for name in ("lr", "beta", "gamma", "eta", "mu", "delta"):
+            if not 0.0 <= getattr(self, name) < np.inf:  # nan fails too
+                raise ValueError(f"{name} must be finite and >= 0")
 
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":

@@ -51,6 +51,23 @@ def test_prepare_is_deterministic(tmp_path, synth_spec_file):
             assert f1.read() == f2.read()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("aux_count", "0"), ("feature_dim", "0"), ("aux_feature_dim", "0"),
+    ("relations", "0"), ("edges_per_node", "-2"), ("separation", "nan"),
+    ("separation", "-1"), ("noise", "inf"), ("noise", "nan"),
+])
+def test_prepare_rejects_invalid_spec_value(tmp_path, synth_spec_file, capsys, key, value):
+    spec = SynthSpec.from_tsv(synth_spec_file)
+    setattr(spec, key, type(getattr(spec, key))(value))
+    path = str(tmp_path / "bad.tsv")
+    write_fields(path, spec)
+    out = str(tmp_path / "out")
+    assert cli.main(["prepare", "--source", path, "--out", out]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
 def test_prepare_missing_source(tmp_path):
     rc = cli.main(["prepare", "--source", str(tmp_path / "nope.tsv"),
                    "--out", str(tmp_path / "o")])
@@ -493,6 +510,14 @@ def test_train_rejects_negative_grad_clip(tmp_path, dataset, capsys, value):
     rc = cli.main(train_args(dataset, str(tmp_path / "run"), ["--grad-clip", value]))
     assert rc == cli.EXIT_USAGE
     assert "grad_clip must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--beta", "inf"),
+                                        ("--mu", "-1")])
+def test_train_rejects_nonfinite_weights(tmp_path, dataset, capsys, flag, value):
+    rc = cli.main(train_args(dataset, str(tmp_path / "run"), [flag, value]))
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {flag[2:]} must be finite and >= 0\n"
 
 
 def test_sweep_empty_grid(tmp_path, dataset):
