@@ -113,7 +113,8 @@ def _rank_pairs(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, n_rows: in
     counts = np.bincount(rows, minlength=n_rows)
     if (counts < k1).any():
         raise AffinityError(f"a row has fewer than {k1} candidate distances (feature overflow?)")
-    order = np.lexsort((dist, rows))
+    # numpy radix-sorts narrow integer keys; the stable order is the same
+    order = np.lexsort((dist, rows.astype(np.min_scalar_type(n_rows), copy=False)))
     take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k1)]
     return cols[take], dist[take]
 

@@ -25,7 +25,8 @@ from .graph import (GraphFormatError, GraphValidationError, build_neighborhoods,
                     field_type, load_graph, save_graph, write_fields)
 from .losses import write_log
 from .synth import SynthSpec, generate
-from .trainer import NumericalDivergence, TrainConfig, fit, rebuild_affinity
+from .trainer import (NumericalDivergence, TrainConfig, fit, load_checkpoint,
+                      rebuild_affinity, save_checkpoint)
 from .verify import run_suite, write_results
 
 EXIT_OK = 0
@@ -185,7 +186,7 @@ def cmd_train(args) -> int:
     result = fit(g, cfg, nb, checkpoint_dir=out,
                  checkpoint_every=args.checkpoint_every or 0)
     write_fields(os.path.join(out, "config.tsv"), cfg)
-    result.stack.save(os.path.join(out, "best.ckpt"), json.dumps(asdict(cfg)))
+    save_checkpoint(os.path.join(out, "best.ckpt"), result.stack, cfg)
     write_log(os.path.join(out, "training_log.tsv"), result.log)
     # the files hold what training measured: the best epoch's S, not a rebuild
     _, _, S, Z, Zt = _forward_representations(result.stack, g, nb, cfg, result.S)
@@ -199,32 +200,13 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint(path: str):
-    if not os.path.isfile(path):
-        raise GraphFormatError(f"missing checkpoint: {path}")
-    stack, config_json = EncoderStack.load(path)
-    cfg = TrainConfig.from_dict(json.loads(config_json))
-    return stack, cfg
-
-
-def _check_compat(stack: EncoderStack, g) -> None:
-    for t, dim in stack.feature_dims.items():
-        if t not in g.features:
-            raise GraphValidationError(f"checkpoint/config mismatch: no node type {t!r}")
-        if g.features[t].shape[1] != dim:
-            raise GraphValidationError(
-                f"checkpoint/config mismatch: type {t!r} has feature dim "
-                f"{g.features[t].shape[1]}, checkpoint expects {dim}")
-
-
 def cmd_eval(args) -> int:
     g = load_graph(args.data)
-    stack, cfg = _load_checkpoint(args.checkpoint)
-    _check_compat(stack, g)
+    nb = build_neighborhoods(g)
+    stack, cfg = load_checkpoint(args.checkpoint, g, nb)
     out = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     man = _manifest("eval", out, args.data, json.dumps(asdict(cfg)), cfg.seed,
                     [args.data, args.checkpoint], ["eval_report.tsv"])
-    nb = build_neighborhoods(g)
     _, _, _, Z, Zt = _forward_representations(stack, g, nb, cfg)
     report = evaluate(Z, Zt, g.labels, g.train_idx, g.test_idx, cfg.c, seed=cfg.seed)
     report.to_tsv(os.path.join(out, "eval_report.tsv"))
@@ -248,13 +230,17 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if hard_fail else EXIT_OK
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, kind=float) -> list:
     vals = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
-        v = float(tok)
+        try:
+            v = kind(tok)
+        except ValueError:
+            raise UsageError(f"sweep grid value {tok!r} does not parse as "
+                             f"{kind.__name__}") from None
         if v not in vals:
             vals.append(v)
     if not vals:
@@ -270,8 +256,7 @@ def _run_sweep_cell(packed) -> tuple:
     nb = build_neighborhoods(g)
     os.makedirs(cell_dir, exist_ok=True)
     result = fit(g, cell_cfg, nb)
-    result.stack.save(os.path.join(cell_dir, "best.ckpt"),
-                      json.dumps(cfg_dict))
+    save_checkpoint(os.path.join(cell_dir, "best.ckpt"), result.stack, cell_cfg)
     write_log(os.path.join(cell_dir, "training_log.tsv"), result.log)
     _, _, _, Z, Zt = _forward_representations(result.stack, g, nb, cell_cfg)
     report = evaluate(Z, Zt, g.labels, g.train_idx, g.test_idx, cell_cfg.c,
@@ -284,8 +269,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     mus = _parse_grid(args.mu_grid) if args.mu_grid is not None else [cfg.mu]
     deltas = _parse_grid(args.delta_grid) if args.delta_grid is not None else [cfg.delta]
-    ks = ([int(v) for v in _parse_grid(args.k_grid)]
-          if args.k_grid is not None else [cfg.k])
+    ks = _parse_grid(args.k_grid, int) if args.k_grid is not None else [cfg.k]
     betas = _parse_grid(args.beta_grid) if args.beta_grid is not None else [cfg.beta]
     cells = [(m, d, k, b) for m in mus for d in deltas for k in ks for b in betas]
     if not cells:
@@ -319,13 +303,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_export(args) -> int:
     g = load_graph(args.data)
-    stack, cfg = _load_checkpoint(args.checkpoint)
-    _check_compat(stack, g)
+    nb = build_neighborhoods(g)
+    stack, cfg = load_checkpoint(args.checkpoint, g, nb)
     out = args.out
     man = _manifest("export", out, args.data, json.dumps(asdict(cfg)), cfg.seed,
                     [args.data, args.checkpoint],
                     ["embeddings.tsv", "affinity.tsv", "assignments.tsv"])
-    nb = build_neighborhoods(g)
     _, assign, S, Z, Zt = _forward_representations(stack, g, nb, cfg)
     _write_embeddings(os.path.join(out, "embeddings.tsv"), Z, Zt)
     S.save_tsv(os.path.join(out, "affinity.tsv"))

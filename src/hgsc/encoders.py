@@ -184,8 +184,6 @@ class EncoderStack:
     new array to the attribute detaches the layer from the buffers.
     """
 
-    CHECKPOINT_VERSION = 1
-
     def __init__(self, feature_dims: dict[str, int], target_type: str,
                  relations: list[tuple[str, str]], d1: int, d2: int, c: int,
                  seed: int = 0):
@@ -198,10 +196,7 @@ class EncoderStack:
         self.p_phi = DenseLayer(d1, c, "none", rng)
         self.q_gamma = DenseLayer(d1, d2, "relu", rng)
         self.f_theta: dict[str, DenseLayer] = {}
-        needed = {target_type} | {t for _, t in relations}
-        for t in sorted(needed):
-            if t not in feature_dims:
-                raise EncoderConfigError(f"no feature dim for node type {t!r}")
+        for t in sorted({target_type} | {t for _, t in relations}):
             self.f_theta[t] = DenseLayer(feature_dims[t], d1, "none", rng)
         self.combiners: dict[str, DenseLayer] = {}
         for name, _ in sorted(relations):
@@ -250,51 +245,6 @@ class EncoderStack:
     def snapshot(self) -> np.ndarray:
         return self.params.copy()
 
-    def save(self, path: str, config_json: str = "{}") -> None:
-        arrays = {f"param:{k}": v for k, v in self.named_params().items()}
-        arrays["version"] = np.array(self.CHECKPOINT_VERSION)
-        arrays["config_json"] = np.array(config_json)
-        meta = {
-            "target_type": self.target_type,
-            "relations": self.relations,
-            "dims": [self.d1, self.d2, self.c],
-            "feature_dims": self.feature_dims,
-        }
-        import json
-
-        arrays["stack_json"] = np.array(json.dumps(meta))
-        # write through a handle so the exact path is kept (numpy would
-        # otherwise append .npz)
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-
-    @classmethod
-    def load(cls, path: str):
-        import json
-
-        with np.load(path, allow_pickle=False) as data:
-            version = int(data["version"])
-            if version != cls.CHECKPOINT_VERSION:
-                raise EncoderConfigError(f"unsupported checkpoint version {version}")
-            meta = json.loads(str(data["stack_json"]))
-            config_json = str(data["config_json"])
-            stack = cls(
-                feature_dims={k: int(v) for k, v in meta["feature_dims"].items()},
-                target_type=meta["target_type"],
-                relations=[tuple(r) for r in meta["relations"]],
-                d1=meta["dims"][0], d2=meta["dims"][1], c=meta["dims"][2])
-            params = stack.named_params()
-            entries = {k.removeprefix("param:"): data[k] for k in data.files
-                       if k.startswith("param:")}
-            for name in sorted(params.keys() | entries.keys()):
-                got = entries[name].shape if name in entries else "no entry"
-                want = params[name].shape if name in params else "no such parameter"
-                if got != want:
-                    raise EncoderConfigError(
-                        f"checkpoint entry param:{name}: got {got}, expected {want}")
-                params[name][...] = entries[name]
-        return stack, config_json
-
 
 def _fold(stack: EncoderStack, name: str, nbr_type: str, aggregate: bool):
     """Right factor T_r of relation ``name``'s pre-activation B_r T_r.
@@ -331,19 +281,12 @@ def hetero_encode(stack: EncoderStack, g, nb):
     relation, the boolean mask ``pre > 0`` and the graph-constant B_r, not
     the float pre-activation.
     """
-    if not nb.entries:
-        raise EncoderConfigError("no relations touch the target type")
     names = sorted(nb.entries)
     masks: dict[str, np.ndarray] = {}
     inputs: dict[str, tuple[np.ndarray, bool]] = {}
     Zt = None
     for name in names:
         nbr_type, A = nb.entries[name]
-        for t in (stack.target_type, nbr_type):
-            if t not in stack.f_theta:
-                raise EncoderConfigError(f"no input projection configured for type {t!r}")
-        if name not in stack.combiners:
-            raise EncoderConfigError(f"no combiner configured for relation {name!r}")
         aggregate = g.features[nbr_type].shape[1] <= stack.d1
         B = nb.combiner_input(name, g.features, aggregate)
         inputs[name] = (B, aggregate)

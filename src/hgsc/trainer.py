@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import affinity as aff
-from .encoders import (EncoderStack, cluster_assign, hetero_encode,
-                       hetero_backward, orthogonal_backward)
+from .encoders import (EncoderConfigError, EncoderStack, cluster_assign,
+                       hetero_encode, hetero_backward, orthogonal_backward)
 from .graph import (HeteroGraph, RelationNeighborhood, build_neighborhoods,
                     read_fields)
 from .losses import (LossReport, cluster_consistency, cluster_pool,
@@ -97,6 +97,85 @@ class TrainConfig:
     @classmethod
     def from_tsv(cls, path: str) -> "TrainConfig":
         return cls.from_dict(read_fields(path, cls.__dataclass_fields__))
+
+
+CHECKPOINT_VERSION = 1
+
+
+def build_stack(g: HeteroGraph, nb: RelationNeighborhood,
+                cfg: TrainConfig) -> EncoderStack:
+    """The encoder stack for graph ``g``: one combiner per relation in
+    ``nb`` and one input projection per type they join, initialized from
+    ``cfg.seed``."""
+    if not nb.entries:
+        raise EncoderConfigError(f"no relations touch the target type {g.target_type!r}")
+    feature_dims = {t: g.features[t].shape[1] for t in g.node_types}
+    relations = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
+    return EncoderStack(feature_dims, g.target_type, relations,
+                        d1=cfg.d1, d2=cfg.d2, c=cfg.c, seed=cfg.seed)
+
+
+def _stack_json(stack: EncoderStack) -> str:
+    return json.dumps({"target_type": stack.target_type, "relations": stack.relations,
+                       "dims": [stack.d1, stack.d2, stack.c],
+                       "feature_dims": stack.feature_dims})
+
+
+def save_checkpoint(path: str, stack: EncoderStack, cfg: TrainConfig) -> None:
+    """Write ``stack``'s parameters and ``cfg`` to ``path`` (an .npz archive).
+
+    Entries: ``version``; ``config_json``, the config; ``stack_json``, what
+    the stack was built for (target type, (relation, neighbor type) pairs,
+    [d1, d2, c] and each node type's feature width); and one
+    ``param:<layer>.<W|b>`` array per parameter.
+    """
+    arrays = {f"param:{k}": v for k, v in stack.named_params().items()}
+    arrays["version"] = np.array(CHECKPOINT_VERSION)
+    arrays["config_json"] = np.array(json.dumps(asdict(cfg)))
+    arrays["stack_json"] = np.array(_stack_json(stack))
+    # write through a handle so the exact path is kept (numpy would
+    # otherwise append .npz)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def load_checkpoint(path: str, g: HeteroGraph, nb: RelationNeighborhood
+                    ) -> tuple[EncoderStack, TrainConfig]:
+    """The stack and config saved at ``path``, rebuilt for graph ``g`` as
+    ``fit`` builds them. The stored stack_json must match the rebuilt stack
+    (feature widths: of the types it records), the ``param:`` entries its
+    names and shapes; a difference, a missing entry or another version
+    raises EncoderConfigError naming it.
+    """
+    with np.load(path, allow_pickle=False) as data:
+        for key in ("version", "config_json", "stack_json"):
+            if key not in data.files:
+                raise EncoderConfigError(f"checkpoint {path} has no {key!r} entry")
+        version = int(data["version"])
+        if version != CHECKPOINT_VERSION:
+            raise EncoderConfigError(f"unsupported checkpoint version {version}")
+        cfg = TrainConfig.from_dict(json.loads(str(data["config_json"])))
+        saved = json.loads(str(data["stack_json"]))
+        entries = {k.removeprefix("param:"): data[k] for k in data.files
+                   if k.startswith("param:")}
+    if not (isinstance(saved, dict) and isinstance(saved.get("feature_dims"), dict)):
+        raise EncoderConfigError(f"checkpoint {path} has a malformed stack_json entry")
+    stack = build_stack(g, nb, cfg)
+    ours = json.loads(_stack_json(stack))  # as stored: tuples read back as lists
+    ours["feature_dims"] = {t: ours["feature_dims"].get(t) for t in saved["feature_dims"]}
+    for key, want in ours.items():
+        if saved.get(key) != want:
+            raise EncoderConfigError(f"checkpoint {path} does not fit the graph: {key} "
+                                     f"{saved.get(key)!r} in it, {want!r} for the graph")
+    params = stack.named_params()
+    for name in sorted(params.keys() | entries.keys()):
+        got = entries[name].shape if name in entries else "no entry"
+        want = params[name].shape if name in params else "no such parameter"
+        if got != want:
+            raise EncoderConfigError(
+                f"checkpoint entry param:{name}: got {got}, expected {want}")
+        params[name][...] = entries[name]
+    return stack, cfg
 
 
 class AdamState:
@@ -291,10 +370,7 @@ def fit(g: HeteroGraph, cfg: TrainConfig,
     cfg.validate()
     if nb is None:
         nb = build_neighborhoods(g)
-    feature_dims = {t: g.features[t].shape[1] for t in g.node_types}
-    relations = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
-    stack = EncoderStack(feature_dims, g.target_type, relations,
-                         d1=cfg.d1, d2=cfg.d2, c=cfg.c, seed=cfg.seed)
+    stack = build_stack(g, nb, cfg)
     state = TrainState()
     log = []
     best_total, best_epoch = np.inf, 0
@@ -304,8 +380,8 @@ def fit(g: HeteroGraph, cfg: TrainConfig,
         log.append((state.epoch, report))
         if checkpoint_every > 0 and checkpoint_dir is not None \
                 and state.epoch % checkpoint_every == 0:
-            stack.save(os.path.join(checkpoint_dir, f"epoch_{state.epoch}.ckpt"),
-                       json.dumps(asdict(cfg)))
+            save_checkpoint(os.path.join(checkpoint_dir, f"epoch_{state.epoch}.ckpt"),
+                            stack, cfg)
         if report.total < best_total:
             # the report was measured before the update, so the matching
             # parameters are the pre-step ones

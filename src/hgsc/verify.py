@@ -176,13 +176,10 @@ def gradient_check(loss_name: str, seed: int, step: float = 1e-5,
     """
     from .synth import SynthSpec, generate
     from .graph import build_neighborhoods
-    from .trainer import TrainConfig, TrainStepper
-    from .encoders import EncoderStack
+    from .trainer import TrainConfig, TrainStepper, build_stack
 
     if loss_name not in _TERMS:
         raise ValueError(f"unknown loss name {loss_name!r}")
-    cfg = TrainConfig(c=2, d1=6, d2=4, k=3, beta=0.7, gamma=0.5, eta=0.8,
-                      mu=0.9, delta=1.1, seed=seed)
     attempt = seed
     for _ in range(60):
         spec = SynthSpec(n=n, c=2, feature_dim=5, aux_count=8, aux_feature_dim=4,
@@ -190,11 +187,10 @@ def gradient_check(loss_name: str, seed: int, step: float = 1e-5,
                          noise=1.0, cross_edge_rate=0.1, seed=attempt)
         g = generate(spec)
         nb = build_neighborhoods(g)
-        feature_dims = {t: g.features[t].shape[1] for t in g.node_types}
-        relations = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
-        stack = EncoderStack(feature_dims, g.target_type, relations,
-                             d1=cfg.d1, d2=cfg.d2, c=cfg.c, seed=attempt)
-        worst = _fd_check(TrainStepper(stack, g, nb, cfg), loss_name, step)
+        cfg = TrainConfig(c=2, d1=6, d2=4, k=3, beta=0.7, gamma=0.5, eta=0.8,
+                          mu=0.9, delta=1.1, seed=attempt)
+        worst = _fd_check(TrainStepper(build_stack(g, nb, cfg), g, nb, cfg),
+                          loss_name, step)
         if worst is not None:
             return worst
         attempt += 101

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from hgsc.affinity import build_affinity, laplacian, propagate
-from hgsc.encoders import EncoderStack, hetero_encode, orthogonal_layer
+from hgsc.encoders import hetero_encode, orthogonal_layer
 from hgsc.evaluation import kmeans_cluster, concat_representation, linear_probe
 from hgsc.graph import build_neighborhoods, load_graph
 from hgsc.losses import spectral_loss
 from hgsc.synth import SynthSpec, generate
-from hgsc.trainer import TrainConfig, TrainState, fit, train_epoch
+from hgsc.trainer import TrainConfig, TrainState, build_stack, fit, train_epoch
 from hgsc.verify import (check_qp_agreement, component_count, enumerate_partitions,
                          gradient_check, kyfan_check, ratiocut_check,
                          zero_eig_count)
@@ -190,9 +190,7 @@ def median_epoch_seconds(n, epochs=5):
     g = generate(SynthSpec(n=n, aux_count=n // 2, seed=0, **SCALING))
     nb = build_neighborhoods(g)
     cfg = TrainConfig(seed=0, max_epochs=epochs + 1, **SCALING_CFG)
-    dims = {t: g.features[t].shape[1] for t in g.node_types}
-    rels = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
-    stack = EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, cfg.seed)
+    stack = build_stack(g, nb, cfg)
     state = TrainState()
     train_epoch(state, g, nb, stack, cfg)  # warmup (allocations, BLAS)
     times = []

@@ -470,8 +470,11 @@ def test_rank_pairs_matches_sorted_oracle():
     assert np.array_equal(dist, dist_o)
     assert idx[0].tolist() == [11, 1, 3]
     assert idx[1].tolist() == [0, 5, 2] and dist[1, 2] == np.inf
-    for _ in range(50):
-        n_rows, k1 = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+    # the row key is the narrowest unsigned type holding n_rows: uint8 up
+    # to 255 rows, uint16 for the 300-row case
+    for trial in range(51):
+        n_rows, k1 = ((300, 3) if trial == 50 else
+                      (int(rng.integers(1, 8)), int(rng.integers(1, 5))))
         pairs = [(i, int(j), float(rng.integers(0, 4)))
                  for i in range(n_rows)
                  for j in np.sort(rng.choice(40, int(rng.integers(k1, 12)), replace=False))]

@@ -130,7 +130,7 @@ def test_eval_missing_checkpoint(tmp_path, dataset):
     assert rc == cli.EXIT_USAGE
 
 
-def test_eval_checkpoint_mismatch(tmp_path, dataset, synth_spec_file):
+def test_eval_checkpoint_mismatch(tmp_path, dataset, synth_spec_file, capsys):
     run = str(tmp_path / "run")
     assert cli.main(train_args(dataset, run)) == 0
     spec = SynthSpec(n=20, c=2, feature_dim=9, aux_count=10, aux_feature_dim=4,
@@ -141,6 +141,89 @@ def test_eval_checkpoint_mismatch(tmp_path, dataset, synth_spec_file):
     assert cli.main(["prepare", "--source", str(spec_path), "--out", other]) == 0
     rc = cli.main(["eval", "--data", other, "--checkpoint", checkpoint_path(run)])
     assert rc == cli.EXIT_USAGE
+    assert "does not fit the graph: feature_dims" in capsys.readouterr().err
+
+
+def _edit_meta(data, edit):
+    """Rewrite ``data``'s meta.tsv through ``edit`` (fields -> fields or None)."""
+    path = os.path.join(data, "meta.tsv")
+    with open(path) as fh:
+        rows = [edit(line.rstrip("\n").split("\t")) for line in fh if line.strip()]
+    with open(path, "w") as fh:
+        fh.writelines("\t".join(row) + "\n" for row in rows if row is not None)
+
+
+def _drop_rel1(data):
+    _edit_meta(data, lambda row: None if row[:2] == ["edge", "rel1"] else row)
+    return "relations"
+
+
+def _repoint_rel1(data):
+    # ctx0 and ctx1 hold the same number of nodes, so rel1's edges stay valid
+    _edit_meta(data, lambda row: row[:3] + ["ctx0"] if row[:2] == ["edge", "rel1"] else row)
+    return "relations"
+
+
+def _target_ctx0(data):
+    _edit_meta(data, lambda row: ["target", "ctx0"] if row[0] == "target" else row)
+    n = 10  # aux_count of the fixture spec
+    with open(os.path.join(data, "labels.tsv"), "w") as fh:
+        fh.writelines(f"{i}\t{i % 2}\n" for i in range(n))
+    with open(os.path.join(data, "split.tsv"), "w") as fh:
+        fh.writelines(f"{i}\t{'train' if i < 6 else 'test'}\n" for i in range(n))
+    return "target_type"
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+@pytest.mark.parametrize("edit", [_drop_rel1, _repoint_rel1, _target_ctx0],
+                         ids=["no-rel1", "rel1-to-ctx0", "target-ctx0"])
+def test_checkpoint_on_another_graph_exits_1(tmp_path, dataset, capsys, command, edit):
+    run = str(tmp_path / "run")
+    assert cli.main(train_args(dataset, run)) == 0
+    other = str(tmp_path / "other")
+    shutil.copytree(dataset, other)
+    what = edit(other)
+    capsys.readouterr()
+    rc = cli.main([command, "--data", other, "--checkpoint", checkpoint_path(run),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"does not fit the graph: {what}" in err
+    if what == "relations":
+        assert "'rel1'" in err
+
+
+@pytest.mark.parametrize("entry", ["version", "config_json", "stack_json"])
+def test_checkpoint_without_entry_exits_1(tmp_path, dataset, capsys, entry):
+    run = str(tmp_path / "run")
+    assert cli.main(train_args(dataset, run)) == 0
+    ckpt = checkpoint_path(run)
+    with np.load(ckpt) as data:
+        arrays = {name: data[name] for name in data.files if name != entry}
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    rc = cli.main(["eval", "--data", dataset, "--checkpoint", ckpt,
+                   "--out", str(tmp_path / "eval")])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"no {entry!r} entry" in err
+
+
+def test_train_without_a_relation_on_the_target_exits_1(tmp_path, dataset, capsys):
+    # the only relation joins ctx0 and ctx1; none reaches the target type
+    _edit_meta(dataset, lambda row: (None if row[:2] == ["edge", "rel1"] else
+                                     ["edge", "rel0", "ctx0", "ctx1"]
+                                     if row[:2] == ["edge", "rel0"] else row))
+    with open(os.path.join(dataset, "edges_rel0.tsv"), "w") as fh:
+        fh.write("0\t1\n2\t3\n")
+    capsys.readouterr()
+    rc = cli.main(train_args(dataset, str(tmp_path / "run")))
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: no relations touch the target type 'item'\n"
 
 
 def _rewrite_checkpoint_config(path, **changes):
@@ -455,11 +538,15 @@ def test_periodic_checkpoints(tmp_path, dataset):
     out = str(tmp_path / "run")
     rc = cli.main(train_args(dataset, out, extra=("--checkpoint-every", "2")))
     assert rc == 0
-    from hgsc.encoders import EncoderStack
+    from hgsc.graph import build_neighborhoods
+    from hgsc.trainer import TrainConfig, load_checkpoint
+    g = load_graph(dataset)
+    nb = build_neighborhoods(g)
     for name in ("epoch_2.ckpt", "epoch_4.ckpt", "best.ckpt"):
         path = os.path.join(out, name)
         assert os.path.isfile(path)
-        EncoderStack.load(path)
+        _, cfg = load_checkpoint(path, g, nb)
+        assert cfg == TrainConfig(c=2, d1=8, d2=4, k=3, max_epochs=5, patience=30, seed=1)
     # a snapshot carries the run's config, so it evaluates like best.ckpt
     rc = cli.main(["eval", "--data", dataset, "--checkpoint",
                    os.path.join(out, "epoch_2.ckpt"), "--out", str(tmp_path / "eval")])
@@ -518,6 +605,19 @@ def test_train_rejects_nonfinite_weights(tmp_path, dataset, capsys, flag, value)
     rc = cli.main(train_args(dataset, str(tmp_path / "run"), [flag, value]))
     assert rc == cli.EXIT_USAGE
     assert capsys.readouterr().err == f"error: {flag[2:]} must be finite and >= 0\n"
+
+
+@pytest.mark.parametrize("grid", ["2.5,2", "2,x"])
+def test_sweep_rejects_a_k_grid_value_that_is_not_an_integer(tmp_path, dataset, capsys,
+                                                             grid):
+    out = tmp_path / "s"
+    rc = cli.main(["sweep", "--data", dataset, "--out", str(out), "--c", "2",
+                   "--k-grid", grid])
+    assert rc == cli.EXIT_USAGE
+    bad = grid.split(",")[grid.startswith("2,")]
+    assert capsys.readouterr().err == \
+        f"usage error: sweep grid value {bad!r} does not parse as int\n"
+    assert not out.exists()
 
 
 def test_sweep_empty_grid(tmp_path, dataset):

@@ -1,14 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from hgsc.encoders import (DenseLayer, EncoderConfigError, EncoderStack,
+from hgsc.encoders import (DenseLayer, EncoderConfigError,
                            RankDeficientError, cluster_assign, hetero_encode,
                            hetero_backward, orthogonal_backward,
                            orthogonal_layer)
 from hgsc.graph import (HeteroGraph, Relation, RelationNeighborhood,
                         build_neighborhoods)
 from hgsc.synth import SynthSpec, generate
+from hgsc.trainer import (TrainConfig, build_stack, load_checkpoint,
+                          save_checkpoint)
 
 
 def make_layer(W, b=None, activation="relu"):
@@ -198,9 +202,7 @@ def small_graph(seed=0, relations=2):
 
 
 def make_stack(g, nb, d1=5, d2=3, c=2, seed=0):
-    dims = {t: g.features[t].shape[1] for t in g.node_types}
-    rels = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
-    return EncoderStack(dims, g.target_type, rels, d1=d1, d2=d2, c=c, seed=seed)
+    return build_stack(g, nb, TrainConfig(c=c, d1=d1, d2=d2, seed=seed))
 
 
 def test_hetero_encode_empty_neighborhood():
@@ -268,12 +270,23 @@ def test_hetero_encode_identical_relations_average():
     assert np.allclose(Zt, Zt_single, atol=1e-12)
 
 
-def test_hetero_encode_missing_projection_is_config_error():
+def test_hetero_encode_missing_projection_is_config_error(tmp_path):
+    # a stack saved without rel1's combiner and ctx1's projection does not
+    # load for a graph that has them
+    cfg = TrainConfig(c=2, d1=5, d2=3)
+    g, nb = small_graph(relations=1)
+    path = str(tmp_path / "one_relation.ckpt")
+    save_checkpoint(path, build_stack(g, nb, cfg), cfg)
+    g, nb = small_graph(relations=2)
+    with pytest.raises(EncoderConfigError, match=r"relations .*'rel1', 'ctx1'"):
+        load_checkpoint(path, g, nb)
+
+
+def test_build_stack_needs_a_relation_on_the_target_type():
     g, nb = small_graph()
-    stack = make_stack(g, nb)
-    del stack.f_theta["ctx0"]
-    with pytest.raises(EncoderConfigError):
-        hetero_encode(stack, g, nb)
+    nb = RelationNeighborhood(nb.target_type, nb.n, {})
+    with pytest.raises(EncoderConfigError, match="no relations touch the target type"):
+        build_stack(g, nb, TrainConfig(c=2))
 
 
 # ------------------------------------------------ shared projection head
@@ -645,13 +658,18 @@ def test_stack_determinism():
 
 def test_checkpoint_round_trip(tmp_path):
     g, nb = small_graph()
-    stack = make_stack(g, nb, seed=5)
-    path = str(tmp_path / "ckpt.npz")
-    stack.save(path, config_json='{"c": 2}')
-    loaded, cfg_json = EncoderStack.load(path)
-    assert cfg_json == '{"c": 2}'
-    for k, v in stack.named_params().items():
-        assert np.array_equal(v, loaded.named_params()[k])
+    cfg = TrainConfig(c=2, d1=5, d2=3, k=4, mu=0.25, seed=5)
+    stack = build_stack(g, nb, cfg)
+    # parameters the seed does not give, so the load must write every one
+    stack.params[:] = np.random.default_rng(1).standard_normal(stack.params.size)
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, stack, cfg)
+    assert os.listdir(tmp_path) == ["ckpt"]
+    loaded, loaded_cfg = load_checkpoint(path, g, nb)
+    assert loaded_cfg == cfg
+    assert np.array_equal(loaded.params, stack.params)
+    assert (loaded.target_type, loaded.relations, loaded.feature_dims) == \
+        (stack.target_type, stack.relations, stack.feature_dims)
 
 
 def _offset(view, buf):
@@ -703,14 +721,14 @@ def test_per_array_checkpoint_loads_bitwise(tmp_path):
     written = {k: rng.standard_normal(v.shape) for k, v in stack.named_params().items()}
     arrays = {f"param:{k}": written[k] for k in reversed(list(written))}
     arrays["version"] = np.array(1)
-    arrays["config_json"] = np.array('{"c": 2}')
+    arrays["config_json"] = np.array('{"c": 2, "d1": 5, "d2": 3}')
     arrays["stack_json"] = np.array(json.dumps({
         "target_type": stack.target_type, "relations": stack.relations,
         "dims": [stack.d1, stack.d2, stack.c], "feature_dims": stack.feature_dims}))
     path = str(tmp_path / "per_array.ckpt")
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
-    loaded, _ = EncoderStack.load(path)
+    loaded, _ = load_checkpoint(path, g, nb)
     for k, v in written.items():
         assert np.array_equal(loaded.named_params()[k], v)
     assert np.array_equal(loaded.params, np.concatenate([v.ravel() for v in written.values()]))

@@ -9,8 +9,8 @@ import hgsc
 from hgsc.graph import build_neighborhoods, write_fields
 from hgsc.synth import SynthSpec, generate
 from hgsc.trainer import (AdamState, NumericalDivergence, StepStateError,
-                          TrainConfig, TrainState, TrainStepper, fit,
-                          optimizer_step, train_epoch)
+                          TrainConfig, TrainState, TrainStepper, build_stack,
+                          fit, optimizer_step, train_epoch)
 from hgsc.verify import component_count
 
 
@@ -72,10 +72,7 @@ def test_adam_shape_mismatch():
 
 def test_zero_learning_rate_keeps_parameters():
     g, nb, cfg = toy_setup(lr=0.0, max_epochs=3)
-    from hgsc.encoders import EncoderStack
-    dims = {t: g.features[t].shape[1] for t in g.node_types}
-    rels = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
-    stack = EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, cfg.seed)
+    stack = build_stack(g, nb, cfg)
     before = {k: v.copy() for k, v in stack.named_params().items()}
     state = TrainState()
     reports = [train_epoch(state, g, nb, stack, cfg) for _ in range(3)]
@@ -88,10 +85,7 @@ def test_seeded_epoch_is_bit_identical():
     runs = []
     for _ in range(2):
         g, nb, cfg = toy_setup(seed=5)
-        from hgsc.encoders import EncoderStack
-        dims = {t: g.features[t].shape[1] for t in g.node_types}
-        rels = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
-        stack = EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, cfg.seed)
+        stack = build_stack(g, nb, cfg)
         state = TrainState()
         rep = train_epoch(state, g, nb, stack, cfg)
         runs.append((rep, {k: v.copy() for k, v in stack.named_params().items()}))
@@ -123,10 +117,7 @@ def test_report_terms_sum_to_total():
 
 def test_affinity_constant_between_rebuilds():
     g, nb, cfg = toy_setup(max_epochs=6, rebuild_period=3)
-    from hgsc.encoders import EncoderStack
-    dims = {t: g.features[t].shape[1] for t in g.node_types}
-    rels = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
-    stack = EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, cfg.seed)
+    stack = build_stack(g, nb, cfg)
     state = TrainState()
     seen = []
     for _ in range(6):
@@ -141,10 +132,7 @@ def test_divergence_names_term():
     # blow up the shared projection head so a consistency term overflows
     # while the affinity distances stay finite
     g, nb, cfg = toy_setup()
-    from hgsc.encoders import EncoderStack
-    dims = {t: g.features[t].shape[1] for t in g.node_types}
-    rels = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
-    stack = EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, cfg.seed)
+    stack = build_stack(g, nb, cfg)
     stack.q_gamma.W *= 1e160
     state = TrainState()
     with np.errstate(all="ignore"), pytest.raises(NumericalDivergence) as err:
@@ -154,10 +142,7 @@ def test_divergence_names_term():
 
 def test_backward_without_forward_is_state_error():
     g, nb, cfg = toy_setup()
-    from hgsc.encoders import EncoderStack
-    dims = {t: g.features[t].shape[1] for t in g.node_types}
-    rels = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
-    stack = EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, cfg.seed)
+    stack = build_stack(g, nb, cfg)
     stepper = TrainStepper(stack, g, nb, cfg)
     with pytest.raises(StepStateError):
         stepper.backward()
@@ -171,10 +156,7 @@ def test_cluster_head_gradient_has_no_scale_component():
     # Y depends on the column space of P = H W + b only, so the exact QR
     # backward leaves no gradient along any column scaling (W[:, j], b[j])
     g, nb, cfg = toy_setup(n=16, seed=4, c=3, gamma=0.5, mu=0.3, delta=0.7)
-    from hgsc.encoders import EncoderStack
-    dims = {t: g.features[t].shape[1] for t in g.node_types}
-    rels = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
-    stack = EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, cfg.seed)
+    stack = build_stack(g, nb, cfg)
     stack.p_phi.b[:] = np.random.default_rng(4).standard_normal(cfg.c)
     stepper = TrainStepper(stack, g, nb, cfg)
     stepper.forward()
@@ -186,20 +168,13 @@ def test_cluster_head_gradient_has_no_scale_component():
         assert abs(gu @ u) <= 1e-10 * np.linalg.norm(gu) * np.linalg.norm(u)
 
 
-def make_stack(g, nb, cfg):
-    from hgsc.encoders import EncoderStack
-    dims = {t: g.features[t].shape[1] for t in g.node_types}
-    rels = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
-    return EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, cfg.seed)
-
-
 def test_rebuild_epoch_runs_g_phi_once(monkeypatch):
     # the forward builds S from its own H, and on the first epoch (no
     # previous Y) from its own QR; g_phi's input gradient (n x f_t) is read
     # by nothing, so it is not computed
     import hgsc.encoders
     g, nb, cfg = toy_setup(beta=1.0, rebuild_period=2)
-    stack = make_stack(g, nb, cfg)
+    stack = build_stack(g, nb, cfg)
     layer = stack.g_phi
     calls = {"forward": 0, "backward": [], "qr": 0}
     qr = hgsc.encoders.orthogonal_layer
@@ -232,7 +207,7 @@ def test_rebuild_epoch_runs_g_phi_once(monkeypatch):
 def test_affinity_sparse_forms_built_once_per_s(monkeypatch):
     from hgsc.affinity import AffinityMatrix
     g, nb, cfg = toy_setup(rebuild_period=3)
-    stack = make_stack(g, nb, cfg)
+    stack = build_stack(g, nb, cfg)
     built = []
     to_csr = AffinityMatrix.to_csr
     monkeypatch.setattr(AffinityMatrix, "to_csr",
@@ -277,7 +252,7 @@ def test_reuse_epoch_transient_memory_bound():
     nb = build_neighborhoods(g)
     cfg = TrainConfig(c=3, d1=160, d2=96, k=8, beta=5.0, gamma=1e-2, mu=0.01,
                       delta=0.01, lr=1e-2, rebuild_period=5, seed=0)
-    stack = make_stack(g, nb, cfg)
+    stack = build_stack(g, nb, cfg)
     state = TrainState()
     for _ in range(2):
         train_epoch(state, g, nb, stack, cfg)

@@ -248,19 +248,15 @@ def test_gradient_check_full_objective():
 
 def _fd_stepper(seed=0):
     """The stepper ``gradient_check`` builds for its first attempt."""
-    from hgsc.encoders import EncoderStack
     from hgsc.graph import build_neighborhoods
-    from hgsc.trainer import TrainConfig, TrainStepper
+    from hgsc.trainer import TrainConfig, TrainStepper, build_stack
     cfg = TrainConfig(c=2, d1=6, d2=4, k=3, beta=0.7, gamma=0.5, eta=0.8,
                       mu=0.9, delta=1.1, seed=seed)
     g = generate(SynthSpec(n=12, c=2, feature_dim=5, aux_count=8, aux_feature_dim=4,
                            relations=2, edges_per_node=2, separation=3.0,
                            noise=1.0, cross_edge_rate=0.1, seed=seed))
     nb = build_neighborhoods(g)
-    dims = {t: g.features[t].shape[1] for t in g.node_types}
-    rels = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
-    stack = EncoderStack(dims, g.target_type, rels, cfg.d1, cfg.d2, cfg.c, seed)
-    return TrainStepper(stack, g, nb, cfg)
+    return TrainStepper(build_stack(g, nb, cfg), g, nb, cfg)
 
 
 @pytest.mark.parametrize("layer", ["g_phi", "q_gamma.Z", "q_gamma.Zt",
