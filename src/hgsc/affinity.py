@@ -126,14 +126,22 @@ def _scan_block(X: np.ndarray, sq: np.ndarray, rows, k1: int):
     of all rows: X[rows] is then a view of X, so numpy computes X @ X.T by
     a symmetric rank-k update, whose rounding a copied block would not
     reproduce.
+    The distances (|x|^2 + |y|^2) - 2 x.y are built in place, in that
+    order, and partitioned in the product's memory: two (rows, n) arrays
+    at peak.
     Every column at or below a row's k1-th value is ranked, so a tie
     group at the boundary is ranked whole.
     """
-    D = sq[rows, None] + sq[None, :] - 2.0 * (X[rows] @ X.T)
+    G = X[rows] @ X.T
+    G *= 2.0
+    D = np.add.outer(sq[rows], sq)
+    D -= G
     np.maximum(D, 0.0, out=D)
     b, m = D.shape
     D[np.arange(b), np.arange(m)[rows]] = np.inf
-    kth = np.partition(D, k1 - 1, axis=1)[:, k1 - 1]
+    np.copyto(G, D)
+    G.partition(k1 - 1, axis=1)
+    kth = G[:, k1 - 1]
     if not np.isfinite(kth).all():
         raise AffinityError("candidate distances are not finite (feature overflow?)")
     flat = np.flatnonzero(D <= kth[:, None])

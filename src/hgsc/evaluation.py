@@ -4,9 +4,11 @@ Linear probe classification (macro/micro F1), k-means clustering scored
 by NMI and adjusted Rand index, silhouette, and a Davies-Bouldin-style
 scatter/separation diagnostic, each one whole-array pass: the probe's
 repeats descend side by side, and neither k-means nor the silhouette
-holds an (n, c, d) or n x n temporary. The probe and k-means are pinned
-implementations (full-batch gradient descent, Lloyd with k-means++) so
-results are comparable across runs and platforms.
+holds an (n, c, d) or n x n temporary. k-means computes each centre's
+distances once per set of centres: the seeding's columns serve the first
+Lloyd step, and the last step's serve the final labels. The probe and
+k-means are pinned implementations (full-batch gradient descent, Lloyd
+with k-means++) so results are comparable across runs and platforms.
 """
 
 from __future__ import annotations
@@ -102,7 +104,13 @@ def linear_probe(X: np.ndarray, labels: np.ndarray, train_idx: np.ndarray,
     b = np.zeros(repeats * c)
     for _ in range(iters):
         z = (Xtr @ W + b).reshape(n_tr, repeats, c)
-        e = np.exp(z - z.max(axis=2, keepdims=True))
+        # max is exact, so c - 1 elementwise passes give z.max(axis=2)'s
+        # bits without a reduction over the short axis; the sum below keeps
+        # its reduction, whose pairwise order slices would not reproduce
+        zmax = z[..., 0]
+        for j in range(1, c):
+            zmax = np.maximum(zmax, z[..., j])
+        e = np.exp(z - zmax[..., None])
         g = (e / e.sum(axis=2, keepdims=True) - onehot).reshape(n_tr, -1) / n_tr
         W -= lr * (Xtr.T @ g)
         b -= lr * g.sum(axis=0)
@@ -121,16 +129,21 @@ def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return D
 
 
-def _kmeans_pp_init(X: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(X: np.ndarray, c: int, rng: np.random.Generator):
+    """k-means++ centres and their (n, c) squared distances, each column
+    computed once: the seeding keeps a running minimum over them."""
     n = X.shape[0]
     centers = np.empty((c, X.shape[1]))
+    D = np.empty((n, c))
     centers[0] = X[rng.integers(n)]
+    d2 = D[:, 0] = ((X - centers[0]) ** 2).sum(axis=1)
     for j in range(1, c):
-        d2 = _sq_distances(X, centers[:j]).min(axis=1)
         total = d2.sum()
         pick = rng.choice(n, p=d2 / total) if total > 0 else int(rng.integers(n))
         centers[j] = X[pick]
-    return centers
+        D[:, j] = col = ((X - centers[j]) ** 2).sum(axis=1)
+        d2 = np.minimum(d2, col)
+    return centers, D
 
 
 def kmeans(X: np.ndarray, c: int, restarts: int = 10, seed: int = 0,
@@ -139,33 +152,38 @@ def kmeans(X: np.ndarray, c: int, restarts: int = 10, seed: int = 0,
 
     Empty clusters are re-seeded at the point farthest from its assigned
     centroid. Deterministic given the seed. Returns (labels, inertia).
+    Each set of centres has its distances computed once: the seeding's
+    serve the first step, and each step's serve the next step or, after
+    the last, the final labels and inertia.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n < c:
         raise EvalError(f"cannot form {c} clusters from {n} points")
+    rows = np.arange(n)
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(seed * 1000 + r)
-        centers = _kmeans_pp_init(X, c, rng)
+        centers, D = _kmeans_pp_init(X, c, rng)
         assign = None
         for _ in range(max_iter):
-            D = _sq_distances(X, centers)
             new_assign = np.argmin(D, axis=1)
-            mind = D.min(axis=1)
-            for empty in np.nonzero(np.bincount(new_assign, minlength=c) == 0)[0]:
+            mind = D[rows, new_assign]
+            for empty in np.flatnonzero(np.bincount(new_assign, minlength=c) == 0):
                 far = int(np.argmax(mind))
                 centers[empty] = X[far]
                 mind[far] = -np.inf
                 new_assign[far] = empty
+            # a re-seed in the step that converges moves no centre: its
+            # cluster held just the point it is re-seeded at, so D holds
             if assign is not None and np.array_equal(assign, new_assign):
                 break
             assign = new_assign
             for j in np.unique(assign):
                 centers[j] = X[assign == j].mean(axis=0)
-        D = _sq_distances(X, centers)
+            D = _sq_distances(X, centers)
         assign = np.argmin(D, axis=1)
-        inertia = float(D.min(axis=1).sum())
+        inertia = float(D[rows, assign].sum())
         if best is None or inertia < best[1]:
             best = (assign, inertia)
     return best

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -144,20 +145,30 @@ def load_checkpoint(path: str, g: HeteroGraph, nb: RelationNeighborhood
     """The stack and config saved at ``path``, rebuilt for graph ``g`` as
     ``fit`` builds them. The stored stack_json must match the rebuilt stack
     (feature widths: of the types it records), the ``param:`` entries its
-    names and shapes; a difference, a missing entry or another version
-    raises EncoderConfigError naming it.
+    names and shapes. A file that is not a readable .npz archive, a missing
+    or non-scalar entry, another version or a difference raises
+    EncoderConfigError naming it.
     """
-    with np.load(path, allow_pickle=False) as data:
-        for key in ("version", "config_json", "stack_json"):
-            if key not in data.files:
-                raise EncoderConfigError(f"checkpoint {path} has no {key!r} entry")
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise EncoderConfigError(f"unsupported checkpoint version {version}")
-        cfg = TrainConfig.from_dict(json.loads(str(data["config_json"])))
-        saved = json.loads(str(data["stack_json"]))
-        entries = {k.removeprefix("param:"): data[k] for k in data.files
-                   if k.startswith("param:")}
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise EncoderConfigError(f"checkpoint {path} is a single array, not an .npz archive")
+        with data:
+            arrays = {k: data[k] for k in data.files}
+    except (zipfile.BadZipFile, ValueError, EOFError) as e:
+        raise EncoderConfigError(f"checkpoint {path} is not a readable .npz archive: {e}")
+    for key in ("version", "config_json", "stack_json"):
+        if key not in arrays:
+            raise EncoderConfigError(f"checkpoint {path} has no {key!r} entry")
+        if arrays[key].shape != ():
+            raise EncoderConfigError(f"checkpoint {path} has a non-scalar {key!r} entry")
+    version = int(arrays["version"])
+    if version != CHECKPOINT_VERSION:
+        raise EncoderConfigError(f"unsupported checkpoint version {version}")
+    cfg = TrainConfig.from_dict(json.loads(str(arrays["config_json"])))
+    saved = json.loads(str(arrays["stack_json"]))
+    entries = {k.removeprefix("param:"): v for k, v in arrays.items()
+               if k.startswith("param:")}
     if not (isinstance(saved, dict) and isinstance(saved.get("feature_dims"), dict)):
         raise EncoderConfigError(f"checkpoint {path} has a malformed stack_json entry")
     stack = build_stack(g, nb, cfg)

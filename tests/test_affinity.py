@@ -435,6 +435,37 @@ def test_scan_matches_brute_force_with_ties():
         assert np.allclose(dist, dist_o)
 
 
+def _scan_block_out_of_place(X, sq, rows, k1):
+    """``_scan_block`` with its distances built by one out-of-place
+    expression and partitioned into a new array: the bits the in-place
+    form must keep."""
+    D = sq[rows, None] + sq[None, :] - 2.0 * (X[rows] @ X.T)
+    np.maximum(D, 0.0, out=D)
+    b, m = D.shape
+    D[np.arange(b), np.arange(m)[rows]] = np.inf
+    kth = np.partition(D, k1 - 1, axis=1)[:, k1 - 1]
+    flat = np.flatnonzero(D <= kth[:, None])
+    return aff._rank_pairs(flat // m, flat % m, D.ravel()[flat], b, k1)
+
+
+@pytest.mark.parametrize("kind", ["random", "quantized", "duplicates"])
+def test_scan_block_in_place_keeps_the_bits(kind):
+    rng = np.random.default_rng(61)
+    X = rng.standard_normal((150, 9))
+    if kind == "quantized":  # multiples of 0.1: many exact and near ties
+        X = np.round(X, 1)
+    elif kind == "duplicates":
+        X = X[rng.integers(0, 40, size=150)]
+    sq = np.einsum("ij,ij->i", X, X)
+    # the full slice takes the symmetric rank-k product, an index array
+    # the general one
+    for rows in (slice(0, 150), np.sort(rng.choice(150, 60, replace=False))):
+        idx, dist = aff._scan_block(X, sq, rows, 7)
+        idx_o, dist_o = _scan_block_out_of_place(X, sq, rows, 7)
+        assert np.array_equal(idx, idx_o)
+        assert np.array_equal(dist, dist_o)
+
+
 def _rank_oracle(pairs, n_rows, k1):
     """Per-row sorted((d, j)) over a list of (row, col, dist) pairs."""
     idx = np.zeros((n_rows, k1), dtype=np.int64)

@@ -212,6 +212,41 @@ def test_checkpoint_without_entry_exits_1(tmp_path, dataset, capsys, entry):
     assert f"no {entry!r} entry" in err
 
 
+def _non_scalar_version(path):
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["version"] = np.array([1, 1])
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _truncated(path):
+    with open(path, "rb") as fh:
+        head = fh.read()[:-200]
+    with open(path, "wb") as fh:
+        fh.write(head)
+
+
+def _plain_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.arange(4.0))
+
+
+@pytest.mark.parametrize("corrupt", [_non_scalar_version, _truncated, _plain_npy],
+                         ids=["non-scalar-version", "truncated", "plain-npy"])
+def test_malformed_checkpoint_file_exits_1(tmp_path, dataset, capsys, corrupt):
+    run = str(tmp_path / "run")
+    assert cli.main(train_args(dataset, run)) == 0
+    ckpt = checkpoint_path(run)
+    corrupt(ckpt)
+    capsys.readouterr()
+    rc = cli.main(["eval", "--data", dataset, "--checkpoint", ckpt,
+                   "--out", str(tmp_path / "eval")])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt} ") and err.count("\n") == 1
+
+
 def test_train_without_a_relation_on_the_target_exits_1(tmp_path, dataset, capsys):
     # the only relation joins ctx0 and ctx1; none reaches the target type
     _edit_meta(dataset, lambda row: (None if row[:2] == ["edge", "rel1"] else

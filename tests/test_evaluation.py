@@ -385,14 +385,16 @@ def reference_kmeans(X, c, restarts=10, seed=0, max_iter=300, reseeds=None):
             D = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_assign = np.argmin(D, axis=1)
             mind = D[np.arange(n), new_assign]
-            for empty in np.nonzero(np.bincount(new_assign, minlength=c) == 0)[0]:
-                if reseeds is not None:
-                    reseeds.append(empty)
+            empties = np.nonzero(np.bincount(new_assign, minlength=c) == 0)[0]
+            for empty in empties:
                 far = int(np.argmax(mind))
                 centers[empty] = X[far]
                 mind[far] = -np.inf
                 new_assign[far] = empty
-            if assign is not None and np.array_equal(assign, new_assign):
+            converged = assign is not None and np.array_equal(assign, new_assign)
+            if reseeds is not None and empties.size:
+                reseeds.append(converged)  # True: the converging step re-seeded
+            if converged:
                 break
             assign = new_assign
             for j in range(c):
@@ -444,9 +446,11 @@ def planted_case(n, c, noise, seed):
     return Z, Zt, labels, idx[: n // 2], idx[n // 2:]
 
 
+# c = 9: numpy sums the probe's 9-wide rows pairwise, while its max is
+# taken slice by slice
 @pytest.mark.parametrize("n,c,noise", [(300, 3, 1.0), (500, 4, 1.5), (700, 3, 2.0),
-                                       (400, 3, 50.0)],
-                         ids=["n300", "n500", "n700", "near-random"])
+                                       (400, 3, 50.0), (450, 9, 1.0)],
+                         ids=["n300", "n500", "n700", "near-random", "c9"])
 def test_whole_array_passes_match_reference(n, c, noise):
     Z, Zt, labels, train, test = planted_case(n, c, noise, seed=n)
     X = concat_representation(Z, Zt)
@@ -457,6 +461,12 @@ def test_whole_array_passes_match_reference(n, c, noise):
         got, want = kmeans(X, c, seed=seed), reference_kmeans(X, c, seed=seed)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
         assigns.append(got[0])
+        # stopped before converging: the labels come from the last
+        # step's centres
+        for max_iter in (1, 2):
+            got = kmeans(X, c, seed=seed, max_iter=max_iter)
+            want = reference_kmeans(X, c, seed=seed, max_iter=max_iter)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
     want = [reference_silhouette(X, a) for a in assigns]
     assert np.abs(silhouette(X, np.stack(assigns)) - want).max() <= 1e-12
     assert complexity_measure(X, labels) == pytest.approx(
@@ -464,10 +474,13 @@ def test_whole_array_passes_match_reference(n, c, noise):
 
 
 def test_kmeans_matches_reference_when_reseeding_an_empty_cluster():
+    # three distinct points for four clusters: steps re-seed, the
+    # converging one included, whose distances kmeans keeps for the final
+    # labels while the reference recomputes them
     X = np.vstack([np.zeros((30, 2)), [[5.0, 0.0]], [[5.0, 0.5]]])
     reseeds = []
     want = reference_kmeans(X, 4, seed=1, reseeds=reseeds)
-    assert reseeds
+    assert True in reseeds
     got = kmeans(X, 4, seed=1)
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
