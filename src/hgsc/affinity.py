@@ -35,6 +35,9 @@ _PROJ_RANK = 8
 _PROJ_EXTRA = 6
 _REFINE_BLOCK = 1024
 _REFINE_BUDGET = 1 << 23
+# A scan's steps after its product run over row blocks of about this many
+# bytes: the product is then its only full-size array.
+_SCAN_CHUNK_BYTES = 1 << 21
 
 
 class AffinityError(Exception):
@@ -125,27 +128,38 @@ def _scan_block(X: np.ndarray, sq: np.ndarray, rows, k1: int):
     ``rows`` is a slice or an index array. ``_knn_scan`` passes the slice
     of all rows: X[rows] is then a view of X, so numpy computes X @ X.T by
     a symmetric rank-k update, whose rounding a copied block would not
-    reproduce.
-    The distances (|x|^2 + |y|^2) - 2 x.y are built in place, in that
-    order, and partitioned in the product's memory: two (rows, n) arrays
-    at peak.
+    reproduce. That product is one call and the only (rows, n) array; the
+    steps after it run over row blocks of about ``_SCAN_CHUNK_BYTES``, so
+    the peak is one (rows, n) array plus one block.
+    Per block, the distances (|x|^2 + |y|^2) - 2 x.y are built in place
+    in the product's memory, in that order, clamped at zero with the self
+    match masked, and a copy of the block is partitioned for each row's
+    k1-th value.
     Every column at or below a row's k1-th value is ranked, so a tie
     group at the boundary is ranked whole.
     """
     G = X[rows] @ X.T
-    G *= 2.0
-    D = np.add.outer(sq[rows], sq)
-    D -= G
-    np.maximum(D, 0.0, out=D)
-    b, m = D.shape
-    D[np.arange(b), np.arange(m)[rows]] = np.inf
-    np.copyto(G, D)
-    G.partition(k1 - 1, axis=1)
-    kth = G[:, k1 - 1]
-    if not np.isfinite(kth).all():
-        raise AffinityError("candidate distances are not finite (feature overflow?)")
-    flat = np.flatnonzero(D <= kth[:, None])
-    return _rank_pairs(flat // m, flat % m, D.ravel()[flat], b, k1)
+    b, m = G.shape
+    sq_rows, self_cols = sq[rows], np.arange(m)[rows]
+    step = max(1, _SCAN_CHUNK_BYTES // (8 * m))
+    T = np.empty((min(step, b), m))
+    hits = []
+    for s in range(0, b, step):
+        D = G[s:s + step]
+        t = T[:D.shape[0]]
+        np.add.outer(sq_rows[s:s + step], sq, out=t)
+        D *= 2.0
+        np.subtract(t, D, out=D)
+        np.maximum(D, 0.0, out=D)
+        D[np.arange(D.shape[0]), self_cols[s:s + step]] = np.inf
+        np.copyto(t, D)
+        t.partition(k1 - 1, axis=1)
+        kth = t[:, k1 - 1]
+        if not np.isfinite(kth).all():
+            raise AffinityError("candidate distances are not finite (feature overflow?)")
+        hits.append(np.flatnonzero(D <= kth[:, None]) + s * m)
+    flat = np.concatenate(hits)
+    return _rank_pairs(flat // m, flat % m, G.ravel()[flat], b, k1)
 
 
 def _knn_scan(X: np.ndarray, k: int):

@@ -34,6 +34,10 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_VERIFY = 3
 
+# input files are hashed in reads of this many bytes, so a manifest's
+# memory does not grow with the dataset
+_HASH_CHUNK = 1 << 20
+
 
 class UsageError(Exception):
     pass
@@ -80,7 +84,8 @@ def _hash_inputs(paths: list[str]) -> str:
         for rel, path in files:
             h.update(rel.encode())
             with open(path, "rb") as fh:
-                h.update(fh.read())
+                for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
+                    h.update(chunk)
     return h.hexdigest()
 
 
@@ -141,8 +146,9 @@ def _forward_representations(stack: EncoderStack, g, nb, cfg: TrainConfig,
                              S: aff.AffinityMatrix | None = None):
     """Best-parameter representations: H, Y, S, Z = SH, and hetero Zt.
 
-    Without ``S`` it is rebuilt from this forward's H and Y (a checkpoint
-    stores no S).
+    ``train`` and sweep cells pass the S that training used
+    (``FitResult.S``). Without ``S`` (``eval`` and ``export``: a checkpoint
+    stores no S) it is rebuilt from this forward's H and Y.
     """
     H, _ = stack.g_phi.forward(g.features[stack.target_type])
     assign, _ = cluster_assign(stack.p_phi, H)
@@ -258,7 +264,7 @@ def _run_sweep_cell(packed) -> tuple:
     result = fit(g, cell_cfg, nb)
     save_checkpoint(os.path.join(cell_dir, "best.ckpt"), result.stack, cell_cfg)
     write_log(os.path.join(cell_dir, "training_log.tsv"), result.log)
-    _, _, _, Z, Zt = _forward_representations(result.stack, g, nb, cell_cfg)
+    _, _, _, Z, Zt = _forward_representations(result.stack, g, nb, cell_cfg, result.S)
     report = evaluate(Z, Zt, g.labels, g.train_idx, g.test_idx, cell_cfg.c,
                       seed=cell_cfg.seed)
     report.to_tsv(os.path.join(cell_dir, "eval_report.tsv"))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -451,19 +453,37 @@ def _scan_block_out_of_place(X, sq, rows, k1):
 @pytest.mark.parametrize("kind", ["random", "quantized", "duplicates"])
 def test_scan_block_in_place_keeps_the_bits(kind):
     rng = np.random.default_rng(61)
-    X = rng.standard_normal((150, 9))
-    if kind == "quantized":  # multiples of 0.1: many exact and near ties
-        X = np.round(X, 1)
-    elif kind == "duplicates":
-        X = X[rng.integers(0, 40, size=150)]
-    sq = np.einsum("ij,ij->i", X, X)
-    # the full slice takes the symmetric rank-k product, an index array
-    # the general one
-    for rows in (slice(0, 150), np.sort(rng.choice(150, 60, replace=False))):
-        idx, dist = aff._scan_block(X, sq, rows, 7)
-        idx_o, dist_o = _scan_block_out_of_place(X, sq, rows, 7)
-        assert np.array_equal(idx, idx_o)
-        assert np.array_equal(dist, dist_o)
+    # at n = 1000 both row kinds span several row blocks
+    assert aff._SCAN_CHUNK_BYTES // (8 * 1000) < 400
+    for n in (150, 1000):
+        X = rng.standard_normal((n, 9))
+        if kind == "quantized":  # multiples of 0.1: many exact and near ties
+            X = np.round(X, 1)
+        elif kind == "duplicates":
+            X = X[rng.integers(0, n // 4, size=n)]
+        sq = np.einsum("ij,ij->i", X, X)
+        # the full slice takes the symmetric rank-k product, an index array
+        # (the projected search's fallback) the general one
+        for rows in (slice(0, n), np.sort(rng.choice(n, 2 * n // 5, replace=False))):
+            idx, dist = aff._scan_block(X, sq, rows, 7)
+            idx_o, dist_o = _scan_block_out_of_place(X, sq, rows, 7)
+            assert np.array_equal(idx, idx_o)
+            assert np.array_equal(dist, dist_o)
+
+
+def test_scan_peak_memory_is_one_pairwise_array():
+    """The scan holds one (n, n) product; the distance, threshold and
+    partition steps run over row blocks of it."""
+    n = 1000
+    X = np.random.default_rng(67).standard_normal((n, 67))
+    nearest_candidates(X, 6)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        nearest_candidates(X, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * n * n * 8
 
 
 def _rank_oracle(pairs, n_rows, k1):

@@ -1,4 +1,5 @@
 import builtins
+import hashlib
 import json
 import os
 import shutil
@@ -465,6 +466,16 @@ def test_input_hash_depends_on_contents_not_location(tmp_path, dataset):
     with open(os.path.join(copy, "manifest.tsv"), "a") as fh:
         fh.write("started\tanother time\n")
     assert cli._hash_inputs([copy]) == cli._hash_inputs([dataset])
+    # files are read in chunks; the digest is the whole-file one
+    with open(os.path.join(copy, "big.bin"), "wb") as fh:
+        fh.write(np.random.default_rng(0).bytes(2 * cli._HASH_CHUNK + 17))
+    whole = hashlib.sha256()
+    for name in sorted(os.listdir(copy)):
+        if name != "manifest.tsv":
+            whole.update(name.encode())
+            with open(os.path.join(copy, name), "rb") as fh:
+                whole.update(fh.read())
+    assert cli._hash_inputs([copy]) == whole.hexdigest()
     labels = os.path.join(copy, "labels.tsv")
     with open(labels, "rb") as fh:
         raw = bytearray(fh.read())
@@ -608,6 +619,26 @@ def test_train_files_hold_the_affinity_training_used(tmp_path, dataset):
     expected = str(tmp_path / "embeddings.tsv")
     cli._write_embeddings(expected, propagate(result.S, H), Zt)
     with open(expected) as f1, open(os.path.join(run, "embeddings.tsv")) as f2:
+        assert f1.read() == f2.read()
+
+
+def test_sweep_cell_scores_the_affinity_training_used(tmp_path, dataset):
+    from hgsc.evaluation import evaluate
+    from hgsc.graph import build_neighborhoods
+    from hgsc.trainer import fit, load_checkpoint
+    out = str(tmp_path / "sweep")
+    assert cli.main(["sweep", "--data", dataset, "--out", out, "--c", "2",
+                     "--d1", "8", "--d2", "4", "--k", "3", "--max-epochs", "5",
+                     "--seed", "1"]) == 0
+    (cell,) = [os.path.join(out, d) for d in os.listdir(out) if d.startswith("cell_")]
+    g = load_graph(dataset)
+    nb = build_neighborhoods(g)
+    _, cfg = load_checkpoint(os.path.join(cell, "best.ckpt"), g, nb)
+    result = fit(g, cfg, nb)
+    _, _, _, Z, Zt = cli._forward_representations(result.stack, g, nb, cfg, result.S)
+    expected = str(tmp_path / "eval_report.tsv")
+    evaluate(Z, Zt, g.labels, g.train_idx, g.test_idx, cfg.c, seed=cfg.seed).to_tsv(expected)
+    with open(expected) as f1, open(os.path.join(cell, "eval_report.tsv")) as f2:
         assert f1.read() == f2.read()
 
 
