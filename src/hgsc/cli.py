@@ -18,15 +18,14 @@ from dataclasses import dataclass, fields, asdict
 import numpy as np
 
 from . import affinity as aff
-from .encoders import (EncoderConfigError, EncoderStack, RankDeficientError,
-                       cluster_assign, hetero_encode)
+from .encoders import EncoderConfigError, RankDeficientError
 from .evaluation import EvalError, evaluate
 from .graph import (GraphFormatError, GraphValidationError, build_neighborhoods,
                     field_type, load_graph, save_graph, write_fields)
 from .losses import write_log
 from .synth import SynthSpec, generate
 from .trainer import (NumericalDivergence, TrainConfig, fit, load_checkpoint,
-                      rebuild_affinity, save_checkpoint)
+                      represent, save_checkpoint)
 from .verify import run_suite, write_results
 
 EXIT_OK = 0
@@ -142,23 +141,6 @@ def _write_embeddings(path: str, Z: np.ndarray, Zt: np.ndarray) -> None:
     np.savetxt(path, np.hstack([Z, Zt]), fmt="%.10g", delimiter="\t")
 
 
-def _forward_representations(stack: EncoderStack, g, nb, cfg: TrainConfig,
-                             S: aff.AffinityMatrix | None = None):
-    """Best-parameter representations: H, Y, S, Z = SH, and hetero Zt.
-
-    ``train`` and sweep cells pass the S that training used
-    (``FitResult.S``). Without ``S`` (``eval`` and ``export``: a checkpoint
-    stores no S) it is rebuilt from this forward's H and Y.
-    """
-    H, _ = stack.g_phi.forward(g.features[stack.target_type])
-    assign, _ = cluster_assign(stack.p_phi, H)
-    if S is None:
-        S = rebuild_affinity(H, assign.Y, cfg)
-    Z = aff.propagate(S, H)
-    Zt, _ = hetero_encode(stack, g, nb)
-    return H, assign, S, Z, Zt
-
-
 def cmd_prepare(args) -> int:
     out = args.out
     if os.path.isdir(args.source):
@@ -195,7 +177,7 @@ def cmd_train(args) -> int:
     save_checkpoint(os.path.join(out, "best.ckpt"), result.stack, cfg)
     write_log(os.path.join(out, "training_log.tsv"), result.log)
     # the files hold what training measured: the best epoch's S, not a rebuild
-    _, _, S, Z, Zt = _forward_representations(result.stack, g, nb, cfg, result.S)
+    _, S, Z, Zt = represent(result.stack, g, nb, cfg, result.S)[0]
     S.save_tsv(os.path.join(out, "affinity.tsv"))
     _write_embeddings(os.path.join(out, "embeddings.tsv"), Z, Zt)
     _finish(man, out)
@@ -213,7 +195,8 @@ def cmd_eval(args) -> int:
     out = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     man = _manifest("eval", out, args.data, json.dumps(asdict(cfg)), cfg.seed,
                     [args.data, args.checkpoint], ["eval_report.tsv"])
-    _, _, _, Z, Zt = _forward_representations(stack, g, nb, cfg)
+    # a checkpoint stores no S: represent rebuilds it from this forward's H and Y
+    _, _, Z, Zt = represent(stack, g, nb, cfg)[0]
     report = evaluate(Z, Zt, g.labels, g.train_idx, g.test_idx, cfg.c, seed=cfg.seed)
     report.to_tsv(os.path.join(out, "eval_report.tsv"))
     print(report.summary())
@@ -256,15 +239,14 @@ def _parse_grid(text: str, kind=float) -> list:
 
 def _run_sweep_cell(packed) -> tuple:
     """One sweep cell as a standalone unit (usable from a worker process)."""
-    i, data_dir, cell_dir, cfg_dict = packed
-    cell_cfg = TrainConfig.from_dict(cfg_dict)
+    i, data_dir, cell_dir, cell_cfg = packed
     g = load_graph(data_dir)
     nb = build_neighborhoods(g)
     os.makedirs(cell_dir, exist_ok=True)
     result = fit(g, cell_cfg, nb)
     save_checkpoint(os.path.join(cell_dir, "best.ckpt"), result.stack, cell_cfg)
     write_log(os.path.join(cell_dir, "training_log.tsv"), result.log)
-    _, _, _, Z, Zt = _forward_representations(result.stack, g, nb, cell_cfg, result.S)
+    _, _, Z, Zt = represent(result.stack, g, nb, cell_cfg, result.S)[0]
     report = evaluate(Z, Zt, g.labels, g.train_idx, g.test_idx, cell_cfg.c,
                       seed=cell_cfg.seed)
     report.to_tsv(os.path.join(cell_dir, "eval_report.tsv"))
@@ -281,20 +263,20 @@ def cmd_sweep(args) -> int:
     if not cells:
         raise UsageError("empty sweep grid")
     out = args.out
+    # every cell's config is validated before anything is written or trained
+    packed = [(i, args.data,
+               os.path.join(out, f"cell_{i:03d}_mu{m:g}_delta{d:g}_k{k}_beta{b:g}"),
+               TrainConfig.from_dict({**asdict(cfg), "mu": m, "delta": d, "k": k,
+                                      "beta": b}))
+              for i, (m, d, k, b) in enumerate(cells)]
     man = _manifest("sweep", out, args.data, json.dumps(asdict(cfg)), cfg.seed,
                     [args.data, args.config], ["summary.tsv"])
-    jobs = max(1, args.jobs or 1)
-    packed = []
-    for i, (m, d, k, b) in enumerate(cells):
-        cell_cfg = {**asdict(cfg), "mu": m, "delta": d, "k": k, "beta": b}
-        cell_dir = os.path.join(out, f"cell_{i:03d}_mu{m:g}_delta{d:g}_k{k}_beta{b:g}")
-        packed.append((i, args.data, cell_dir, cell_cfg))
-    if jobs == 1:
+    if args.jobs == 1:
         results = [_run_sweep_cell(p) for p in packed]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_sweep_cell, packed))
     results.sort(key=lambda r: r[0])
     with open(os.path.join(out, "summary.tsv"), "w", encoding="utf-8") as fh:
@@ -315,7 +297,7 @@ def cmd_export(args) -> int:
     man = _manifest("export", out, args.data, json.dumps(asdict(cfg)), cfg.seed,
                     [args.data, args.checkpoint],
                     ["embeddings.tsv", "affinity.tsv", "assignments.tsv"])
-    _, assign, S, Z, Zt = _forward_representations(stack, g, nb, cfg)
+    assign, S, Z, Zt = represent(stack, g, nb, cfg)[0]  # S rebuilt, as in eval
     _write_embeddings(os.path.join(out, "embeddings.tsv"), Z, Zt)
     S.save_tsv(os.path.join(out, "affinity.tsv"))
     np.savetxt(os.path.join(out, "assignments.tsv"),
@@ -324,6 +306,18 @@ def cmd_export(args) -> int:
     _finish(man, out)
     print(f"exported embeddings, affinity, assignments to {out}")
     return EXIT_OK
+
+
+def _at_least(low: int):
+    """An argparse type: an int that is ``low`` or more."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -344,7 +338,7 @@ def build_parser() -> _Parser:
         for f in fields(TrainConfig):
             q.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                            type=field_type(f))
-        q.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
+        q.add_argument("--checkpoint-every", dest="checkpoint_every", type=_at_least(0))
 
     sp = sub.add_parser("train", help="fit the model and write run artifacts")
     add_train_flags(sp)
@@ -364,7 +358,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("sweep", help="grid sweep over mu/delta (and k, beta)")
     add_train_flags(sp)
-    sp.add_argument("--jobs", type=int, default=1,
+    sp.add_argument("--jobs", type=_at_least(1), default=1,
                     help="run sweep cells in this many worker processes")
     sp.add_argument("--mu-grid", dest="mu_grid")
     sp.add_argument("--delta-grid", dest="delta_grid")

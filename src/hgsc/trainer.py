@@ -20,7 +20,7 @@ from . import affinity as aff
 from .encoders import (EncoderConfigError, EncoderStack, cluster_assign,
                        hetero_encode, hetero_backward, orthogonal_backward)
 from .graph import (HeteroGraph, RelationNeighborhood, build_neighborhoods,
-                    read_fields)
+                    field_type, read_fields)
 from .losses import (LossReport, cluster_consistency, cluster_pool,
                      node_consistency, spectral_loss, total_objective)
 
@@ -75,9 +75,13 @@ class TrainConfig:
         candidate searches that all returned the same exact neighbors, and
         ``cc_pool_grad`` is accepted only as true, the one setting still
         implemented (the cluster-consistency gradient always flows through
-        the pooled centroids). Any other unknown key, a missing ``c`` or an
-        invalid value is a ValueError.
+        the pooled centroids). Any other unknown key, a missing ``c``, a
+        value of the wrong type (a bool or a string anywhere, a non-integer
+        in an int field; an int in a float field is fine) or an invalid
+        value is a ValueError, and so is a ``values`` that is not a dict.
         """
+        if not isinstance(values, dict):
+            raise ValueError(f"a config is a key/value mapping, not {values!r}")
         values = dict(values)
         values.pop("knn_method", None)
         pool_grad = values.pop("cc_pool_grad", True)
@@ -85,9 +89,13 @@ class TrainConfig:
             raise ValueError(f"cc_pool_grad={pool_grad!r} is no longer supported: "
                              "the cluster-consistency gradient always flows "
                              "through the pooled centroids")
-        for key in values:
+        for key, value in values.items():
             if key not in cls.__dataclass_fields__:
                 raise ValueError(f"unknown config key {key!r}")
+            kind = field_type(cls.__dataclass_fields__[key])
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                raise ValueError(f"config key {key!r} must be {kind.__name__}, "
+                                 f"got {value!r}")
         try:
             cfg = cls(**values)
         except TypeError as e:
@@ -146,7 +154,8 @@ def load_checkpoint(path: str, g: HeteroGraph, nb: RelationNeighborhood
     ``fit`` builds them. The stored stack_json must match the rebuilt stack
     (feature widths: of the types it records), the ``param:`` entries its
     names and shapes. A file that is not a readable .npz archive, a missing
-    or non-scalar entry, another version or a difference raises
+    or non-scalar entry, a JSON entry that does not parse, an invalid config
+    (``TrainConfig.from_dict``), another version or a difference raises
     EncoderConfigError naming it.
     """
     try:
@@ -157,20 +166,29 @@ def load_checkpoint(path: str, g: HeteroGraph, nb: RelationNeighborhood
             arrays = {k: data[k] for k in data.files}
     except (zipfile.BadZipFile, ValueError, EOFError) as e:
         raise EncoderConfigError(f"checkpoint {path} is not a readable .npz archive: {e}")
-    for key in ("version", "config_json", "stack_json"):
+    scalars = {}
+    for key, parse in (("version", int), ("config_json", json.loads),
+                       ("stack_json", json.loads)):
         if key not in arrays:
             raise EncoderConfigError(f"checkpoint {path} has no {key!r} entry")
         if arrays[key].shape != ():
             raise EncoderConfigError(f"checkpoint {path} has a non-scalar {key!r} entry")
-    version = int(arrays["version"])
+        try:
+            scalars[key] = parse(str(arrays[key]))
+        except ValueError as e:
+            raise EncoderConfigError(f"checkpoint {path} has a malformed {key!r} entry: {e}")
+    version = scalars["version"]
     if version != CHECKPOINT_VERSION:
         raise EncoderConfigError(f"unsupported checkpoint version {version}")
-    cfg = TrainConfig.from_dict(json.loads(str(arrays["config_json"])))
-    saved = json.loads(str(arrays["stack_json"]))
+    try:
+        cfg = TrainConfig.from_dict(scalars["config_json"])
+    except ValueError as e:
+        raise EncoderConfigError(f"checkpoint {path} has an invalid config: {e}")
+    saved = scalars["stack_json"]
     entries = {k.removeprefix("param:"): v for k, v in arrays.items()
                if k.startswith("param:")}
     if not (isinstance(saved, dict) and isinstance(saved.get("feature_dims"), dict)):
-        raise EncoderConfigError(f"checkpoint {path} has a malformed stack_json entry")
+        raise EncoderConfigError(f"checkpoint {path} has a malformed 'stack_json' entry")
     stack = build_stack(g, nb, cfg)
     ours = json.loads(_stack_json(stack))  # as stored: tuples read back as lists
     ours["feature_dims"] = {t: ours["feature_dims"].get(t) for t in saved["feature_dims"]}
@@ -252,23 +270,17 @@ class TrainStepper:
     def forward(self, S: aff.AffinityMatrix | None = None,
                 last_Y: np.ndarray | None = None,
                 yhat: np.ndarray | None = None) -> LossReport:
-        """Evaluate the objective. Without ``S`` it is rebuilt from this
-        forward's H and ``last_Y`` (default: this forward's Y). The hard
+        """Evaluate the objective on ``represent(..., S, last_Y)``. The hard
         indicators are constants of the backward pass; ``yhat`` fixes them
         (gradient checks), otherwise they are the argmax of the assignment.
         """
         stack, cfg = self.stack, self.cfg
-        H, c_g = stack.g_phi.forward(self.g.features[stack.target_type])
-        assign, c_p = cluster_assign(stack.p_phi, H)
-        self.Y = assign.Y
-        if S is None:
-            S = rebuild_affinity(H, self.Y if last_Y is None else last_Y, cfg)
-        self.S = S
+        (assign, S, Z, Zt), (c_g, c_p, c_h) = represent(stack, self.g, self.nb,
+                                                        cfg, S, last_Y)
+        self.S, self.Y = S, assign.Y
         if yhat is None:
             yhat = assign.yhat
         l_sp, g_Y, entropy = spectral_loss(S, assign.Y, cfg.gamma)
-        Z = aff.propagate(S, H)
-        Zt, c_h = hetero_encode(stack, self.g, self.nb)
         Q, c_q1 = stack.q_gamma.forward(Z)
         Qt, c_q2 = stack.q_gamma.forward(Zt)
         l_nc, g_Q_nc, g_Qt_nc = node_consistency(Q, Qt, cfg.eta)
@@ -337,6 +349,26 @@ def rebuild_affinity(H: np.ndarray, Y: np.ndarray,
                      cfg: TrainConfig) -> aff.AffinityMatrix:
     """The closed-form affinity from g_phi's output H and assignment Y."""
     return aff.build_affinity(H, Y, beta=cfg.beta, k=cfg.k)
+
+
+def represent(stack: EncoderStack, g: HeteroGraph, nb: RelationNeighborhood,
+              cfg: TrainConfig, S: aff.AffinityMatrix | None = None,
+              last_Y: np.ndarray | None = None):
+    """The stack's representations of ``g``: the cluster assignment, the
+    affinity S, Z = SH and the relation encoder's Zt.
+
+    Without ``S`` it is rebuilt from this forward's H and ``last_Y``
+    (default: this forward's Y). Returns ``((assign, S, Z, Zt), (c_g, c_p,
+    c_h))``; the second part holds the caches the backward needs, so a
+    caller that runs no backward takes ``[0]`` and lets them go.
+    """
+    H, c_g = stack.g_phi.forward(g.features[stack.target_type])
+    assign, c_p = cluster_assign(stack.p_phi, H)
+    if S is None:
+        S = rebuild_affinity(H, assign.Y if last_Y is None else last_Y, cfg)
+    Z = aff.propagate(S, H)
+    Zt, c_h = hetero_encode(stack, g, nb)
+    return (assign, S, Z, Zt), (c_g, c_p, c_h)
 
 
 def train_epoch(state: TrainState, g: HeteroGraph, nb: RelationNeighborhood,

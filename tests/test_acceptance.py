@@ -11,13 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from hgsc.affinity import build_affinity, laplacian, propagate
-from hgsc.encoders import hetero_encode, orthogonal_layer
+from hgsc.affinity import build_affinity, laplacian
+from hgsc.encoders import orthogonal_layer
 from hgsc.evaluation import kmeans_cluster, concat_representation, linear_probe
 from hgsc.graph import build_neighborhoods, load_graph
 from hgsc.losses import spectral_loss
 from hgsc.synth import SynthSpec, generate
-from hgsc.trainer import TrainConfig, TrainState, build_stack, fit, train_epoch
+from hgsc.trainer import (TrainConfig, TrainState, build_stack, fit, represent,
+                          train_epoch)
 from hgsc.verify import (check_qp_agreement, component_count, enumerate_partitions,
                          gradient_check, kyfan_check, ratiocut_check,
                          zero_eig_count)
@@ -158,15 +159,14 @@ def test_criterion_09_planted_partition_end_to_end():
     for seed in range(5):
         g = generate(SynthSpec(seed=seed, **PLANTED))
         nb = build_neighborhoods(g)
-        result = fit(g, TrainConfig(seed=seed, **PLANTED_CFG), nb)
+        cfg = TrainConfig(seed=seed, **PLANTED_CFG)
+        result = fit(g, cfg, nb)
         S = result.S
         labels = g.labels
         intra = sum(S.weights[i][labels[S.indices[i]] == labels[i]].sum()
                     for i in range(S.n)) / S.n
         intras.append(intra)
-        H, _ = result.stack.g_phi.forward(g.features[g.target_type])
-        Z = propagate(S, H)
-        Zt, _ = hetero_encode(result.stack, g, nb)
+        _, _, Z, Zt = represent(result.stack, g, nb, cfg, S)[0]
         v_nmi, _, _ = kmeans_cluster(concat_representation(Z, Zt), labels, 3, seed=0)
         nmis.append(v_nmi)
         comps.append(zero_eig_count(laplacian(S).toarray(), 1e-6))
@@ -221,9 +221,7 @@ def test_criterion_11_acm_reproduction():
     t0 = time.perf_counter()
     result = fit(g, cfg, nb)
     train_time = time.perf_counter() - t0
-    H, _ = result.stack.g_phi.forward(g.features[g.target_type])
-    Z = propagate(result.S, H)
-    Zt, _ = hetero_encode(result.stack, g, nb)
+    _, _, Z, Zt = represent(result.stack, g, nb, cfg, result.S)[0]
     X = concat_representation(Z, Zt)
     (macro, _), _ = linear_probe(X, g.labels, g.train_idx, g.test_idx, seed=0)
     report(11, train_time < 3600.0 and macro >= 0.89,

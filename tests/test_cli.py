@@ -233,8 +233,36 @@ def _plain_npy(path):
         np.save(fh, np.arange(4.0))
 
 
-@pytest.mark.parametrize("corrupt", [_non_scalar_version, _truncated, _plain_npy],
-                         ids=["non-scalar-version", "truncated", "plain-npy"])
+def _set_entry(path, key, text):
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays[key] = np.array(text)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _config_list(path):
+    _set_entry(path, "config_json", "[1, 2]")
+
+
+def _config_string_c(path):
+    _rewrite_checkpoint_config(path, c="x")
+
+
+def _config_not_json(path):
+    _set_entry(path, "config_json", "{c: 2}")
+
+
+def _stack_not_json(path):
+    _set_entry(path, "stack_json", "{target_type")
+
+
+@pytest.mark.parametrize("corrupt", [_non_scalar_version, _truncated, _plain_npy,
+                                     _config_list, _config_string_c, _config_not_json,
+                                     _stack_not_json],
+                         ids=["non-scalar-version", "truncated", "plain-npy",
+                              "config-list", "config-string-c", "config-not-json",
+                              "stack-not-json"])
 def test_malformed_checkpoint_file_exits_1(tmp_path, dataset, capsys, corrupt):
     run = str(tmp_path / "run")
     assert cli.main(train_args(dataset, run)) == 0
@@ -600,24 +628,21 @@ def test_periodic_checkpoints(tmp_path, dataset):
 
 
 def test_train_files_hold_the_affinity_training_used(tmp_path, dataset):
-    from hgsc.affinity import propagate
-    from hgsc.encoders import hetero_encode
     from hgsc.graph import build_neighborhoods
-    from hgsc.trainer import TrainConfig, fit
+    from hgsc.trainer import TrainConfig, fit, represent
     run = str(tmp_path / "run")
     assert cli.main(train_args(dataset, run)) == 0
     g = load_graph(dataset)
     nb = build_neighborhoods(g)
-    result = fit(g, TrainConfig(c=2, d1=8, d2=4, k=3, max_epochs=5, patience=30,
-                                seed=1), nb)
+    cfg = TrainConfig(c=2, d1=8, d2=4, k=3, max_epochs=5, patience=30, seed=1)
+    result = fit(g, cfg, nb)
     expected = str(tmp_path / "affinity.tsv")
     result.S.save_tsv(expected)
     with open(expected) as f1, open(os.path.join(run, "affinity.tsv")) as f2:
         assert f1.read() == f2.read()
-    H, _ = result.stack.g_phi.forward(g.features[g.target_type])
-    Zt, _ = hetero_encode(result.stack, g, nb)
+    _, _, Z, Zt = represent(result.stack, g, nb, cfg, result.S)[0]
     expected = str(tmp_path / "embeddings.tsv")
-    cli._write_embeddings(expected, propagate(result.S, H), Zt)
+    cli._write_embeddings(expected, Z, Zt)
     with open(expected) as f1, open(os.path.join(run, "embeddings.tsv")) as f2:
         assert f1.read() == f2.read()
 
@@ -625,7 +650,7 @@ def test_train_files_hold_the_affinity_training_used(tmp_path, dataset):
 def test_sweep_cell_scores_the_affinity_training_used(tmp_path, dataset):
     from hgsc.evaluation import evaluate
     from hgsc.graph import build_neighborhoods
-    from hgsc.trainer import fit, load_checkpoint
+    from hgsc.trainer import fit, load_checkpoint, represent
     out = str(tmp_path / "sweep")
     assert cli.main(["sweep", "--data", dataset, "--out", out, "--c", "2",
                      "--d1", "8", "--d2", "4", "--k", "3", "--max-epochs", "5",
@@ -635,7 +660,7 @@ def test_sweep_cell_scores_the_affinity_training_used(tmp_path, dataset):
     nb = build_neighborhoods(g)
     _, cfg = load_checkpoint(os.path.join(cell, "best.ckpt"), g, nb)
     result = fit(g, cfg, nb)
-    _, _, _, Z, Zt = cli._forward_representations(result.stack, g, nb, cfg, result.S)
+    _, _, Z, Zt = represent(result.stack, g, nb, cfg, result.S)[0]
     expected = str(tmp_path / "eval_report.tsv")
     evaluate(Z, Zt, g.labels, g.train_idx, g.test_idx, cfg.c, seed=cfg.seed).to_tsv(expected)
     with open(expected) as f1, open(os.path.join(cell, "eval_report.tsv")) as f2:
@@ -690,3 +715,58 @@ def test_sweep_empty_grid(tmp_path, dataset):
     rc = cli.main(["sweep", "--data", dataset, "--out", str(tmp_path / "s"),
                    "--c", "2", "--mu-grid", ""])
     assert rc == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("grid", ["--mu-grid", "--k-grid"])
+def test_sweep_validates_every_cell_before_training(tmp_path, dataset, capsys, grid):
+    out = tmp_path / "s"
+    values = "0.1,-1" if grid == "--mu-grid" else "3,0"
+    rc = cli.main(["sweep", "--data", dataset, "--out", str(out), "--c", "2",
+                   "--d1", "8", "--d2", "4", "--k", "3", "--max-epochs", "3",
+                   grid, values])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("sweep", "--jobs", "0"), ("sweep", "--jobs", "-3"),
+    ("train", "--checkpoint-every", "-2"), ("sweep", "--checkpoint-every", "-1"),
+])
+def test_flag_out_of_range_is_a_usage_error(tmp_path, dataset, capsys, command, flag,
+                                            value):
+    out = tmp_path / "run"
+    argv = train_args(dataset, str(out), [flag, value])
+    argv[0] = command
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {flag}: must be >= ")
+    assert not out.exists()
+
+
+def test_eval_and_export_rebuild_the_affinity_from_the_checkpoint(tmp_path, dataset):
+    # a checkpoint stores no S: both commands rebuild it from the stack's own Y
+    from hgsc.evaluation import evaluate
+    from hgsc.graph import build_neighborhoods
+    from hgsc.trainer import load_checkpoint, represent
+    run, exp, ev = (str(tmp_path / d) for d in ("run", "exp", "eval"))
+    assert cli.main(train_args(dataset, run)) == 0
+    ckpt = checkpoint_path(run)
+    assert cli.main(["export", "--data", dataset, "--checkpoint", ckpt, "--out", exp]) == 0
+    assert cli.main(["eval", "--data", dataset, "--checkpoint", ckpt, "--out", ev]) == 0
+    g = load_graph(dataset)
+    nb = build_neighborhoods(g)
+    stack, cfg = load_checkpoint(ckpt, g, nb)
+    assign, S, Z, Zt = represent(stack, g, nb, cfg)[0]
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    S.save_tsv(str(ref / "affinity.tsv"))
+    cli._write_embeddings(str(ref / "embeddings.tsv"), Z, Zt)
+    evaluate(Z, Zt, g.labels, g.train_idx, g.test_idx, cfg.c,
+             seed=cfg.seed).to_tsv(str(ref / "eval_report.tsv"))
+    for name, out in (("affinity.tsv", exp), ("embeddings.tsv", exp),
+                      ("eval_report.tsv", ev)):
+        assert (ref / name).read_text() == open(os.path.join(out, name)).read()
+    assignments = np.loadtxt(os.path.join(exp, "assignments.tsv"), dtype=int)
+    assert np.array_equal(assignments, np.column_stack([np.arange(g.n_target),
+                                                        assign.yhat]))

@@ -375,6 +375,19 @@ def test_config_from_dict_drops_retired_key_and_rejects_unknown():
         TrainConfig.from_dict({"c": 3, "patience": 0})
 
 
+@pytest.mark.parametrize("key,value", [("c", "x"), ("c", True), ("k", 2.5),
+                                       ("seed", 1.0), ("lr", "0.1"), ("mu", False),
+                                       ("beta", None)])
+def test_config_from_dict_rejects_a_value_of_the_wrong_type(key, value):
+    with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+        TrainConfig.from_dict({"c": 3, key: value})
+
+
+def test_config_from_dict_accepts_an_int_in_a_float_field():
+    cfg = TrainConfig.from_dict({"c": 3, "lr": 1, "grad_clip": 0})
+    assert cfg == TrainConfig(c=3, lr=1.0, grad_clip=0.0)
+
+
 def test_config_tsv_with_retired_key_loads(tmp_path):
     path = tmp_path / "cfg.tsv"
     path.write_text("c\t2\nk\t4\nknn_method\tpruned\n")
