@@ -188,7 +188,8 @@ def _knn_projected(X: np.ndarray, k: int):
     ``_rank_pairs``. When those balls exceed ``_REFINE_BUDGET`` pair
     coordinates (high intrinsic dimension) the rows are scanned instead.
     """
-    # imported here: scipy.spatial costs ~6 MiB that small inputs never need
+    # imported here: scipy.spatial costs ~14 MiB resident, about half of
+    # it the scipy.linalg it pulls in, which small inputs never need
     from scipy.spatial import cKDTree
 
     n, d = X.shape

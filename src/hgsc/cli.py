@@ -239,11 +239,11 @@ def _parse_grid(text: str, kind=float) -> list:
 
 def _run_sweep_cell(packed) -> tuple:
     """One sweep cell as a standalone unit (usable from a worker process)."""
-    i, data_dir, cell_dir, cell_cfg = packed
+    i, data_dir, cell_dir, cell_cfg, checkpoint_every = packed
     g = load_graph(data_dir)
     nb = build_neighborhoods(g)
     os.makedirs(cell_dir, exist_ok=True)
-    result = fit(g, cell_cfg, nb)
+    result = fit(g, cell_cfg, nb, checkpoint_dir=cell_dir, checkpoint_every=checkpoint_every)
     save_checkpoint(os.path.join(cell_dir, "best.ckpt"), result.stack, cell_cfg)
     write_log(os.path.join(cell_dir, "training_log.tsv"), result.log)
     _, _, Z, Zt = represent(result.stack, g, nb, cell_cfg, result.S)[0]
@@ -267,7 +267,8 @@ def cmd_sweep(args) -> int:
     packed = [(i, args.data,
                os.path.join(out, f"cell_{i:03d}_mu{m:g}_delta{d:g}_k{k}_beta{b:g}"),
                TrainConfig.from_dict({**asdict(cfg), "mu": m, "delta": d, "k": k,
-                                      "beta": b}))
+                                      "beta": b}),
+               args.checkpoint_every or 0)
               for i, (m, d, k, b) in enumerate(cells)]
     man = _manifest("sweep", out, args.data, json.dumps(asdict(cfg)), cfg.seed,
                     [args.data, args.config], ["summary.tsv"])

@@ -6,13 +6,21 @@ scatter/separation diagnostic, each one whole-array pass: the probe's
 repeats descend side by side, and neither k-means nor the silhouette
 holds an (n, c, d) or n x n temporary. k-means computes each centre's
 distances once per set of centres: the seeding's columns serve the first
-Lloyd step, and the last step's serve the final labels. The probe and
-k-means are pinned implementations (full-batch gradient descent, Lloyd
-with k-means++) so results are comparable across runs and platforms.
+Lloyd step, and the last step's serve the final labels. Within one call,
+a Lloyd step whose centre ended an earlier restart copies that centre's
+column instead of recomputing it. ``evaluate`` uses two threads: the
+probe's gradient descent runs on one worker thread while the calling
+thread does k-means, the silhouette and the scatter diagnostic; every
+other step, and every public function, runs on the calling thread. Each
+thread writes only its own arrays, so the results do not depend on the
+scheduling. The probe and k-means are pinned implementations (full-batch
+gradient descent, Lloyd with k-means++) so results are comparable across
+runs and platforms.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -83,6 +91,14 @@ def linear_probe(X: np.ndarray, labels: np.ndarray, train_idx: np.ndarray,
     as column blocks of one (d, repeats*c) weight matrix, block r seeded by
     ``default_rng(seed + r)``; returns ((macro mean, std), (micro mean, std)).
     """
+    Xtr, Xte, onehot, W, b = _probe_inputs(X, labels, train_idx, test_idx, repeats, seed)
+    _descend(Xtr, onehot, W, b, iters, lr)
+    return _probe_scores(Xte, np.asarray(labels)[test_idx], W, b, onehot.shape[2])
+
+
+def _probe_inputs(X, labels, train_idx, test_idx, repeats: int, seed: int):
+    """The probe's checked and standardized inputs: (Xtr, Xte, one-hot
+    training labels of shape (n_tr, 1, c), seeded W, zero b)."""
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
     if len(test_idx) == 0:
@@ -97,13 +113,17 @@ def linear_probe(X: np.ndarray, labels: np.ndarray, train_idx: np.ndarray,
     std[std == 0.0] = 1.0
     Xtr = (X[train_idx] - mean) / std
     Xte = (X[test_idx] - mean) / std
-    n_tr = len(train_idx)
     onehot = np.eye(c)[tr_labels][:, None, :]
     W = np.hstack([0.01 * np.random.default_rng(seed + r).standard_normal((X.shape[1], c))
                    for r in range(repeats)])
-    b = np.zeros(repeats * c)
+    return Xtr, Xte, onehot, W, np.zeros(repeats * c)
+
+
+def _descend(Xtr, onehot, W, b, iters: int = 1000, lr: float = 0.01) -> None:
+    """The probe's gradient descent, updating W and b in place."""
+    n_tr, _, c = onehot.shape
     for _ in range(iters):
-        z = (Xtr @ W + b).reshape(n_tr, repeats, c)
+        z = (Xtr @ W + b).reshape(n_tr, -1, c)
         # max is exact, so c - 1 elementwise passes give z.max(axis=2)'s
         # bits without a reduction over the short axis; the sum below keeps
         # its reduction, whose pairwise order slices would not reproduce
@@ -114,18 +134,24 @@ def linear_probe(X: np.ndarray, labels: np.ndarray, train_idx: np.ndarray,
         g = (e / e.sum(axis=2, keepdims=True) - onehot).reshape(n_tr, -1) / n_tr
         W -= lr * (Xtr.T @ g)
         b -= lr * g.sum(axis=0)
-    pred = np.argmax((Xte @ W + b).reshape(len(test_idx), repeats, c), axis=2)
-    macros, micros = np.array([f1_scores(labels[test_idx], p, c) for p in pred.T]).T
+
+
+def _probe_scores(Xte, y_test, W, b, c: int):
+    """F1 of each repeat's test predictions: ((macro mean, std), (micro mean, std))."""
+    pred = np.argmax((Xte @ W + b).reshape(len(Xte), -1, c), axis=2)
+    macros, micros = np.array([f1_scores(y_test, p, c) for p in pred.T]).T
     return ((float(np.mean(macros)), float(np.std(macros))),
             (float(np.mean(micros)), float(np.std(micros))))
 
 
-def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _sq_distances(X: np.ndarray, centers: np.ndarray, known: dict) -> np.ndarray:
     """(n, c) squared distances from the rows of X to the centres, one
-    centre at a time: no (n, c, d) temporary."""
+    centre at a time: no (n, c, d) temporary. A centre whose bytes key
+    ``known`` takes that column: it is what the sum would give."""
     D = np.empty((X.shape[0], len(centers)))
     for j, mu in enumerate(centers):
-        D[:, j] = ((X - mu) ** 2).sum(axis=1)
+        col = known.get(mu.tobytes())
+        D[:, j] = ((X - mu) ** 2).sum(axis=1) if col is None else col
     return D
 
 
@@ -154,7 +180,9 @@ def kmeans(X: np.ndarray, c: int, restarts: int = 10, seed: int = 0,
     centroid. Deterministic given the seed. Returns (labels, inertia).
     Each set of centres has its distances computed once: the seeding's
     serve the first step, and each step's serve the next step or, after
-    the last, the final labels and inertia.
+    the last, the final labels and inertia. Restarts often converge to the
+    same centres, so the columns of every centre that ended a restart are
+    kept, keyed by its bytes, and a later Lloyd step copies them.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -162,6 +190,7 @@ def kmeans(X: np.ndarray, c: int, restarts: int = 10, seed: int = 0,
         raise EvalError(f"cannot form {c} clusters from {n} points")
     rows = np.arange(n)
     best = None
+    known = {}  # at most restarts * c columns
     for r in range(restarts):
         rng = np.random.default_rng(seed * 1000 + r)
         centers, D = _kmeans_pp_init(X, c, rng)
@@ -181,7 +210,9 @@ def kmeans(X: np.ndarray, c: int, restarts: int = 10, seed: int = 0,
             assign = new_assign
             for j in np.unique(assign):
                 centers[j] = X[assign == j].mean(axis=0)
-            D = _sq_distances(X, centers)
+            D = _sq_distances(X, centers, known)
+        for j, mu in enumerate(centers):
+            known.setdefault(mu.tobytes(), D[:, j])
         assign = np.argmin(D, axis=1)
         inertia = float(D[rows, assign].sum())
         if best is None or inertia < best[1]:
@@ -253,8 +284,9 @@ def silhouette(X: np.ndarray, assignment: np.ndarray):
     with one 0/1 membership matrix that holds every repeat's clusters. Nodes
     in a singleton cluster, and nodes with a = b = 0, score 0.
     """
-    # imported here: scipy.spatial costs ~6 MiB resident, which importing
-    # hgsc and training should not pay
+    # imported here: scipy.spatial costs ~14 MiB resident, about half of
+    # it the scipy.linalg it pulls in, which importing hgsc and
+    # training should not pay
     from scipy.spatial.distance import cdist
 
     X = np.asarray(X, dtype=np.float64)
@@ -318,15 +350,23 @@ def evaluate(Z: np.ndarray, Zt: np.ndarray, labels: np.ndarray,
              repeats: int = 5, seed: int = 0) -> EvalReport:
     """Full downstream evaluation on [Z | Zt]."""
     X = concat_representation(Z, Zt)
-    (ma, mi) = linear_probe(X, labels, train_idx, test_idx, repeats=repeats, seed=seed)
-    nmis, aris, assigns = map(np.array, zip(*[
-        kmeans_cluster(X, labels, c, restarts=10, seed=seed + rep) for rep in range(repeats)]))
-    # a repeat whose k-means collapsed to one cluster scores silhouette 0
-    split = np.array([np.unique(a).size > 1 for a in assigns])
-    sils = np.zeros(repeats)
-    if split.any():
-        sils[split] = silhouette(X, assigns[split])
-    comp = complexity_measure(X, labels)
+    # the probe checks its split first, as linear_probe does; its descent
+    # then runs on a worker while this thread clusters, and the with block
+    # joins the worker however this thread leaves it
+    Xtr, Xte, onehot, W, b = _probe_inputs(X, labels, train_idx, test_idx, repeats, seed)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        descent = pool.submit(_descend, Xtr, onehot, W, b)
+        nmis, aris, assigns = map(np.array, zip(*[
+            kmeans_cluster(X, labels, c, restarts=10, seed=seed + rep)
+            for rep in range(repeats)]))
+        # a repeat whose k-means collapsed to one cluster scores silhouette 0
+        split = np.array([np.unique(a).size > 1 for a in assigns])
+        sils = np.zeros(repeats)
+        if split.any():
+            sils[split] = silhouette(X, assigns[split])
+        comp = complexity_measure(X, labels)
+        descent.result()
+    ma, mi = _probe_scores(Xte, np.asarray(labels)[test_idx], W, b, onehot.shape[2])
     agg = lambda xs: (float(np.mean(xs)), float(np.std(xs)))
     return EvalReport(macro_f1=ma, micro_f1=mi, nmi=agg(nmis), ari=agg(aris),
                       silhouette=agg(sils), complexity=(comp, 0.0))

@@ -179,7 +179,7 @@ def load_checkpoint(path: str, g: HeteroGraph, nb: RelationNeighborhood
             raise EncoderConfigError(f"checkpoint {path} has a malformed {key!r} entry: {e}")
     version = scalars["version"]
     if version != CHECKPOINT_VERSION:
-        raise EncoderConfigError(f"unsupported checkpoint version {version}")
+        raise EncoderConfigError(f"checkpoint {path} has unsupported version {version}")
     try:
         cfg = TrainConfig.from_dict(scalars["config_json"])
     except ValueError as e:

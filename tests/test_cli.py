@@ -438,7 +438,7 @@ def test_unsupported_checkpoint_version_exits_1(tmp_path, dataset, capsys, comma
     rc = cli.main([command, "--data", dataset, "--checkpoint", ckpt,
                    "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_USAGE
-    assert "version 99" in capsys.readouterr().err
+    assert f"checkpoint {ckpt} has unsupported version 99" in capsys.readouterr().err
 
 
 def test_eval_split_without_test_nodes_exits_1(tmp_path, dataset, capsys):
@@ -625,6 +625,22 @@ def test_periodic_checkpoints(tmp_path, dataset):
     rc = cli.main(["eval", "--data", dataset, "--checkpoint",
                    os.path.join(out, "epoch_2.ckpt"), "--out", str(tmp_path / "eval")])
     assert rc == 0
+
+
+def test_sweep_writes_periodic_checkpoints_in_each_cell(tmp_path, dataset):
+    base = ["sweep", "--data", dataset, "--c", "2", "--d1", "8", "--d2", "4",
+            "--k", "3", "--max-epochs", "4", "--patience", "30", "--seed", "1",
+            "--mu-grid", "0.1,1.0"]
+    every, default = str(tmp_path / "every"), str(tmp_path / "default")
+    assert cli.main(base + ["--out", every, "--checkpoint-every", "2"]) == 0
+    assert cli.main(base + ["--out", default]) == 0
+    for out, want in ((every, ["epoch_2.ckpt", "epoch_4.ckpt"]), (default, [])):
+        cells = sorted(d for d in os.listdir(out) if d.startswith("cell_"))
+        assert len(cells) == 2
+        for cell in cells:
+            snapshots = sorted(f for f in os.listdir(os.path.join(out, cell))
+                               if f.startswith("epoch_"))
+            assert snapshots == want
 
 
 def test_train_files_hold_the_affinity_training_used(tmp_path, dataset):

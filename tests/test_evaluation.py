@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import hgsc.evaluation as evaluation
-from hgsc.evaluation import (EvalError, ari, complexity_measure,
+from hgsc.evaluation import (EvalError, EvalReport, ari, complexity_measure,
                              concat_representation, evaluate, f1_scores,
                              kmeans, kmeans_cluster, linear_probe, nmi,
                              silhouette)
@@ -485,6 +486,27 @@ def test_kmeans_matches_reference_when_reseeding_an_empty_cluster():
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
+def test_kmeans_reuses_the_columns_of_earlier_restarts(monkeypatch):
+    # well separated blobs: most restarts end at the same centres, so later
+    # restarts' Lloyd steps find their columns known
+    Z, Zt, _, _, _ = planted_case(400, 3, 0.5, seed=19)
+    X = concat_representation(Z, Zt)
+    hits = []
+    real = evaluation._sq_distances
+
+    def counting(X, centers, known):
+        hits.append(sum(mu.tobytes() in known for mu in centers))
+        D = real(X, centers, known)
+        for j, mu in enumerate(centers):  # a copied column is the one the sum gives
+            assert np.array_equal(D[:, j], ((X - mu) ** 2).sum(axis=1))
+        return D
+
+    monkeypatch.setattr(evaluation, "_sq_distances", counting)
+    got, want = kmeans(X, 3, seed=4), reference_kmeans(X, 3, seed=4)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert sum(hits) >= 1
+
+
 def test_silhouette_ragged_last_block(monkeypatch):
     monkeypatch.setattr(evaluation, "_SILHOUETTE_BLOCK", 7)
     rng = np.random.default_rng(16)
@@ -557,6 +579,79 @@ def test_evaluate_scores_collapsed_kmeans_silhouette_zero(monkeypatch):
     X = concat_representation(Z, Z)
     kept = silhouette(X, real(X, c, 10, 0)[0])
     assert report.silhouette == (float(np.mean([kept, 0.0])), float(np.std([kept, 0.0])))
+
+
+def serial_evaluate(Z, Zt, labels, train, test, c, repeats, seed):
+    """evaluate's steps one after another on this thread."""
+    X = concat_representation(Z, Zt)
+    ma, mi = linear_probe(X, labels, train, test, repeats=repeats, seed=seed)
+    nmis, aris, sils = [], [], []
+    for rep in range(repeats):
+        n_, a_, assign = kmeans_cluster(X, labels, c, restarts=10, seed=seed + rep)
+        nmis.append(n_)
+        aris.append(a_)
+        sils.append(silhouette(X, assign) if np.unique(assign).size > 1 else 0.0)
+    agg = lambda xs: (float(np.mean(xs)), float(np.std(xs)))
+    return EvalReport(macro_f1=ma, micro_f1=mi, nmi=agg(nmis), ari=agg(aris),
+                      silhouette=agg(sils),
+                      complexity=(complexity_measure(X, labels), 0.0))
+
+
+def rounded_case():
+    # few distinct feature values: duplicate rows, ties and repeated centres
+    Z, Zt, labels, train, test = planted_case(300, 3, 1.0, seed=20)
+    return np.round(Z), np.round(Zt), labels, train, test
+
+
+@pytest.mark.parametrize("make,c", [
+    (lambda: planted_case(300, 3, 1.0, seed=300), 3),
+    (lambda: planted_case(400, 3, 50.0, seed=400), 3),
+    (lambda: planted_case(450, 9, 1.0, seed=450), 9),
+    (rounded_case, 3)], ids=["n300", "near-random", "c9", "rounded"])
+def test_evaluate_equals_the_serial_composition(make, c):
+    Z, Zt, labels, train, test = make()
+    got = evaluate(Z, Zt, labels, train, test, c, repeats=3, seed=2)
+    assert got == serial_evaluate(Z, Zt, labels, train, test, c, repeats=3, seed=2)
+
+
+def test_evaluate_equals_the_serial_composition_with_a_collapsed_repeat(monkeypatch):
+    Z, Zt, labels, train, test = planted_case(200, 2, 1.0, seed=21)
+    real = evaluation.kmeans
+    collapsed = lambda X, c, restarts, seed: (
+        (np.zeros(len(X), dtype=int), 0.0) if seed == 1 else real(X, c, restarts, seed))
+    monkeypatch.setattr(evaluation, "kmeans", collapsed)
+    got = evaluate(Z, Zt, labels, train, test, 2, repeats=2, seed=0)
+    assert got.silhouette[1] > 0.0  # one repeat scored 0, the other did not
+    assert got == serial_evaluate(Z, Zt, labels, train, test, 2, repeats=2, seed=0)
+
+
+def _no_test_nodes(labels, train, test):
+    return np.concatenate([train, test]), test[:0]
+
+
+def _class_missing_from_training(labels, train, test):
+    return train[labels[train] != 1], test
+
+
+@pytest.mark.parametrize("split,message", [
+    (_no_test_nodes, "no test nodes"), (_class_missing_from_training, "class 1")])
+def test_evaluate_raises_the_probe_error_and_leaves_no_thread(split, message):
+    Z, Zt, labels, train, test = planted_case(120, 3, 1.0, seed=22)
+    before = threading.active_count()
+    with pytest.raises(EvalError, match=message):
+        evaluate(Z, Zt, labels, *split(labels, train, test), 3, repeats=2)
+    assert threading.active_count() == before
+
+
+def test_evaluate_joins_its_worker_when_clustering_fails():
+    # k-means raises while the probe's descent runs beside it
+    Z, Zt, labels, train, test = planted_case(60, 3, 1.0, seed=23)
+    before = threading.active_count()
+    with pytest.raises(EvalError, match="cannot form 61 clusters"):
+        evaluate(Z, Zt, labels, train, test, 61, repeats=2)
+    assert threading.active_count() == before
+    evaluate(Z, Zt, labels, train, test, 3, repeats=2)
+    assert threading.active_count() == before
 
 
 def test_eval_report_tsv(tmp_path):
