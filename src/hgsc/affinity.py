@@ -52,7 +52,8 @@ class AffinityMatrix:
     ``weights[i]`` the matching weights. Rows flagged ``degenerate`` hit a
     distance tie through the (k+1)-th candidate and fall back to uniform
     weights. The sparse forms the training step multiplies by (``csr``,
-    ``csr_t``, ``sym_degree``) are built on first use and kept with S.
+    whose CSC view ``csr.T`` is S^T, and ``sym_degree``) are built on
+    first use and kept with S.
     """
 
     n: int
@@ -65,13 +66,6 @@ class AffinityMatrix:
     def csr(self) -> csr_matrix:
         """``to_csr()``, built once per S (S is not modified once built)."""
         return self.to_csr()
-
-    @cached_property
-    def csr_t(self) -> csr_matrix:
-        """S^T as an explicit CSR, built once per S. Its products equal
-        those of the CSC view ``csr.T`` bit for bit: both add each output
-        row's terms in source-row order."""
-        return self.csr.T.tocsr()
 
     @cached_property
     def sym_degree(self) -> np.ndarray:
@@ -336,7 +330,7 @@ def build_affinity(H: np.ndarray, Y: np.ndarray | None = None, beta: float = 0.0
 def laplacian(S: AffinityMatrix | csr_matrix) -> csr_matrix:
     """Symmetrized graph Laplacian L = D - (S + S^T)/2 with D the degree
     matrix of the symmetrized part."""
-    C = S.to_csr() if isinstance(S, AffinityMatrix) else csr_matrix(S)
+    C = S.csr if isinstance(S, AffinityMatrix) else csr_matrix(S)
     W = (C + C.T) * 0.5
     deg = np.asarray(W.sum(axis=1)).ravel()
     return (diags(deg) - W).tocsr()

@@ -53,16 +53,17 @@ def _limit_threads() -> None:
     if not cap:
         return
     try:
+        limit = int(cap)  # parsed first: a bad value is named whatever is installed
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=int(cap))
+    except ValueError:
+        print(f"warning: SCHOOL_THREADS={cap!r} is not an integer; ignored",
+              file=sys.stderr)
     except ImportError:
         print("warning: SCHOOL_THREADS is ignored: threadpoolctl is not "
               "installed (set OMP_NUM_THREADS/OPENBLAS_NUM_THREADS before "
               "start-up instead)", file=sys.stderr)
-    except ValueError:
-        print(f"warning: SCHOOL_THREADS={cap!r} is not an integer; ignored",
-              file=sys.stderr)
+    else:
+        threadpoolctl.threadpool_limits(limits=limit)
 
 
 def _hash_inputs(paths: list[str]) -> str:
@@ -162,6 +163,32 @@ def cmd_prepare(args) -> int:
     return EXIT_OK
 
 
+def _fit_and_save(data_dir: str, cfg: TrainConfig, out: str, checkpoint_every: int):
+    """Fit on ``data_dir``, write best.ckpt and training_log.tsv to ``out``, and
+    return (graph, FitResult, the best epoch's representation)."""
+    g = load_graph(data_dir)
+    nb = build_neighborhoods(g)
+    os.makedirs(out, exist_ok=True)
+    result = fit(g, cfg, nb, checkpoint_dir=out, checkpoint_every=checkpoint_every)
+    save_checkpoint(os.path.join(out, "best.ckpt"), result.stack, cfg)
+    write_log(os.path.join(out, "training_log.tsv"), result.log)
+    # outputs hold what training measured: the best epoch's S, not a rebuild
+    return g, result, represent(result.stack, g, nb, cfg, result.S)[0]
+
+
+def _represent_checkpoint(command: str, args, outputs: list[str]):
+    """Load ``args.checkpoint`` against ``args.data`` and start the command's
+    manifest; return (manifest, out dir, graph, config, representation)."""
+    g = load_graph(args.data)
+    nb = build_neighborhoods(g)
+    stack, cfg = load_checkpoint(args.checkpoint, g, nb)
+    out = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
+    man = _manifest(command, out, args.data, json.dumps(asdict(cfg)), cfg.seed,
+                    [args.data, args.checkpoint], outputs)
+    # a checkpoint stores no S: represent rebuilds it from this forward's H and Y
+    return man, out, g, cfg, represent(stack, g, nb, cfg)[0]
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     out = args.out
@@ -169,15 +196,8 @@ def cmd_train(args) -> int:
                     [args.data, args.config],
                     ["best.ckpt", "training_log.tsv", "affinity.tsv",
                      "embeddings.tsv", "config.tsv"])
-    g = load_graph(args.data)
-    nb = build_neighborhoods(g)
-    result = fit(g, cfg, nb, checkpoint_dir=out,
-                 checkpoint_every=args.checkpoint_every or 0)
+    _, result, (_, S, Z, Zt) = _fit_and_save(args.data, cfg, out, args.checkpoint_every or 0)
     write_fields(os.path.join(out, "config.tsv"), cfg)
-    save_checkpoint(os.path.join(out, "best.ckpt"), result.stack, cfg)
-    write_log(os.path.join(out, "training_log.tsv"), result.log)
-    # the files hold what training measured: the best epoch's S, not a rebuild
-    _, S, Z, Zt = represent(result.stack, g, nb, cfg, result.S)[0]
     S.save_tsv(os.path.join(out, "affinity.tsv"))
     _write_embeddings(os.path.join(out, "embeddings.tsv"), Z, Zt)
     _finish(man, out)
@@ -189,14 +209,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    g = load_graph(args.data)
-    nb = build_neighborhoods(g)
-    stack, cfg = load_checkpoint(args.checkpoint, g, nb)
-    out = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
-    man = _manifest("eval", out, args.data, json.dumps(asdict(cfg)), cfg.seed,
-                    [args.data, args.checkpoint], ["eval_report.tsv"])
-    # a checkpoint stores no S: represent rebuilds it from this forward's H and Y
-    _, _, Z, Zt = represent(stack, g, nb, cfg)[0]
+    man, out, g, cfg, (_, _, Z, Zt) = _represent_checkpoint("eval", args, ["eval_report.tsv"])
     report = evaluate(Z, Zt, g.labels, g.train_idx, g.test_idx, cfg.c, seed=cfg.seed)
     report.to_tsv(os.path.join(out, "eval_report.tsv"))
     print(report.summary())
@@ -240,13 +253,7 @@ def _parse_grid(text: str, kind=float) -> list:
 def _run_sweep_cell(packed) -> tuple:
     """One sweep cell as a standalone unit (usable from a worker process)."""
     i, data_dir, cell_dir, cell_cfg, checkpoint_every = packed
-    g = load_graph(data_dir)
-    nb = build_neighborhoods(g)
-    os.makedirs(cell_dir, exist_ok=True)
-    result = fit(g, cell_cfg, nb, checkpoint_dir=cell_dir, checkpoint_every=checkpoint_every)
-    save_checkpoint(os.path.join(cell_dir, "best.ckpt"), result.stack, cell_cfg)
-    write_log(os.path.join(cell_dir, "training_log.tsv"), result.log)
-    _, _, Z, Zt = represent(result.stack, g, nb, cell_cfg, result.S)[0]
+    g, _, (_, _, Z, Zt) = _fit_and_save(data_dir, cell_cfg, cell_dir, checkpoint_every)
     report = evaluate(Z, Zt, g.labels, g.train_idx, g.test_idx, cell_cfg.c,
                       seed=cell_cfg.seed)
     report.to_tsv(os.path.join(cell_dir, "eval_report.tsv"))
@@ -260,8 +267,6 @@ def cmd_sweep(args) -> int:
     ks = _parse_grid(args.k_grid, int) if args.k_grid is not None else [cfg.k]
     betas = _parse_grid(args.beta_grid) if args.beta_grid is not None else [cfg.beta]
     cells = [(m, d, k, b) for m in mus for d in deltas for k in ks for b in betas]
-    if not cells:
-        raise UsageError("empty sweep grid")
     out = args.out
     # every cell's config is validated before anything is written or trained
     packed = [(i, args.data,
@@ -291,14 +296,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export(args) -> int:
-    g = load_graph(args.data)
-    nb = build_neighborhoods(g)
-    stack, cfg = load_checkpoint(args.checkpoint, g, nb)
-    out = args.out
-    man = _manifest("export", out, args.data, json.dumps(asdict(cfg)), cfg.seed,
-                    [args.data, args.checkpoint],
-                    ["embeddings.tsv", "affinity.tsv", "assignments.tsv"])
-    assign, S, Z, Zt = represent(stack, g, nb, cfg)[0]  # S rebuilt, as in eval
+    man, out, _, _, (assign, S, Z, Zt) = _represent_checkpoint(
+        "export", args, ["embeddings.tsv", "affinity.tsv", "assignments.tsv"])
     _write_embeddings(os.path.join(out, "embeddings.tsv"), Z, Zt)
     S.save_tsv(os.path.join(out, "affinity.tsv"))
     np.savetxt(os.path.join(out, "assignments.tsv"),

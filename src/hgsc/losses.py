@@ -67,7 +67,7 @@ def spectral_loss(S: AffinityMatrix, Y: np.ndarray, gamma: float):
         raise ValueError(f"Y has {Y.shape[0]} rows, affinity is over {n} nodes")
     diff = Y[:, None, :] - Y[S.indices]
     smooth = float((S.weights * np.einsum("ikc,ikc->ik", diff, diff)).sum()) / n**2
-    grad = (4.0 / n**2) * (S.sym_degree[:, None] * Y - 0.5 * (S.csr @ Y + S.csr_t @ Y))
+    grad = (4.0 / n**2) * (S.sym_degree[:, None] * Y - 0.5 * (S.csr @ Y + S.csr.T @ Y))
     h, grad_h = assignment_entropy(Y)
     value = smooth - gamma * h
     grad = grad - gamma * grad_h

@@ -325,7 +325,7 @@ class TrainStepper:
         del d_Qt
         hetero_backward(stack, cache.pop("c_h"), d_Zt)
         del d_Zt
-        d_H = self.S.csr_t @ d_Z
+        d_H = self.S.csr.T @ d_Z
         del d_Z
         c_p, P = cache.pop("c_p")
         d_P = orthogonal_backward(w_sp * g.pop("Y"), P, cache.pop("R"))

@@ -256,16 +256,18 @@ def test_propagate_matches_dense_product():
 
 
 def test_explicit_transpose_products_equal_csc_products():
-    # the training step multiplies by S^T through an explicit CSR built once
-    # per S; it must add each row's terms in the CSC product's order
+    # the training step multiplies by S^T through the CSC view of the CSR
+    # cached with S; its products equal an explicit CSR transpose's bit for
+    # bit, as both add each output row's terms in source-row order
     rng = np.random.default_rng(23)
     n = 8000
     H = rng.standard_normal((n, 6))
     S = build_affinity(H, rng.standard_normal((n, 3)), beta=2.0, k=8)
-    assert S.csr is S.csr and S.csr_t is S.csr_t
+    assert S.csr is S.csr
+    explicit_t = S.to_csr().T.tocsr()
     for width in (1, 3, 160):
         V = rng.standard_normal((n, width))
-        assert np.array_equal(S.csr_t @ V, S.to_csr().T @ V)
+        assert np.array_equal(S.csr.T @ V, explicit_t @ V)
         assert np.array_equal(S.csr @ V, S.to_csr() @ V)
     deg = 0.5 * (S.row_sums() + np.asarray(S.to_csr().sum(axis=0)).ravel())
     assert np.allclose(S.sym_degree, deg, rtol=1e-14, atol=0.0)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,6 +74,60 @@ def test_prepare_missing_source(tmp_path):
     rc = cli.main(["prepare", "--source", str(tmp_path / "nope.tsv"),
                    "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_USAGE
+
+
+def dataset_files(path):
+    """A dataset directory's files and their bytes, its run manifest left out."""
+    return {name: open(os.path.join(path, name), "rb").read()
+            for name in sorted(os.listdir(path)) if name != "manifest.tsv"}
+
+
+def manifest_fields(path):
+    with open(os.path.join(path, "manifest.tsv")) as fh:
+        return dict(line.rstrip("\n").split("\t", 1) for line in fh)
+
+
+def test_prepare_copies_a_dataset_directory(tmp_path, dataset):
+    out = str(tmp_path / "copy")
+    assert cli.main(["prepare", "--source", dataset, "--out", out]) == 0
+    assert dataset_files(out) == dataset_files(dataset)
+    assert manifest_fields(out)["config"] == "copy"
+
+
+def test_prepare_seed_overrides_the_spec(tmp_path, dataset, synth_spec_file):
+    out = str(tmp_path / "seeded")
+    assert cli.main(["prepare", "--source", synth_spec_file, "--out", out,
+                     "--seed", "7"]) == 0
+    assert manifest_fields(out)["seed"] == "7"
+    spec = SynthSpec.from_tsv(synth_spec_file)
+    spec.seed = 7
+    path = str(tmp_path / "spec7.tsv")
+    write_fields(path, spec)
+    ref = str(tmp_path / "ref")
+    assert cli.main(["prepare", "--source", path, "--out", ref]) == 0
+    assert dataset_files(out) == dataset_files(ref) != dataset_files(dataset)
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("features_item.tsv", lambda text: "nan" + text[text.index("\t"):],
+     "type 'item': non-finite feature values"),
+    ("split.tsv", lambda text: text + "3\tvalid\n", "split.tsv: unknown split 'valid'"),
+    ("meta.tsv", lambda text: text.replace("target\titem\n", ""),
+     "meta.tsv: no target row"),
+])
+def test_load_graph_errors_exit_1_with_their_message(tmp_path, dataset, capsys,
+                                                     name, edit, message):
+    bad = str(tmp_path / "bad")
+    shutil.copytree(dataset, bad)
+    path = os.path.join(bad, name)
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(edit(text))
+    out = str(tmp_path / "out")
+    assert cli.main(["prepare", "--source", bad, "--out", out]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out)
 
 
 def test_train_writes_artifacts(tmp_path, dataset):
@@ -530,6 +585,32 @@ def test_school_threads_warns_without_threadpoolctl(monkeypatch, capsys):
     monkeypatch.delenv("SCHOOL_THREADS")
     cli._limit_threads()
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("installed", [False, True])
+def test_school_threads_names_a_value_that_is_not_an_integer(monkeypatch, capsys,
+                                                            installed):
+    real_import = builtins.__import__
+    applied = []
+    fake = SimpleNamespace(threadpool_limits=lambda limits: applied.append(limits))
+
+    def fake_import(name, *args, **kwargs):
+        if name == "threadpoolctl":
+            if not installed:
+                raise ImportError(name)
+            return fake
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", fake_import)
+    monkeypatch.setenv("SCHOOL_THREADS", "x")
+    cli._limit_threads()
+    assert capsys.readouterr().err == ("warning: SCHOOL_THREADS='x' is not an "
+                                       "integer; ignored\n")
+    assert applied == []
+    monkeypatch.setenv("SCHOOL_THREADS", "1")
+    cli._limit_threads()
+    assert (capsys.readouterr().err == "") == installed
+    assert applied == ([1] if installed else [])
 
 
 def test_export_writes_files(tmp_path, dataset):

@@ -300,8 +300,10 @@ def test_gradient_check_unknown_term():
 
 # -------------------------------------------------------------------- suite
 
-def test_run_suite_small_passes(tmp_path):
-    results = run_suite(scale="small", seed=0)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_suite_small_passes(tmp_path, seed):
+    # seed 1 draws a disconnected block for component_eig_count
+    results = run_suite(scale="small", seed=seed)
     names = [r.name for r in results]
     assert names == ["qp_closed_form", "row_stochastic", "orthogonal_layer",
                      "component_eig_count", "kyfan", "ratiocut_trace",
