@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import shutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,8 +79,8 @@ def test_prepare_missing_source(tmp_path):
 
 def dataset_files(path):
     """A dataset directory's files and their bytes, its run manifest left out."""
-    return {name: open(os.path.join(path, name), "rb").read()
-            for name in sorted(os.listdir(path)) if name != "manifest.tsv"}
+    return {f.name: f.read_bytes()
+            for f in sorted(Path(path).iterdir()) if f.name != "manifest.tsv"}
 
 
 def manifest_fields(path):
