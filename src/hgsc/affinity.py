@@ -327,13 +327,10 @@ def build_affinity(H: np.ndarray, Y: np.ndarray | None = None, beta: float = 0.0
         degenerate=alphas <= 0.0)
 
 
-def laplacian(S: AffinityMatrix | csr_matrix) -> csr_matrix:
-    """Symmetrized graph Laplacian L = D - (S + S^T)/2 with D the degree
-    matrix of the symmetrized part."""
-    C = S.csr if isinstance(S, AffinityMatrix) else csr_matrix(S)
-    W = (C + C.T) * 0.5
-    deg = np.asarray(W.sum(axis=1)).ravel()
-    return (diags(deg) - W).tocsr()
+def laplacian(S: AffinityMatrix) -> csr_matrix:
+    """Symmetrized graph Laplacian L = D - (S + S^T)/2, with D the diagonal
+    of ``S.sym_degree``, the degree the spectral gradient uses."""
+    return (diags(S.sym_degree) - (S.csr + S.csr.T) * 0.5).tocsr()
 
 
 def propagate(S: AffinityMatrix, H: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from . import affinity as aff
 from .encoders import EncoderConfigError, RankDeficientError
 from .evaluation import EvalError, evaluate
 from .graph import (GraphFormatError, GraphValidationError, build_neighborhoods,
-                    field_type, load_graph, save_graph, write_fields)
+                    field_type, load_graph, read_fields, save_graph, write_fields)
 from .losses import write_log
 from .synth import SynthSpec, generate
 from .trainer import (NumericalDivergence, TrainConfig, fit, load_checkpoint,
@@ -126,16 +126,11 @@ def _finish(man: RunManifest, out_dir: str) -> None:
 
 
 def _load_config(args) -> TrainConfig:
-    if args.config:
-        cfg = TrainConfig.from_tsv(args.config)
-    else:
-        cfg = TrainConfig(c=2)
-    for f in fields(TrainConfig):
-        val = getattr(args, f.name)
-        if val is not None:
-            setattr(cfg, f.name, val)
-    cfg.validate()
-    return cfg
+    """The config file's values (c = 2 without a file) under the flags given."""
+    known = TrainConfig.__dataclass_fields__
+    values = read_fields(args.config, known) if args.config else {"c": 2}
+    values.update((k, v) for k, v in vars(args).items() if k in known and v is not None)
+    return TrainConfig.from_dict(values)
 
 
 def _write_embeddings(path: str, Z: np.ndarray, Zt: np.ndarray) -> None:
@@ -145,18 +140,14 @@ def _write_embeddings(path: str, Z: np.ndarray, Zt: np.ndarray) -> None:
 def cmd_prepare(args) -> int:
     out = args.out
     if os.path.isdir(args.source):
-        g = load_graph(args.source)
-        man = _manifest("prepare", out, args.source, "copy", 0,
-                        [args.source], ["dataset"])
-        save_graph(g, out)
+        g, config, seed = load_graph(args.source), "copy", 0
     else:
         spec = SynthSpec.from_tsv(args.source)
         if args.seed is not None:
             spec.seed = args.seed
-        man = _manifest("prepare", out, args.source, str(asdict(spec)), spec.seed,
-                        [args.source], ["dataset"])
-        g = generate(spec)
-        save_graph(g, out)
+        g, config, seed = generate(spec), json.dumps(asdict(spec)), spec.seed
+    man = _manifest("prepare", out, args.source, config, seed, [args.source], ["dataset"])
+    save_graph(g, out)
     _finish(man, out)
     print(f"wrote dataset: {out} ({g.n_target} target nodes, "
           f"{len(g.relations)} relations)")

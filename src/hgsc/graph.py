@@ -14,7 +14,8 @@ On-disk dataset layout (all files UTF-8, tab-separated, LF endings,
 
 Edges, labels and split are read by their first two columns; later fields
 are ignored and an empty edges file is a relation without edges. A short or
-unparsable row, or a features file not ``feature_dim`` wide, raises
+unparsable row, a features file not ``feature_dim`` wide, or a second
+meta.tsv row for a node type, a relation or the target raises
 ``GraphFormatError`` naming the file. Non-target types may omit their
 features file; it is then synthesized as one-hot rows (see ``load_graph``).
 """
@@ -191,6 +192,7 @@ def load_graph(path: str) -> HeteroGraph:
     dims: dict[str, int] = {}
     rel_decls: list[tuple[str, str, str]] = []
     target_type = None
+    declared = set()
     for lineno, row in _read_rows(meta_path):
         tag = row[0]
         try:
@@ -199,6 +201,10 @@ def load_graph(path: str) -> HeteroGraph:
             if len(row) != _META_WIDTH[tag]:
                 raise ValueError(f"a {tag} row has {_META_WIDTH[tag]} fields, "
                                  f"got {len(row)}")
+            name = "" if tag == "target" else row[1]
+            if (tag, name) in declared:
+                raise ValueError(f"a second {tag} row" + (name and f" for {name!r}"))
+            declared.add((tag, name))
             if tag == "node":
                 _, name, count, dim = row
                 counts[name], dims[name] = int(count), int(dim)
@@ -254,7 +260,8 @@ def load_graph(path: str) -> HeteroGraph:
     if unknown.any():
         raise GraphFormatError(f"split.tsv: unknown split {str(part[np.argmax(unknown)])!r}")
     try:
-        node = node.astype(np.int64)
+        # parsed from Python strings, so the error quotes 'x', not np.str_('x')
+        node = np.asarray(node.tolist(), dtype=np.int64)
     except ValueError as e:
         raise GraphFormatError(f"malformed file {split_path}: {e}") from None
 
@@ -318,6 +325,26 @@ def read_fields(path: str, fields: dict) -> dict:
             except ValueError as e:
                 raise ValueError(f"{path}, line {lineno}: {e}") from None
     return values
+
+
+def from_fields(cls, values: dict, what: str):
+    """A validated ``cls`` (a dataclass with ``validate()``) from ``values``.
+    An unknown key, a value of the wrong type (a bool or a string anywhere,
+    a non-integer in an int field; an int in a float field is fine), a
+    missing field or a value ``validate`` rejects is a ValueError, whose
+    text names the kind of input, ``what`` ("config", "generator")."""
+    for key, value in values.items():
+        if key not in cls.__dataclass_fields__:
+            raise ValueError(f"unknown {what} key {key!r}")
+        kind = field_type(cls.__dataclass_fields__[key])
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            raise ValueError(f"{what} key {key!r} must be {kind.__name__}, got {value!r}")
+    try:
+        obj = cls(**values)
+    except TypeError as e:
+        raise ValueError(f"incomplete {what}: {e}") from e
+    obj.validate()
+    return obj
 
 
 def write_fields(path: str, obj) -> None:

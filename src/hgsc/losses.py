@@ -93,9 +93,10 @@ def node_consistency(Q: np.ndarray, Qt: np.ndarray, eta: float):
     lse = float(cmax + np.log(Z))
     W = E / Z
     Wsym = W + W.T
-    grad_Q = 2.0 * Rdiff + eta * (Q @ Wsym)
-    grad_Qt = -2.0 * Rdiff + eta * (Qt @ Wsym)
-    return fro + eta * lse, grad_Q, grad_Qt
+    Rdiff *= 2.0  # the Frobenius term's gradient in Q; its negation is Qt's
+    grad_Qt = eta * (Qt @ Wsym) - Rdiff
+    Rdiff += eta * (Q @ Wsym)
+    return fro + eta * lse, Rdiff, grad_Qt
 
 
 def _cluster_sums(V: np.ndarray, yhat: np.ndarray, c: int) -> np.ndarray:
@@ -139,9 +140,8 @@ def cluster_consistency(Qt: np.ndarray, Qhat: np.ndarray, yhat: np.ndarray):
         raise IndexError("cluster indicator out of range for centroid matrix")
     diff = Qt - Qhat[yhat]
     value = float((diff * diff).sum())
-    grad_Qt = 2.0 * diff
-    grad_Qhat = _cluster_sums(-2.0 * diff, yhat, Qhat.shape[0])
-    return value, grad_Qt, grad_Qhat
+    diff *= 2.0  # grad_Qt; a sum of negated rows is the negated sum, bit for bit
+    return value, diff, -_cluster_sums(diff, yhat, Qhat.shape[0])
 
 
 def total_objective(l_sp: float, l_nc: float, l_cc: float,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import HeteroGraph, Relation, read_fields
+from .graph import HeteroGraph, Relation, from_fields, read_fields
 
 
 @dataclass
@@ -48,13 +48,7 @@ class SynthSpec:
 
     @classmethod
     def from_tsv(cls, path: str) -> "SynthSpec":
-        kwargs = read_fields(path, cls.__dataclass_fields__)
-        for key in kwargs:
-            if key not in cls.__dataclass_fields__:
-                raise ValueError(f"unknown generator key {key!r}")
-        spec = cls(**kwargs)
-        spec.validate()
-        return spec
+        return from_fields(cls, read_fields(path, cls.__dataclass_fields__), "generator")
 
 
 def _blocked_features(rng, count: int, dim: int, c: int,

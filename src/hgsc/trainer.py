@@ -20,7 +20,7 @@ from . import affinity as aff
 from .encoders import (EncoderConfigError, EncoderStack, cluster_assign,
                        hetero_encode, hetero_backward, orthogonal_backward)
 from .graph import (HeteroGraph, RelationNeighborhood, build_neighborhoods,
-                    field_type, read_fields)
+                    from_fields, read_fields)
 from .losses import (LossReport, cluster_consistency, cluster_pool,
                      node_consistency, spectral_loss, total_objective)
 
@@ -68,17 +68,13 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
-        """Validated config from a key/value mapping (a TSV file, the JSON
-        stored in a checkpoint, a sweep cell).
-
-        Two retired keys are dropped: ``knn_method`` chose between
-        candidate searches that all returned the same exact neighbors, and
-        ``cc_pool_grad`` is accepted only as true, the one setting still
-        implemented (the cluster-consistency gradient always flows through
-        the pooled centroids). Any other unknown key, a missing ``c``, a
-        value of the wrong type (a bool or a string anywhere, a non-integer
-        in an int field; an int in a float field is fine) or an invalid
-        value is a ValueError, and so is a ``values`` that is not a dict.
+        """Config from a key/value dict (a TSV file's values merged with the
+        CLI's flags, a checkpoint's JSON, a sweep cell), checked by
+        ``graph.from_fields``. Two retired keys are dropped: ``knn_method``
+        chose between searches that all returned the same exact neighbors,
+        and ``cc_pool_grad`` is accepted only as true, the one setting
+        still implemented (the cluster-consistency gradient always flows
+        through the pooled centroids).
         """
         if not isinstance(values, dict):
             raise ValueError(f"a config is a key/value mapping, not {values!r}")
@@ -89,19 +85,7 @@ class TrainConfig:
             raise ValueError(f"cc_pool_grad={pool_grad!r} is no longer supported: "
                              "the cluster-consistency gradient always flows "
                              "through the pooled centroids")
-        for key, value in values.items():
-            if key not in cls.__dataclass_fields__:
-                raise ValueError(f"unknown config key {key!r}")
-            kind = field_type(cls.__dataclass_fields__[key])
-            if isinstance(value, bool) or not isinstance(value, (int, kind)):
-                raise ValueError(f"config key {key!r} must be {kind.__name__}, "
-                                 f"got {value!r}")
-        try:
-            cfg = cls(**values)
-        except TypeError as e:
-            raise ValueError(f"incomplete config: {e}") from e
-        cfg.validate()
-        return cfg
+        return from_fields(cls, values, "config")
 
     @classmethod
     def from_tsv(cls, path: str) -> "TrainConfig":
@@ -313,9 +297,10 @@ class TrainStepper:
         counts, g_Qhat = cache.pop("counts"), g.pop("Qhat")
         per_row = np.zeros_like(g_Qhat)
         nonempty = counts > 0
-        per_row[nonempty] = g_Qhat[nonempty] / counts[nonempty, None]
+        # the c centroid rows are scaled by w_cc, not the n rows gathered below
+        per_row[nonempty] = w_cc * (g_Qhat[nonempty] / counts[nonempty, None])
         d_Q = w_nc * g.pop("Q_nc")
-        d_Q += w_cc * per_row[cache.pop("yhat")]
+        d_Q += per_row[cache.pop("yhat")]
         d_Qt = w_nc * g.pop("Qt_nc")
         d_Qt += w_cc * g.pop("Qt_cc")
         stack.zero_grads()

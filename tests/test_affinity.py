@@ -164,15 +164,23 @@ def test_laplacian_two_node_chain():
     assert np.allclose(L, [[1.0, -1.0], [-1.0, 1.0]])
 
 
+def block_diagonal(blocks):
+    """The affinities ``blocks`` (one k) as one block-diagonal S: each block's
+    indices shifted by its offset."""
+    offsets = np.cumsum([0] + [b.n for b in blocks])
+    return AffinityMatrix(n=int(offsets[-1]), k=blocks[0].k,
+                          indices=np.vstack([b.indices + offsets[j]
+                                             for j, b in enumerate(blocks)]),
+                          weights=np.vstack([b.weights for b in blocks]),
+                          degenerate=np.concatenate([b.degenerate for b in blocks]))
+
+
 def test_laplacian_block_structure_preserved():
     rng = np.random.default_rng(2)
     blocks = [build_affinity(rng.standard_normal((8, 2)), k=2) for _ in range(3)]
     dense_blocks = [laplacian(b).toarray() for b in blocks]
-    n = sum(b.shape[0] for b in dense_blocks)
     # assemble block-diagonal S and compare
-    from scipy.sparse import block_diag
-    S_big = block_diag([b.to_csr() for b in blocks]).tocsr()
-    L_big = laplacian(S_big).toarray()
+    L_big = laplacian(block_diagonal(blocks)).toarray()
     at = 0
     for b in dense_blocks:
         m = b.shape[0]
@@ -214,18 +222,11 @@ def test_zero_eig_count_matches_components():
     rng = np.random.default_rng(9)
     for m in (1, 2, 3, 4):
         blocks = [connected_block(rng, 10 + 3 * j) for j in range(m)]
-        from scipy.sparse import block_diag
-        S_big = block_diag([b.to_csr() for b in blocks]).tocsr()
-        L = laplacian(S_big).toarray()
-        w = np.linalg.eigvalsh(L)
+        S_big = block_diagonal(blocks)
+        w = np.linalg.eigvalsh(laplacian(S_big).toarray())
         n_zero = int((w < 1e-8).sum())
         # union-find on the assembled support
-        offsets = np.cumsum([0] + [b.n for b in blocks])
-        idx = np.vstack([b.indices + offsets[j] for j, b in enumerate(blocks)])
-        wts = np.vstack([b.weights for b in blocks])
-        S_asm = AffinityMatrix(n=offsets[-1], k=2, indices=idx, weights=wts,
-                               degenerate=np.zeros(offsets[-1], dtype=bool))
-        assert n_zero == component_count(S_asm) == m
+        assert n_zero == component_count(S_big) == m
 
 
 # --------------------------------------------------------------- propagate

@@ -54,20 +54,36 @@ def test_prepare_is_deterministic(tmp_path, synth_spec_file):
             assert f1.read() == f2.read()
 
 
-@pytest.mark.parametrize("key,value", [
-    ("aux_count", "0"), ("feature_dim", "0"), ("aux_feature_dim", "0"),
-    ("relations", "0"), ("edges_per_node", "-2"), ("separation", "nan"),
-    ("separation", "-1"), ("noise", "inf"), ("noise", "nan"),
-])
-def test_prepare_rejects_invalid_spec_value(tmp_path, synth_spec_file, capsys, key, value):
-    spec = SynthSpec.from_tsv(synth_spec_file)
-    setattr(spec, key, type(getattr(spec, key))(value))
+BAD_SPEC_VALUES = [
+    ("aux_count", "0", "aux_count must be >= 1"),
+    ("feature_dim", "0", "feature_dim must be >= 1"),
+    ("aux_feature_dim", "0", "aux_feature_dim must be >= 1"),
+    ("relations", "0", "relations must be >= 1"),
+    ("edges_per_node", "-2", "edges_per_node must be >= 0"),
+    ("separation", "nan", "separation must be finite and >= 0"),
+    ("separation", "-1", "separation must be finite and >= 0"),
+    ("noise", "inf", "noise must be finite and >= 0"),
+    ("noise", "nan", "noise must be finite and >= 0"),
+    ("n", "1", "need n >= c >= 1"),
+    ("cross_edge_rate", "1.5", "cross_edge_rate must be in [0, 1]"),
+    ("cross_edge_rate", "-0.5", "cross_edge_rate must be in [0, 1]"),
+    ("train_frac", "0", "train_frac must be in (0, 1)"),
+    ("train_frac", "1", "train_frac must be in (0, 1)"),
+    ("colour", "red", "unknown generator key 'colour'"),
+]
+
+
+@pytest.mark.parametrize("key,value,message", BAD_SPEC_VALUES,
+                         ids=[f"{key}-{value}" for key, value, _ in BAD_SPEC_VALUES])
+def test_prepare_rejects_invalid_spec_value(tmp_path, synth_spec_file, capsys, key, value,
+                                            message):
     path = str(tmp_path / "bad.tsv")
-    write_fields(path, spec)
+    shutil.copy(synth_spec_file, path)
+    with open(path, "a") as fh:  # a later line for a key replaces the earlier one
+        fh.write(f"{key}\t{value}\n")
     out = str(tmp_path / "out")
     assert cli.main(["prepare", "--source", path, "--out", out]) == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not os.path.exists(out)
 
 
@@ -95,6 +111,11 @@ def test_prepare_copies_a_dataset_directory(tmp_path, dataset):
     assert manifest_fields(out)["config"] == "copy"
 
 
+def test_prepare_manifest_records_the_spec_as_json(dataset, synth_spec_file):
+    config = json.loads(manifest_fields(dataset)["config"])
+    assert SynthSpec(**config) == SynthSpec.from_tsv(synth_spec_file)
+
+
 def test_prepare_seed_overrides_the_spec(tmp_path, dataset, synth_spec_file):
     out = str(tmp_path / "seeded")
     assert cli.main(["prepare", "--source", synth_spec_file, "--out", out,
@@ -115,19 +136,38 @@ def test_prepare_seed_overrides_the_spec(tmp_path, dataset, synth_spec_file):
     ("split.tsv", lambda text: text + "3\tvalid\n", "split.tsv: unknown split 'valid'"),
     ("meta.tsv", lambda text: text.replace("target\titem\n", ""),
      "meta.tsv: no target row"),
+    # the prepared meta.tsv has 6 rows, so an appended row is line 7
+    ("meta.tsv", lambda text: text + "edge\trel0\titem\tctx1\n",
+     "{bad}/meta.tsv, line 7: a second edge row for 'rel0'"),
+    ("meta.tsv", lambda text: text + "node\tctx0\t10\t4\n",
+     "{bad}/meta.tsv, line 7: a second node row for 'ctx0'"),
+    ("meta.tsv", lambda text: text + "target\tctx0\n",
+     "{bad}/meta.tsv, line 7: a second target row"),
+    ("meta.tsv", lambda text: text + "weight\tctx0\n",
+     "{bad}/meta.tsv, line 7: unknown row tag 'weight'"),
+    ("meta.tsv", lambda text: None, "missing file: {bad}/meta.tsv"),
+    ("features_item.tsv", lambda text: None, "missing file: {bad}/features_item.tsv"),
+    ("labels.tsv", lambda text: text + "24\t0\n", "labels.tsv: node index 24 out of range"),
+    ("split.tsv", lambda text: text + "x\ttrain\n",
+     "malformed file {bad}/split.tsv: invalid literal for int() with base 10: 'x'"),
 ])
 def test_load_graph_errors_exit_1_with_their_message(tmp_path, dataset, capsys,
                                                      name, edit, message):
+    """``edit`` maps the file's text to its new text, or to None to delete
+    it; ``{bad}`` in ``message`` is the edited dataset's directory."""
     bad = str(tmp_path / "bad")
     shutil.copytree(dataset, bad)
     path = os.path.join(bad, name)
     with open(path) as fh:
-        text = fh.read()
-    with open(path, "w") as fh:
-        fh.write(edit(text))
+        text = edit(fh.read())
+    if text is None:
+        os.remove(path)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
     out = str(tmp_path / "out")
     assert cli.main(["prepare", "--source", bad, "--out", out]) == cli.EXIT_USAGE
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(bad=bad)}\n"
     assert not os.path.exists(out)
 
 
@@ -313,12 +353,16 @@ def _stack_not_json(path):
     _set_entry(path, "stack_json", "{target_type")
 
 
+def _stack_not_object(path):
+    _set_entry(path, "stack_json", "[1]")
+
+
 @pytest.mark.parametrize("corrupt", [_non_scalar_version, _truncated, _plain_npy,
                                      _config_list, _config_string_c, _config_not_json,
-                                     _stack_not_json],
+                                     _stack_not_json, _stack_not_object],
                          ids=["non-scalar-version", "truncated", "plain-npy",
                               "config-list", "config-string-c", "config-not-json",
-                              "stack-not-json"])
+                              "stack-not-json", "stack-not-object"])
 def test_malformed_checkpoint_file_exits_1(tmp_path, dataset, capsys, corrupt):
     run = str(tmp_path / "run")
     assert cli.main(train_args(dataset, run)) == 0
@@ -479,6 +523,21 @@ def test_every_config_field_round_trips_through_its_flag():
     for name, value in want.items():
         got = getattr(cfg, name)
         assert got == value and type(got) is type(value), name
+
+
+def test_flags_override_the_config_file_before_the_one_validation(tmp_path, capsys):
+    from hgsc.trainer import TrainConfig
+
+    path = tmp_path / "cfg.tsv"
+    path.write_text("c\t3\nk\t4\nlr\tnan\n")
+    argv = ["train", "--data", "d", "--out", "o", "--config", str(path)]
+    parse = cli.build_parser().parse_args
+    assert cli._load_config(parse(argv + ["--lr", "0.01"])) == TrainConfig(c=3, k=4, lr=0.01)
+    with pytest.raises(ValueError, match="^lr must be finite and >= 0$"):
+        cli._load_config(parse(argv))
+    path.write_text("k\t4\n")  # a config file names c; only no file means c = 2
+    with pytest.raises(ValueError, match="^incomplete config"):
+        cli._load_config(parse(argv))
 
 
 @pytest.mark.parametrize("command", ["eval", "export"])

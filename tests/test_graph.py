@@ -172,6 +172,15 @@ def test_missing_aux_features_synthesized(tmp_path):
     assert np.array_equal(g.features["author"], np.eye(3))
 
 
+def test_features_file_of_a_type_without_nodes_loads(tmp_path):
+    path = star_dataset(tmp_path)
+    with open(tmp_path / "meta.tsv", "a") as fh:
+        fh.write("node\tvenue\t0\t4\n")
+    (tmp_path / "features_venue.tsv").write_text("")
+    g = load_graph(path)
+    assert g.counts["venue"] == 0 and g.features["venue"].shape == (0, 4)
+
+
 def test_round_trip_identity(tmp_path):
     rng = np.random.default_rng(3)
     g = HeteroGraph(

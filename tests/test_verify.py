@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hgsc.verify as verify
 from hgsc.affinity import build_affinity, laplacian
 from hgsc.synth import SynthSpec, generate
 from hgsc.verify import (VerificationResult, component_count,
@@ -316,6 +317,16 @@ def test_run_suite_small_passes(tmp_path, seed):
     lines = path.read_text().splitlines()
     assert len(lines) == len(results) + 1
     assert all("pass" in line for line in lines[1:])
+
+
+def test_run_suite_full_passes(monkeypatch):
+    # the gradient checks are criterion 7's; stubbed, the full scale runs the rest
+    monkeypatch.setattr(verify, "gradient_check", lambda term, seed: 0.0)
+    results = run_suite(scale="full", seed=0)
+    assert [r.name for r in results][-2:] == ["gradient_full_stack",
+                                              "trained_components_reported"]
+    for r in results:
+        assert r.passed, f"{r.name}: {r.discrepancy} > {r.tolerance}"
 
 
 def test_verification_result_pass_rule():
