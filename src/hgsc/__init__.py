@@ -1,8 +1,8 @@
 """Self-supervised heterogeneous graph embeddings via rank-constrained
 spectral clustering, with an executable verification suite."""
 
-from .affinity import (AffinityMatrix, build_affinity, compute_alpha, laplacian,
-                       propagate, solve_affinity_row)
+from .affinity import (AffinityMatrix, affinity_rows, build_affinity, laplacian,
+                       propagate)
 from .encoders import (ClusterAssignment, DenseLayer, EncoderStack,
                        cluster_assign, hetero_encode, orthogonal_layer)
 from .evaluation import (EvalReport, complexity_measure, concat_representation,

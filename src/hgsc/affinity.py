@@ -254,47 +254,29 @@ def nearest_candidates(X: np.ndarray, k: int):
     return idx, dist
 
 
-def compute_alpha(d_rows: np.ndarray, k: int):
-    """Per-row scale and simplex shift from sorted candidate distances.
+def affinity_rows(dist: np.ndarray, k: int):
+    """Closed-form simplex weights of each row from its sorted candidate distances.
 
-    For row i with ascending distances d_1..d_{k+1}:
+    ``dist`` is (n, >= k+1). For row i with ascending distances d_1..d_{k+1}:
         alpha_i  = (k/2) d_{k+1} - (1/2) sum_{j<=k} d_j
         lambda_i = 1/k + sum_{j<=k} d_j / (2 k alpha_i)
-    Returns (mean alpha, per-row alphas, per-row lambdas). Rows with
-    alpha_i <= 0 (a tie running through the (k+1)-th candidate) get
-    lambda_i = 1/k; ``solve_affinity_row`` gives them uniform weights.
+        s_ij     = max(-d_ij / (2 alpha_i) + lambda_i, 0),  j <= k
+    so each row's k weights are nonnegative and sum to one. A row with
+    alpha_i <= 0 (a tie running through the (k+1)-th candidate) is
+    degenerate and gets uniform weights. Returns (weights (n, k), alphas).
     """
-    d_rows = np.asarray(d_rows, dtype=np.float64)
-    if d_rows.ndim == 1:
-        d_rows = d_rows[None, :]
-    if d_rows.shape[1] < k + 1:
+    dist = np.asarray(dist, dtype=np.float64)
+    if dist.ndim != 2 or dist.shape[1] < k + 1:
         raise AffinityError(f"need k+1={k + 1} sorted distances per row")
-    head = d_rows[:, :k]
+    head = dist[:, :k]
     head_sum = head.sum(axis=1)
-    alphas = 0.5 * k * d_rows[:, k] - 0.5 * head_sum
-    degenerate = alphas <= 0.0
-    lambdas = np.full(alphas.shape, 1.0 / k)
-    ok = ~degenerate
-    lambdas[ok] = 1.0 / k + head_sum[ok] / (2.0 * k * alphas[ok])
-    return float(alphas.mean()), alphas, lambdas
-
-
-def solve_affinity_row(d_rows: np.ndarray, alphas: np.ndarray,
-                       lambdas: np.ndarray) -> np.ndarray:
-    """Closed-form simplex weights s_ij = max(-d_ij / (2 alpha_i) + lambda_i, 0).
-
-    ``d_rows`` is (n, k): each row's k nearest candidate distances. With the
-    (n,) ``alphas`` and ``lambdas`` from ``compute_alpha`` each row's k
-    weights are nonnegative and sum to one. alpha_i <= 0 signals a
-    degenerate row and yields uniform weights over its candidates.
-    """
-    d_rows = np.asarray(d_rows, dtype=np.float64)
-    alphas = np.asarray(alphas, dtype=np.float64)
+    alphas = 0.5 * k * dist[:, k] - 0.5 * head_sum
+    # a degenerate row divides by alpha <= 0 here; its weights are replaced below
     with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.maximum(
-            -d_rows / (2.0 * alphas[:, None]) + np.asarray(lambdas)[:, None], 0.0)
-    weights[alphas <= 0.0] = 1.0 / d_rows.shape[1]
-    return weights
+        lambdas = 1.0 / k + head_sum / (2.0 * k * alphas)
+        weights = np.maximum(-head / (2.0 * alphas[:, None]) + lambdas[:, None], 0.0)
+    weights[alphas <= 0.0] = 1.0 / k
+    return weights, alphas
 
 
 def build_affinity(H: np.ndarray, Y: np.ndarray | None = None, beta: float = 0.0,
@@ -320,11 +302,9 @@ def build_affinity(H: np.ndarray, Y: np.ndarray | None = None, beta: float = 0.0
     else:
         X = H
     idx, dist = nearest_candidates(X, k)
-    _, alphas, lambdas = compute_alpha(dist, k)
-    return AffinityMatrix(
-        n=H.shape[0], k=k, indices=idx[:, :k],
-        weights=solve_affinity_row(dist[:, :k], alphas, lambdas),
-        degenerate=alphas <= 0.0)
+    weights, alphas = affinity_rows(dist, k)
+    return AffinityMatrix(n=H.shape[0], k=k, indices=idx[:, :k], weights=weights,
+                          degenerate=alphas <= 0.0)
 
 
 def laplacian(S: AffinityMatrix) -> csr_matrix:

@@ -18,10 +18,6 @@ import numpy as np
 class RankDeficientError(Exception):
     """Orthogonal layer input lost full column rank."""
 
-    def __init__(self, msg: str, condition: float):
-        super().__init__(msg)
-        self.condition = condition
-
 
 class EncoderConfigError(Exception):
     pass
@@ -111,13 +107,13 @@ def orthogonal_layer(P: np.ndarray):
     P = np.asarray(P, dtype=np.float64)
     n, c = P.shape
     if n < c:
-        raise RankDeficientError(f"need at least {c} rows, got {n}", np.inf)
+        raise RankDeficientError(f"need at least {c} rows, got {n}")
     Q, R = np.linalg.qr(P)
     svals = np.linalg.svd(R, compute_uv=False)
     if svals[-1] <= 1e-8 * svals[0]:
         cond = np.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
         raise RankDeficientError(
-            f"projection matrix is rank deficient (condition ~ {cond:.3e})", cond)
+            f"projection matrix is rank deficient (condition ~ {cond:.3e})")
     # sign freedom of the factorization: orient each column of Y toward a
     # nonnegative sum so the assignment columns stay probability-like and
     # the entropy regularizer keeps a live gradient on every column

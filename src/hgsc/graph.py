@@ -14,10 +14,11 @@ On-disk dataset layout (all files UTF-8, tab-separated, LF endings,
 
 Edges, labels and split are read by their first two columns; later fields
 are ignored and an empty edges file is a relation without edges. A short or
-unparsable row, a features file not ``feature_dim`` wide, or a second
-meta.tsv row for a node type, a relation or the target raises
-``GraphFormatError`` naming the file. Non-target types may omit their
-features file; it is then synthesized as one-hot rows (see ``load_graph``).
+unparsable row, a features file not ``feature_dim`` wide, a negative node
+count or feature_dim, a second meta.tsv row for a node type, a relation or
+the target, or a target type without a node row raises ``GraphFormatError``
+naming the file. Non-target types may omit their features file; it is then
+synthesized as one-hot rows (see ``load_graph``).
 """
 
 from __future__ import annotations
@@ -184,7 +185,8 @@ def load_graph(path: str) -> HeteroGraph:
     """Load and validate a dataset directory.
 
     A non-target node type without a features file gets one-hot features
-    (the identity matrix over its nodes).
+    (the identity matrix over its nodes). Every error names the file it
+    was found in; an error of ``HeteroGraph.validate`` names ``path``.
     """
     meta_path = os.path.join(path, "meta.tsv")
     node_types: list[str] = []
@@ -208,6 +210,9 @@ def load_graph(path: str) -> HeteroGraph:
             if tag == "node":
                 _, name, count, dim = row
                 counts[name], dims[name] = int(count), int(dim)
+                if min(counts[name], dims[name]) < 0:
+                    raise ValueError(f"a node row's count and feature_dim must be >= 0, "
+                                     f"got {count} and {dim}")
                 node_types.append(name)
             elif tag == "edge":
                 rel_decls.append(tuple(row[1:]))
@@ -216,14 +221,16 @@ def load_graph(path: str) -> HeteroGraph:
         except ValueError as e:
             raise GraphFormatError(f"{meta_path}, line {lineno}: {e}") from None
     if target_type is None:
-        raise GraphFormatError("meta.tsv: no target row")
+        raise GraphFormatError(f"{meta_path}: no target row")
+    if target_type not in counts:
+        raise GraphFormatError(f"{meta_path}: target type {target_type!r} has no node row")
 
     features = {}
     for t in node_types:
         fpath = os.path.join(path, f"features_{t}.tsv")
         if os.path.isfile(fpath):
             feats = _read_table(fpath, dtype=np.float64)
-            if counts[t] == 0:
+            if feats.size == 0:
                 feats = feats.reshape(0, dims[t])
             elif feats.shape[1] != dims[t]:
                 raise GraphFormatError(
@@ -241,24 +248,26 @@ def load_graph(path: str) -> HeteroGraph:
         relations.append(Relation(name, src, dst, np.unique(edges, axis=0)))
 
     n = counts[target_type]
-    node, cls = _read_pairs(os.path.join(path, "labels.tsv")).T
+    labels_path = os.path.join(path, "labels.tsv")
+    node, cls = _read_pairs(labels_path).T
     bad = (node < 0) | (node >= n) | (cls < 0)
     if bad.any():
         i = int(node[np.argmax(bad)])
         if i < 0 or i >= n:
-            raise GraphValidationError(f"labels.tsv: node index {i} out of range")
-        raise GraphValidationError(f"labels.tsv: negative class id for node {i}")
+            raise GraphValidationError(f"{labels_path}: node index {i} out of range")
+        raise GraphValidationError(f"{labels_path}: negative class id for node {i}")
     labels = np.full(n, -1, dtype=np.int64)
     labels[node] = cls
     if (labels < 0).any():
         missing = int(np.argmax(labels < 0))
-        raise GraphValidationError(f"labels.tsv: no label for target node {missing}")
+        raise GraphValidationError(f"{labels_path}: no label for target node {missing}")
 
     split_path = os.path.join(path, "split.tsv")
     node, part = _read_pairs(split_path, dtype=str).T
     unknown = (part != "train") & (part != "test")
     if unknown.any():
-        raise GraphFormatError(f"split.tsv: unknown split {str(part[np.argmax(unknown)])!r}")
+        raise GraphFormatError(
+            f"{split_path}: unknown split {str(part[np.argmax(unknown)])!r}")
     try:
         # parsed from Python strings, so the error quotes 'x', not np.str_('x')
         node = np.asarray(node.tolist(), dtype=np.int64)
@@ -275,7 +284,10 @@ def load_graph(path: str) -> HeteroGraph:
         train_idx=np.sort(node[part == "train"]),
         test_idx=np.sort(node[part == "test"]),
     )
-    g.validate()
+    try:
+        g.validate()
+    except GraphValidationError as e:
+        raise GraphValidationError(f"{path}: {e}") from None
     return g
 
 

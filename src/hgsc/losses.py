@@ -99,49 +99,51 @@ def node_consistency(Q: np.ndarray, Qt: np.ndarray, eta: float):
     return fro + eta * lse, Rdiff, grad_Qt
 
 
-def _cluster_sums(V: np.ndarray, yhat: np.ndarray, c: int) -> np.ndarray:
-    """(c, d) sums of the rows of V per cluster; empty clusters sum to 0.
+def _cluster_means(V: np.ndarray, yhat: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(c, d) means of the rows of V per cluster, c = ``counts.size``; an
+    empty cluster's row is 0 (its sum divided by max(count, 1)).
 
     Each sum adds its rows in row order, as ``np.add.at`` does, so the
-    result is bitwise the same.
+    sums are bitwise the same.
     """
-    return np.stack([V[yhat == j].sum(axis=0) for j in range(c)])
+    sums = np.stack([V[yhat == j].sum(axis=0) for j in range(counts.size)])
+    sums /= np.maximum(counts, 1)[:, None]
+    return sums
 
 
 def cluster_pool(Q: np.ndarray, yhat: np.ndarray, c: int):
     """Average-pool rows of Q by cluster indicator.
 
-    Empty clusters yield a zero row; their count stays zero and a warning
-    is logged. Returns (Qhat, counts).
+    An indicator outside [0, c) raises ValueError. Empty clusters yield a
+    zero row; their count stays zero and a warning is logged. Returns
+    (Qhat, counts).
     """
     Q = np.asarray(Q, dtype=np.float64)
     yhat = np.asarray(yhat)
     if yhat.min(initial=0) < 0 or yhat.max(initial=0) >= c:
         raise ValueError("cluster indicator out of range")
-    Qhat = _cluster_sums(Q, yhat, c)
     counts = np.bincount(yhat, minlength=c).astype(np.int64)
-    nonempty = counts > 0
-    Qhat[nonempty] /= counts[nonempty, None]
-    if not nonempty.all():
-        log.warning("empty clusters: %s", np.nonzero(~nonempty)[0].tolist())
-    return Qhat, counts
+    if not counts.all():
+        log.warning("empty clusters: %s", np.nonzero(counts == 0)[0].tolist())
+    return _cluster_means(Q, yhat, counts), counts
 
 
-def cluster_consistency(Qt: np.ndarray, Qhat: np.ndarray, yhat: np.ndarray):
+def cluster_consistency(Qt: np.ndarray, Qhat: np.ndarray, yhat: np.ndarray,
+                        counts: np.ndarray):
     """Squared alignment of each row of Qt to its cluster centroid.
 
-    value = sum_i |qt_i - qhat_{y_i}|^2. Returns (value, grad_Qt, grad_Qhat);
-    the indicator is constant.
+    value = sum_i |qt_i - qhat_{y_i}|^2, with ``(Qhat, counts)`` from
+    ``cluster_pool`` over the same ``yhat``, which is constant. Returns
+    (value, grad_Qt, grad_pool): row j of grad_pool is the gradient reaching
+    each row of Q pooled into centroid j, since qhat_j is their mean.
     """
     Qt = np.asarray(Qt, dtype=np.float64)
     Qhat = np.asarray(Qhat, dtype=np.float64)
     yhat = np.asarray(yhat)
-    if yhat.max(initial=0) >= Qhat.shape[0] or yhat.min(initial=0) < 0:
-        raise IndexError("cluster indicator out of range for centroid matrix")
     diff = Qt - Qhat[yhat]
     value = float((diff * diff).sum())
-    diff *= 2.0  # grad_Qt; a sum of negated rows is the negated sum, bit for bit
-    return value, diff, -_cluster_sums(diff, yhat, Qhat.shape[0])
+    diff *= 2.0  # grad_Qt; negation is exact, so grad_pool is the mean of -diff bit for bit
+    return value, diff, -_cluster_means(diff, yhat, counts)
 
 
 def total_objective(l_sp: float, l_nc: float, l_cc: float,

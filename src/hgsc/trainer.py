@@ -19,8 +19,7 @@ import numpy as np
 from . import affinity as aff
 from .encoders import (EncoderConfigError, EncoderStack, cluster_assign,
                        hetero_encode, hetero_backward, orthogonal_backward)
-from .graph import (HeteroGraph, RelationNeighborhood, build_neighborhoods,
-                    from_fields, read_fields)
+from .graph import HeteroGraph, RelationNeighborhood, build_neighborhoods, from_fields
 from .losses import (LossReport, cluster_consistency, cluster_pool,
                      node_consistency, spectral_loss, total_objective)
 
@@ -86,10 +85,6 @@ class TrainConfig:
                              "the cluster-consistency gradient always flows "
                              "through the pooled centroids")
         return from_fields(cls, values, "config")
-
-    @classmethod
-    def from_tsv(cls, path: str) -> "TrainConfig":
-        return cls.from_dict(read_fields(path, cls.__dataclass_fields__))
 
 
 CHECKPOINT_VERSION = 1
@@ -270,14 +265,13 @@ class TrainStepper:
         l_nc, g_Q_nc, g_Qt_nc = node_consistency(Q, Qt, cfg.eta)
         Qhat, counts = cluster_pool(Q, yhat, cfg.c)
         del Q  # nothing else holds it: freed before the cluster term's temporaries
-        l_cc, g_Qt_cc, g_Qhat = cluster_consistency(Qt, Qhat, yhat)
+        l_cc, g_Qt_cc, g_pool = cluster_consistency(Qt, Qhat, yhat, counts)
         total = total_objective(l_sp, l_nc, l_cc, cfg.mu, cfg.delta)
         self._cache = {
             "c_g": c_g, "c_p": c_p, "c_h": c_h,
             "c_q1": c_q1, "c_q2": c_q2, "R": assign.R, "yhat": yhat,
-            "counts": counts,
             "grads": {"Y": g_Y, "Q_nc": g_Q_nc, "Qt_nc": g_Qt_nc,
-                      "Qt_cc": g_Qt_cc, "Qhat": g_Qhat},
+                      "Qt_cc": g_Qt_cc, "pool": g_pool},
         }
         return LossReport(l_sp=l_sp, l_nc=l_nc, l_cc=l_cc, total=total, entropy=entropy)
 
@@ -294,13 +288,9 @@ class TrainStepper:
         self._cache = None
         w_sp, w_nc, w_cc = weights if weights is not None else (1.0, cfg.mu, cfg.delta)
         g = cache.pop("grads")
-        counts, g_Qhat = cache.pop("counts"), g.pop("Qhat")
-        per_row = np.zeros_like(g_Qhat)
-        nonempty = counts > 0
-        # the c centroid rows are scaled by w_cc, not the n rows gathered below
-        per_row[nonempty] = w_cc * (g_Qhat[nonempty] / counts[nonempty, None])
         d_Q = w_nc * g.pop("Q_nc")
-        d_Q += per_row[cache.pop("yhat")]
+        # the c centroid rows are scaled by w_cc, not the n rows gathered from them
+        d_Q += (w_cc * g.pop("pool"))[cache.pop("yhat")]
         d_Qt = w_nc * g.pop("Qt_nc")
         d_Qt += w_cc * g.pop("Qt_cc")
         stack.zero_grads()

@@ -253,11 +253,11 @@ def check_qp_agreement(count: int, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k, d in _random_row_instances(rng, count):
-        _, alphas, lambdas = aff.compute_alpha(d[None, :], k)
+        weights, alphas = aff.affinity_rows(d[None, :], k)
         if alphas[0] <= 0:
             continue
         closed = np.zeros(d.size)
-        closed[:k] = aff.solve_affinity_row(d[None, :k], alphas, lambdas)[0]
+        closed[:k] = weights[0]
         oracle = qp_oracle(d, float(alphas[0]))
         worst = max(worst, float(np.abs(closed - oracle).max()))
     return worst

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import hgsc.affinity as aff
-from hgsc.affinity import (AffinityError, AffinityMatrix, build_affinity,
-                           compute_alpha, laplacian, nearest_candidates,
-                           propagate, solve_affinity_row)
+from hgsc.affinity import (AffinityError, AffinityMatrix, affinity_rows, build_affinity,
+                           laplacian, nearest_candidates, propagate)
 from hgsc.verify import component_count, qp_oracle
 
 
@@ -27,35 +26,39 @@ def brute_force_knn(X, k):
 # ------------------------------------------------------------- closed form
 
 def test_compute_alpha_reference_row():
-    alpha, alphas, lambdas = compute_alpha(np.array([[1.0, 2.0, 4.0]]), k=2)
+    # alpha = (2/2) 4 - (1 + 2)/2, lambda = 1/2 + 3/(4 alpha) = 0.8
+    s, alphas = affinity_rows(np.array([[1.0, 2.0, 4.0]]), k=2)
     assert alphas[0] == pytest.approx(2.5)
-    assert lambdas[0] == pytest.approx(0.8)
-    assert alpha == pytest.approx(2.5)
+    assert np.allclose(s[0], [0.6, 0.4])
 
 
 def test_compute_alpha_tied_row_is_degenerate():
     for t in (0.5, 1.0, 3.0):
-        _, alphas, lambdas = compute_alpha(np.array([[0.0, 0.0, t]]), k=2)
+        s, alphas = affinity_rows(np.array([[0.0, 0.0, t]]), k=2)
         assert alphas[0] == pytest.approx(t)
-        assert lambdas[0] == pytest.approx(0.5)
-        s = solve_affinity_row(np.array([[0.0, 0.0]]), alphas, lambdas)
         assert np.allclose(s, [[0.5, 0.5]])
 
 
 def test_k1_gives_all_weight_to_nearest():
-    _, alphas, lambdas = compute_alpha(np.array([[0.3, 0.9]]), k=1)
-    s = solve_affinity_row(np.array([[0.3]]), alphas, lambdas)
+    s, _ = affinity_rows(np.array([[0.3, 0.9]]), k=1)
     assert s[0, 0] == pytest.approx(1.0)
 
 
 def test_solve_affinity_row_reference():
-    s = solve_affinity_row(np.array([[1.0, 2.0], [1.0, 4.0], [3.0, 3.0]]),
-                           np.array([2.5, 2.5, 0.0]), np.array([0.8, 0.8, 0.5]))
+    s, alphas = affinity_rows(np.array([[1.0, 2.0, 4.0], [1.0, 2.0, 2.0], [3.0, 3.0, 3.0]]),
+                              k=2)
+    assert np.allclose(alphas, [2.5, 0.5, 0.0])
     assert np.allclose(s[0], [0.6, 0.4])
-    # candidate past the active set gets clipped to zero
-    assert s[1, 1] == 0.0
+    # a candidate tied with the (k+1)-th sits on the active set's boundary
+    assert np.array_equal(s[1], [1.0, 0.0])
     # a degenerate row among regular ones gets uniform weights
     assert np.array_equal(s[2], [0.5, 0.5])
+
+
+def test_affinity_rows_need_k_plus_1_distances():
+    for d in (np.array([[1.0, 2.0]]), np.array([1.0, 2.0, 4.0])):
+        with pytest.raises(AffinityError, match="need k\\+1=3 sorted distances"):
+            affinity_rows(d, k=2)
 
 
 def test_closed_form_matches_qp_oracle():
@@ -63,11 +66,11 @@ def test_closed_form_matches_qp_oracle():
     for _ in range(200):
         k = int(rng.integers(1, 11))
         d = np.sort(rng.uniform(0, 10, size=k + int(rng.integers(1, 5))))
-        _, alphas, lambdas = compute_alpha(d[None, :], k)
+        s, alphas = affinity_rows(d[None, :], k)
         if alphas[0] <= 0:
             continue
         closed = np.zeros(d.size)
-        closed[:k] = solve_affinity_row(d[None, :k], alphas, lambdas)[0]
+        closed[:k] = s[0]
         oracle = qp_oracle(d, float(alphas[0]))
         assert np.abs(closed - oracle).max() < 1e-6
 
@@ -75,7 +78,7 @@ def test_closed_form_matches_qp_oracle():
 def test_qp_oracle_active_set_matches():
     # the (k+1)-th candidate sits exactly on the boundary with weight 0
     d = np.array([1.0, 2.0, 4.0])
-    _, alphas, lambdas = compute_alpha(d[None, :], 2)
+    _, alphas = affinity_rows(d[None, :], 2)
     oracle = qp_oracle(d, float(alphas[0]))
     assert oracle[2] == pytest.approx(0.0, abs=1e-12)
     assert (oracle[:2] > 0).all()
@@ -126,6 +129,16 @@ def test_build_affinity_rejects_nonfinite():
     H[0, 0] = np.nan
     with pytest.raises(AffinityError):
         build_affinity(H, k=1)
+
+
+@pytest.mark.parametrize("H,Y,k,message", [
+    (np.arange(5.0), None, 1, "H must be 2-d"),
+    (np.arange(10.0).reshape(5, 2), None, 0, "k must be >= 1"),
+    (np.arange(10.0).reshape(5, 2), np.ones((4, 2)), 1, "H and Y row counts differ"),
+], ids=["H-1d", "k-below-1", "Y-rows-differ"])
+def test_build_affinity_rejects_bad_arguments(H, Y, k, message):
+    with pytest.raises(AffinityError, match=message):
+        build_affinity(H, Y, beta=1.0, k=k)
 
 
 def test_row_stochastic_and_sparsity_properties():

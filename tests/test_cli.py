@@ -132,10 +132,18 @@ def test_prepare_seed_overrides_the_spec(tmp_path, dataset, synth_spec_file):
 
 @pytest.mark.parametrize("name,edit,message", [
     ("features_item.tsv", lambda text: "nan" + text[text.index("\t"):],
-     "type 'item': non-finite feature values"),
-    ("split.tsv", lambda text: text + "3\tvalid\n", "split.tsv: unknown split 'valid'"),
+     "{bad}: type 'item': non-finite feature values"),
+    ("features_ctx0.tsv", lambda text: text + text.splitlines(True)[0],
+     "{bad}: type 'ctx0': 11 feature rows for 10 nodes"),
+    ("split.tsv", lambda text: text + "3\tvalid\n", "{bad}/split.tsv: unknown split 'valid'"),
+    ("split.tsv", lambda text: text + "24\ttest\n", "{bad}: test split index out of range"),
     ("meta.tsv", lambda text: text.replace("target\titem\n", ""),
-     "meta.tsv: no target row"),
+     "{bad}/meta.tsv: no target row"),
+    ("meta.tsv", lambda text: text.replace("target\titem\n", "target\tpaper\n"),
+     "{bad}/meta.tsv: target type 'paper' has no node row"),
+    ("meta.tsv", lambda text: text.replace("edge\trel0\titem\tctx0\n",
+                                           "edge\trel0\titem\tctxX\n"),
+     "{bad}: relation 'rel0': unknown dst type 'ctxX'"),
     # the prepared meta.tsv has 6 rows, so an appended row is line 7
     ("meta.tsv", lambda text: text + "edge\trel0\titem\tctx1\n",
      "{bad}/meta.tsv, line 7: a second edge row for 'rel0'"),
@@ -145,9 +153,16 @@ def test_prepare_seed_overrides_the_spec(tmp_path, dataset, synth_spec_file):
      "{bad}/meta.tsv, line 7: a second target row"),
     ("meta.tsv", lambda text: text + "weight\tctx0\n",
      "{bad}/meta.tsv, line 7: unknown row tag 'weight'"),
+    ("meta.tsv", lambda text: text.replace("node\tctx0\t10\t4", "node\tctx0\t-3\t4"),
+     "{bad}/meta.tsv, line 2: a node row's count and feature_dim must be >= 0, got -3 and 4"),
+    ("meta.tsv", lambda text: text.replace("node\tctx0\t10\t4", "node\tctx0\t10\t-4"),
+     "{bad}/meta.tsv, line 2: a node row's count and feature_dim must be >= 0, got 10 and -4"),
+    ("meta.tsv", lambda text: text.replace("node\tctx0\t10\t4", "node\tctx0\t0\t4"),
+     "{bad}: type 'ctx0': 10 feature rows for 0 nodes"),
     ("meta.tsv", lambda text: None, "missing file: {bad}/meta.tsv"),
     ("features_item.tsv", lambda text: None, "missing file: {bad}/features_item.tsv"),
-    ("labels.tsv", lambda text: text + "24\t0\n", "labels.tsv: node index 24 out of range"),
+    ("labels.tsv", lambda text: text + "24\t0\n",
+     "{bad}/labels.tsv: node index 24 out of range"),
     ("split.tsv", lambda text: text + "x\ttrain\n",
      "malformed file {bad}/split.tsv: invalid literal for int() with base 10: 'x'"),
 ])

@@ -47,6 +47,18 @@ def test_mlp_dim_mismatch():
         make_layer(np.eye(3)).forward(np.zeros((2, 4)))
 
 
+def test_dense_layer_rejects_unknown_activation():
+    with pytest.raises(EncoderConfigError, match="unknown activation 'tanh'"):
+        DenseLayer(3, 2, "tanh")
+
+
+def test_dense_layer_backward_rejects_gradient_of_another_shape():
+    layer = make_layer(np.eye(3))
+    _, cache = layer.forward(np.ones((2, 3)))
+    with pytest.raises(EncoderConfigError, match="upstream gradient shape"):
+        layer.backward(cache, np.ones((2, 2)))
+
+
 # -------------------------------------------------------- orthogonal layer
 
 def test_orthogonal_layer_orthonormal_input():
@@ -602,14 +614,11 @@ class ParentStep:
         Qt, c_q2 = cls.dense_forward(stack.q_gamma, Zt)
         _, g_Q_nc, g_Qt_nc = node_consistency(Q, Qt, cfg.eta)
         Qhat, counts = cluster_pool(Q, yhat, cfg.c)
-        _, g_Qt_cc, g_Qhat = cluster_consistency(Qt, Qhat, yhat)
+        _, g_Qt_cc, g_pool = cluster_consistency(Qt, Qhat, yhat, counts)
         w_sp, w_nc, w_cc = 1.0, cfg.mu, cfg.delta
         d_Q = w_nc * g_Q_nc
         d_Qt = w_nc * g_Qt_nc + w_cc * g_Qt_cc
-        per_row = np.zeros_like(g_Qhat)
-        nonempty = counts > 0
-        per_row[nonempty] = g_Qhat[nonempty] / counts[nonempty, None]
-        d_Q = d_Q + w_cc * per_row[yhat]
+        d_Q = d_Q + w_cc * g_pool[yhat]
         stack.zero_grads()
         d_Z = cls.dense_backward(stack.q_gamma, c_q1, d_Q)
         d_Zt = cls.dense_backward(stack.q_gamma, c_q2, d_Qt)

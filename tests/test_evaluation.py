@@ -206,6 +206,10 @@ def test_nmi_single_cluster_zero():
     assert nmi(labels, np.zeros(4, dtype=int)) == 0.0
 
 
+def test_nmi_two_single_cluster_labelings_agree():
+    assert nmi(np.zeros(4, dtype=int), np.full(4, 3)) == 1.0
+
+
 def test_nmi_matches_brute_force():
     rng = np.random.default_rng(8)
     for _ in range(100):

@@ -97,6 +97,11 @@ def test_spectral_entropy_clamp_handles_negative_columns():
     assert np.allclose(grad[:, 0], 0.0)  # clamped column carries no gradient
 
 
+def test_spectral_rejects_y_of_another_row_count():
+    with pytest.raises(ValueError, match="Y has 3 rows, affinity is over 2 nodes"):
+        spectral_loss(pair_affinity(), np.ones((3, 2)), gamma=1.0)
+
+
 # --------------------------------------------------------- node consistency
 
 def test_node_consistency_zero_inputs():
@@ -209,13 +214,20 @@ def test_cluster_sums_equal_add_at_bitwise():
         np.add.at(ref, yhat, Q)
         counts = np.bincount(yhat, minlength=c)
         ref[:-1] /= counts[:-1, None]
-        Qhat, _ = cluster_pool(Q, yhat, c)
+        Qhat, counts = cluster_pool(Q, yhat, c)
         assert np.array_equal(Qhat, ref)
         ref_grad = np.zeros((c, 5))
         np.add.at(ref_grad, yhat, -2.0 * (Qt - ref[yhat]))
-        _, _, grad_Qhat = cluster_consistency(Qt, Qhat, yhat)
-        assert np.array_equal(grad_Qhat, ref_grad)
-        assert not grad_Qhat[-1].any()
+        ref_grad[:-1] /= counts[:-1, None]
+        _, _, grad_pool = cluster_consistency(Qt, Qhat, yhat, counts)
+        assert np.array_equal(grad_pool, ref_grad)
+        assert not grad_pool[-1].any()
+
+
+def test_cluster_pool_indicator_out_of_range():
+    for yhat in ([0, -1], [0, 2]):
+        with pytest.raises(ValueError, match="cluster indicator out of range"):
+            cluster_pool(np.zeros((2, 2)), np.array(yhat), c=2)
 
 
 # ------------------------------------------------------ cluster consistency
@@ -224,13 +236,13 @@ def test_cluster_consistency_zero_when_aligned():
     Qhat = np.array([[1.0, 2.0], [3.0, 4.0]])
     yhat = np.array([0, 1, 1])
     Qt = Qhat[yhat]
-    value, _, _ = cluster_consistency(Qt, Qhat, yhat)
+    value, _, _ = cluster_consistency(Qt, Qhat, yhat, np.array([1, 2]))
     assert value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cluster_consistency_single_node():
-    value, gQt, gQhat = cluster_consistency(
-        np.array([[1.0, 0.0]]), np.zeros((1, 2)), np.array([0]))
+    value, _, _ = cluster_consistency(
+        np.array([[1.0, 0.0]]), np.zeros((1, 2)), np.array([0]), np.array([1]))
     assert value == pytest.approx(1.0)
 
 
@@ -239,34 +251,36 @@ def test_cluster_consistency_matches_loop_oracle():
     Qt = rng.standard_normal((10, 3))
     Qhat = rng.standard_normal((4, 3))
     yhat = rng.integers(0, 4, size=10)
-    value, _, _ = cluster_consistency(Qt, Qhat, yhat)
+    value, _, _ = cluster_consistency(Qt, Qhat, yhat, np.bincount(yhat, minlength=4))
     oracle = sum(np.sum((Qt[i] - Qhat[yhat[i]]) ** 2) for i in range(10))
     assert abs(value - oracle) < 1e-9
 
 
 def test_cluster_consistency_gradient_fd():
+    # Q reaches the value through its pooled centroids; a row of Q gets the
+    # pooled gradient of its own cluster
     rng = np.random.default_rng(10)
+    Q = rng.standard_normal((6, 2))
     Qt = rng.standard_normal((6, 2))
-    Qhat = rng.standard_normal((3, 2))
     yhat = rng.integers(0, 3, size=6)
-    _, gQt, gQhat = cluster_consistency(Qt, Qhat, yhat)
+
+    def term():
+        Qhat, counts = cluster_pool(Q, yhat, 3)
+        return cluster_consistency(Qt, Qhat, yhat, counts)
+
+    _, gQt, g_pool = term()
     h = 1e-6
-    for M, G in ((Qt, gQt), (Qhat, gQhat)):
+    for M, G in ((Qt, gQt), (Q, g_pool[yhat])):
         flat, gflat = M.ravel(), G.ravel()
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            f_plus = cluster_consistency(Qt, Qhat, yhat)[0]
+            f_plus = term()[0]
             flat[idx] = orig - h
-            f_minus = cluster_consistency(Qt, Qhat, yhat)[0]
+            f_minus = term()[0]
             flat[idx] = orig
             fd = (f_plus - f_minus) / (2 * h)
             assert abs(fd - gflat[idx]) / max(abs(fd), abs(gflat[idx]), 1e-6) < 1e-4
-
-
-def test_cluster_consistency_index_out_of_range():
-    with pytest.raises(IndexError):
-        cluster_consistency(np.zeros((2, 2)), np.zeros((1, 2)), np.array([0, 1]))
 
 
 # ---------------------------------------------------------- total objective

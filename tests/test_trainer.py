@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hgsc
-from hgsc.graph import build_neighborhoods, write_fields
+from hgsc.graph import build_neighborhoods, read_fields, write_fields
 from hgsc.synth import SynthSpec, generate
 from hgsc.trainer import (AdamState, NumericalDivergence, StepStateError,
                           TrainConfig, TrainState, TrainStepper, build_stack,
@@ -338,13 +338,18 @@ def test_fit_planted_partition_small():
 
 # ------------------------------------------------------------ config file
 
+def read_config(path):
+    """The config in a key<TAB>value file, read as ``train --config`` reads it."""
+    return TrainConfig.from_dict(read_fields(str(path), TrainConfig.__dataclass_fields__))
+
+
 def test_config_round_trip(tmp_path):
     cfg = TrainConfig(c=4, d1=32, d2=16, k=7, beta=0.5, mu=2.0, delta=0.25,
                       lr=3e-3, max_epochs=11, patience=4, seed=3,
                       rebuild_period=2)
     path = tmp_path / "cfg.tsv"
     write_fields(str(path), cfg)
-    cfg2 = TrainConfig.from_tsv(str(path))
+    cfg2 = read_config(path)
     assert cfg == cfg2
 
 
@@ -391,7 +396,7 @@ def test_config_from_dict_accepts_an_int_in_a_float_field():
 def test_config_tsv_with_retired_key_loads(tmp_path):
     path = tmp_path / "cfg.tsv"
     path.write_text("c\t2\nk\t4\nknn_method\tpruned\n")
-    assert TrainConfig.from_tsv(str(path)) == TrainConfig(c=2, k=4)
+    assert read_config(path) == TrainConfig(c=2, k=4)
     path.write_text("c\t2\nbogus\t1\n")
     with pytest.raises(ValueError):
-        TrainConfig.from_tsv(str(path))
+        read_config(path)
