@@ -242,12 +242,35 @@ class EncoderStack:
         return self.params.copy()
 
 
+def _relation_input(nb, features: dict[str, np.ndarray], name: str, d1: int):
+    """Constant left factor B_r of relation ``name`` and its wide X_n.
+
+    B_r = [X_t | A_r X_n | 1 | deg_r]: X_t and X_n are the target and
+    neighbor features, A_r the relation's matrix in ``nb.entries`` and
+    deg_r its row sums (neighbor counts). Neighbor features wider than d1
+    (such as synthesized one-hot ones) are not densified: their block is
+    left out and X_n is returned for the caller to apply A_r sparsely;
+    otherwise the second value is None. Built on first use and kept in
+    ``nb.cache`` for as long as the same feature arrays are passed.
+    """
+    nbr_type, A = nb.entries[name]
+    x_tgt, x_nbr = features[nb.target_type], features[nbr_type]
+    wide = x_nbr.shape[1] > d1
+    hit = nb.cache.get((name, wide))
+    if hit is None or hit[0] is not x_tgt or hit[1] is not x_nbr:
+        deg = np.diff(A.indptr).astype(np.float64)[:, None]
+        blocks = [x_tgt] if wide else [x_tgt, A @ x_nbr]
+        hit = (x_tgt, x_nbr, np.hstack(blocks + [np.ones_like(deg), deg]))
+        nb.cache[(name, wide)] = hit
+    return hit[2], x_nbr if wide else None
+
+
 def _fold(stack: EncoderStack, name: str, nbr_type: str, aggregate: bool):
     """Right factor T_r of relation ``name``'s pre-activation B_r T_r.
 
     Rows: [W_t W_c1; W_n W_c2; b_t W_c1 + b_c; b_n W_c2], matching the
-    column blocks of ``RelationNeighborhood.combiner_input``; without
-    ``aggregate`` the W_n W_c2 block is returned apart instead of stacked.
+    column blocks of ``_relation_input``; without ``aggregate`` the
+    W_n W_c2 block is returned apart instead of stacked.
     """
     d1 = stack.d1
     f_t = stack.f_theta[stack.target_type]
@@ -266,39 +289,34 @@ def hetero_encode(stack: EncoderStack, g, nb):
     the per-type linear maps, concatenate, squash through the relation's
     combiner, then average over relations. Everything before the
     combiner's relu is linear, so each relation's pre-activation is
-    computed as one product B_r T_r: B_r = [X_t | A_r X_n | 1 | deg_r]
-    holds only graph constants and is built once per graph and relation
-    (``RelationNeighborhood.combiner_input``), and T_r is a small
-    (f_t + f_n + 2) x d1 matrix folded from the weights (``_fold``).
-    Neighbor features wider than d1 (such as synthesized one-hot ones) are
-    not densified: their block is applied as A_r (X_n (W_n W_c2)) instead.
+    computed as one product B_r T_r: B_r holds only graph constants and is
+    built once per graph and relation (``_relation_input``), and T_r is a
+    small (f_t + f_n + 2) x d1 matrix folded from the weights (``_fold``).
+    Wide neighbor features are applied as A_r (X_n (W_n W_c2)) instead.
 
-    Memory contract: relu is applied in place and the cache keeps, per
-    relation, the boolean mask ``pre > 0`` and the graph-constant B_r, not
-    the float pre-activation.
+    The cache maps each relation name, in sorted order, to the record
+    (neighbor type, A_r, B_r, wide X_n or None, relu mask): all the
+    backward reads. Memory contract: relu is applied in place and the
+    record keeps the boolean mask ``pre > 0``, not the float pre-activation.
     """
-    names = sorted(nb.entries)
-    masks: dict[str, np.ndarray] = {}
-    inputs: dict[str, tuple[np.ndarray, bool]] = {}
+    records = {}
     Zt = None
-    for name in names:
+    for name in sorted(nb.entries):
         nbr_type, A = nb.entries[name]
-        aggregate = g.features[nbr_type].shape[1] <= stack.d1
-        B = nb.combiner_input(name, g.features, aggregate)
-        inputs[name] = (B, aggregate)
-        T, M_n = _fold(stack, name, nbr_type, aggregate)
+        B, X_n = _relation_input(nb, g.features, name, stack.d1)
+        T, M_n = _fold(stack, name, nbr_type, X_n is None)
         out = B @ T
-        if not aggregate:
-            out += A @ (g.features[nbr_type] @ M_n)
-        masks[name] = out > 0.0
+        if X_n is not None:
+            out += A @ (X_n @ M_n)
+        records[name] = (nbr_type, A, B, X_n, out > 0.0)
         np.maximum(out, 0.0, out=out)
         if Zt is None:
             Zt = out
         else:
             Zt += out
         del out
-    Zt /= len(names)
-    return Zt, {"masks": masks, "inputs": inputs, "names": names, "g": g, "nb": nb}
+    Zt /= len(records)
+    return Zt, records
 
 
 def hetero_backward(stack: EncoderStack, cache, grad_Zt: np.ndarray) -> None:
@@ -309,24 +327,20 @@ def hetero_backward(stack: EncoderStack, cache, grad_Zt: np.ndarray) -> None:
     gradients follow from it by small products with the weights. Only one
     relation's n x d1 gradient g_r is alive at a time.
     """
-    names, g, nb = cache["names"], cache["g"], cache["nb"]
     d1 = stack.d1
     f_t = stack.f_theta[stack.target_type]
     k_t = f_t.in_dim
-    for name in names:
-        nbr_type, A = nb.entries[name]
+    for name, (nbr_type, A, B, X_n, mask) in cache.items():
         f_n, comb = stack.f_theta[nbr_type], stack.combiners[name]
         W_c1, W_c2 = comb.W[:d1], comb.W[d1:]
-        B, aggregate = cache["inputs"][name]
         # the 1/R of the relation average is applied to the reduced rows
-        g_r = grad_Zt * cache["masks"][name]
-        G = B.T @ g_r / len(names)
+        g_r = grad_Zt * mask
+        G = B.T @ g_r / len(cache)
         G_t, g_1, g_deg = G[:k_t], G[-2], G[-1]
-        if aggregate:
+        if X_n is None:
             G_n = G[k_t:-2]
         else:
-            X_n = g.features[nbr_type]
-            G_n = X_n.T @ (A.T @ g_r) / len(names)
+            G_n = X_n.T @ (A.T @ g_r) / len(cache)
         del g_r
         comb.gw[:d1] += f_t.W.T @ G_t + np.outer(f_t.b, g_1)
         comb.gw[d1:] += f_n.W.T @ G_n + np.outer(f_n.b, g_deg)

@@ -111,35 +111,14 @@ class RelationNeighborhood:
 
     ``entries`` maps relation name to (neighbor type, A), where A is the
     (n x n_neighbor_type) CSR 0/1 matrix whose row i marks the distinct
-    neighbors of target node i, so A X sums neighbor rows. Each relation's
-    encoder input is built on first use and cached.
+    neighbors of target node i, so A X sums neighbor rows. ``cache`` holds
+    what the relation encoder derives from them (``encoders._relation_input``).
     """
 
     target_type: str
     n: int
     entries: dict[str, tuple[str, csr_matrix]]
-    _input_cache: dict = field(default_factory=dict, repr=False)
-
-    def combiner_input(self, name: str, features: dict[str, np.ndarray],
-                       aggregate: bool) -> np.ndarray:
-        """Constant left factor B = [X_t | A X_n | 1 | deg] of relation ``name``.
-
-        X_t and X_n are the target and neighbor features, A is the
-        relation's matrix in ``entries`` and deg its row sums (neighbor counts).
-        With ``aggregate`` False the A X_n block is left out and the caller
-        applies A sparsely. Built on first use and cached per relation for as
-        long as the same feature arrays are passed.
-        """
-        nbr_type, A = self.entries[name]
-        x_tgt, x_nbr = features[self.target_type], features[nbr_type]
-        key = (name, aggregate)
-        hit = self._input_cache.get(key)
-        if hit is None or hit[0] is not x_tgt or hit[1] is not x_nbr:
-            deg = np.diff(A.indptr).astype(np.float64)[:, None]
-            blocks = [x_tgt, A @ x_nbr] if aggregate else [x_tgt]
-            hit = (x_tgt, x_nbr, np.hstack(blocks + [np.ones_like(deg), deg]))
-            self._input_cache[key] = hit
-        return hit[2]
+    cache: dict = field(default_factory=dict, repr=False)
 
 
 def _read_rows(path: str) -> list[tuple[int, list[str]]]:

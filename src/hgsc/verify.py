@@ -150,7 +150,7 @@ def _relu_masks(stepper) -> list[np.ndarray]:
     head is linear and has none."""
     cache = stepper._cache
     return [cache["c_g"][1], cache["c_q1"][1], cache["c_q2"][1],
-            *cache["c_h"]["masks"].values()]
+            *(record[-1] for record in cache["c_h"].values())]
 
 
 # loss name -> (LossReport field, backward weights; None is the backward's

@@ -5,8 +5,8 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from hgsc.encoders import (DenseLayer, EncoderConfigError,
-                           RankDeficientError, cluster_assign, hetero_encode,
-                           hetero_backward, orthogonal_backward,
+                           RankDeficientError, _relation_input, cluster_assign,
+                           hetero_encode, hetero_backward, orthogonal_backward,
                            orthogonal_layer)
 from hgsc.graph import (HeteroGraph, Relation, RelationNeighborhood,
                         build_neighborhoods)
@@ -215,6 +215,34 @@ def small_graph(seed=0, relations=2):
 
 def make_stack(g, nb, d1=5, d2=3, c=2, seed=0):
     return build_stack(g, nb, TrainConfig(c=c, d1=d1, d2=d2, seed=seed))
+
+
+def test_relation_input_rows_and_cache():
+    rng = np.random.default_rng(5)
+    n, m = 9, 6
+    g = HeteroGraph(
+        node_types=["t", "a"], counts={"t": n, "a": m},
+        features={"t": rng.standard_normal((n, 2)), "a": rng.standard_normal((m, 3))},
+        relations=[Relation("ta", "t", "a", np.array([[0, 1], [0, 4], [2, 4], [5, 0]]))],
+        target_type="t", labels=np.zeros(n, dtype=np.int64),
+        train_idx=np.arange(n), test_idx=np.empty(0, dtype=np.int64))
+    nb = build_neighborhoods(g)
+    A = nb.entries["ta"][1]
+    B, X_n = _relation_input(nb, g.features, "ta", d1=3)
+    assert B.shape == (n, 2 + 3 + 2) and X_n is None
+    for i in range(n):
+        nbrs = A.indices[A.indptr[i]:A.indptr[i + 1]]
+        want = np.concatenate([g.features["t"][i], g.features["a"][nbrs].sum(axis=0),
+                               [1.0, len(nbrs)]])
+        assert np.allclose(B[i], want, rtol=0, atol=1e-15)
+    # neighbor features wider than d1 are left out of B and returned apart
+    B_wide, X_n = _relation_input(nb, g.features, "ta", d1=2)
+    assert np.array_equal(B_wide, B[:, [0, 1, 5, 6]]) and X_n is g.features["a"]
+    # built once while the feature arrays stay the same, rebuilt for new ones
+    assert _relation_input(nb, g.features, "ta", d1=3)[0] is B
+    features = dict(g.features, a=2.0 * g.features["a"])
+    B2, _ = _relation_input(nb, features, "ta", d1=3)
+    assert np.array_equal(B2[:, 2:5], 2.0 * B[:, 2:5])
 
 
 def test_hetero_encode_empty_neighborhood():
@@ -516,7 +544,7 @@ def test_folded_encoder_matches_unfolded_formulas():
         hetero_backward(stack, cache, grad_Zt)
         got = {k: v.copy() for k, v in stack.named_grads().items()}
         # the one-hot type takes the sparse branch, the others the dense one
-        assert {name: agg for name, (_, agg) in cache["inputs"].items()} == {
+        assert {name: X_n is None for name, (_, _, _, X_n, _) in cache.items()} == {
             "it": True, "ic": True, "ti": False}
 
         Zt_ref, ref_cache = reference_encode(stack, g, nb)
@@ -550,7 +578,7 @@ class ParentStep:
 
     @staticmethod
     def hetero_forward(stack, g, nb):
-        from hgsc.encoders import _fold
+        from hgsc.encoders import _fold, _relation_input
         names = sorted(nb.entries)
         pre, inputs, Zt = {}, {}, None
         for name in names:
@@ -558,7 +586,7 @@ class ParentStep:
             X_n = g.features[nbr_type]
             aggregate = X_n.shape[1] <= stack.d1
             T, M_n = _fold(stack, name, nbr_type, aggregate)
-            B = nb.combiner_input(name, g.features, aggregate)
+            B, _ = _relation_input(nb, g.features, name, stack.d1)
             inputs[name] = (B, aggregate)
             pre[name] = B @ T
             if not aggregate:
@@ -643,7 +671,8 @@ def test_training_step_matches_parent_formulas_bitwise():
         stepper = TrainStepper(stack, g, nb, cfg)
         stepper.forward()
         ref = ParentStep.step(stack, g, nb, cfg, stepper.S)
-        assert {name: agg for name, (_, agg) in stepper._cache["c_h"]["inputs"].items()} == {
+        assert {name: X_n is None
+                for name, (_, _, _, X_n, _) in stepper._cache["c_h"].items()} == {
             "it": True, "ic": True, "ti": False}
         got = stepper.backward()
         assert sorted(got) == sorted(ref)

@@ -286,29 +286,3 @@ def test_neighborhoods_match_set_reference():
             assert np.issubdtype(got.dtype, np.integer)
             assert got.tolist() == sorted(want)
         assert all(lists[i].size == 0 for i in range(n - 5, n))
-
-
-def test_combiner_input_rows_and_cache():
-    rng = np.random.default_rng(5)
-    n, m = 9, 6
-    g = HeteroGraph(
-        node_types=["t", "a"], counts={"t": n, "a": m},
-        features={"t": rng.standard_normal((n, 2)), "a": rng.standard_normal((m, 3))},
-        relations=[Relation("ta", "t", "a", np.array([[0, 1], [0, 4], [2, 4], [5, 0]]))],
-        target_type="t", labels=np.zeros(n, dtype=np.int64),
-        train_idx=np.arange(n), test_idx=np.empty(0, dtype=np.int64))
-    nb = build_neighborhoods(g)
-    B = nb.combiner_input("ta", g.features, aggregate=True)
-    assert B.shape == (n, 2 + 3 + 2)
-    for i, nbrs in enumerate(neighbor_rows(nb, "ta")):
-        want = np.concatenate([g.features["t"][i], g.features["a"][nbrs].sum(axis=0),
-                               [1.0, len(nbrs)]])
-        assert np.allclose(B[i], want, rtol=0, atol=1e-15)
-    # without aggregation the neighbor block is left out
-    B_sparse = nb.combiner_input("ta", g.features, aggregate=False)
-    assert np.array_equal(B_sparse, B[:, [0, 1, 5, 6]])
-    # built once while the feature arrays stay the same, rebuilt for new ones
-    assert nb.combiner_input("ta", g.features, aggregate=True) is B
-    features = dict(g.features, a=2.0 * g.features["a"])
-    B2 = nb.combiner_input("ta", features, aggregate=True)
-    assert np.array_equal(B2[:, 2:5], 2.0 * B[:, 2:5])

@@ -268,7 +268,7 @@ def test_fd_check_rejects_a_kink_within_the_step(layer):
     step = 1e-5
     assert _fd_check(_fd_stepper(), "total", step) < 1e-4
     stepper = _fd_stepper()
-    stack, nb = stepper.stack, stepper.nb
+    stack = stepper.stack
     stepper.forward()
     cache = stepper._cache
     # recompute one layer's pre-activation and move one bias entry so that
@@ -276,9 +276,9 @@ def test_fd_check_rejects_a_kink_within_the_step(layer):
     kind, _, part = layer.partition(".")
     if kind == "combiner":
         target = stack.combiners[part]
-        B, aggregate = cache["c_h"]["inputs"][part]
-        assert aggregate
-        pre = B @ _fold(stack, part, nb.entries[part][0], aggregate)[0]
+        nbr_type, _, B, X_n, _ = cache["c_h"][part]
+        assert X_n is None
+        pre = B @ _fold(stack, part, nbr_type, True)[0]
     else:
         target = stack.g_phi if kind == "g_phi" else stack.q_gamma
         key = {"g_phi": "c_g", "Z": "c_q1", "Zt": "c_q2"}[part or kind]
