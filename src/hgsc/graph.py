@@ -16,9 +16,11 @@ Edges, labels and split are read by their first two columns; later fields
 are ignored and an empty edges file is a relation without edges. A short or
 unparsable row, a features file not ``feature_dim`` wide, a negative node
 count or feature_dim, a second meta.tsv row for a node type, a relation or
-the target, or a target type without a node row raises ``GraphFormatError``
-naming the file. Non-target types may omit their features file; it is then
-synthesized as one-hot rows (see ``load_graph``).
+the target, a target type without a node row, or a node listed twice in
+labels.tsv or twice under one part of split.tsv raises ``GraphFormatError``
+naming the file. Non-target types may omit their features file if their
+feature_dim is 0 or their count; it is then synthesized as one-hot rows
+(see ``load_graph``).
 """
 
 from __future__ import annotations
@@ -156,6 +158,16 @@ def _read_pairs(path: str, dtype=np.int64) -> np.ndarray:
     return _read_table(path, dtype=dtype, comments=None, usecols=(0, 1))
 
 
+def _sorted_once(path: str, idx: np.ndarray, where: str) -> np.ndarray:
+    """``idx`` sorted; a node listed twice raises GraphFormatError naming
+    ``path`` and the node."""
+    idx = np.sort(idx)
+    twice = idx[1:][idx[1:] == idx[:-1]]
+    if twice.size:
+        raise GraphFormatError(f"{path}: node {int(twice[0])} is listed twice{where}")
+    return idx
+
+
 # fields per meta.tsv row, by tag
 _META_WIDTH = {"node": 4, "edge": 4, "target": 2}
 
@@ -171,6 +183,7 @@ def load_graph(path: str) -> HeteroGraph:
     node_types: list[str] = []
     counts: dict[str, int] = {}
     dims: dict[str, int] = {}
+    node_lines: dict[str, int] = {}
     rel_decls: list[tuple[str, str, str]] = []
     target_type = None
     declared = set()
@@ -188,7 +201,7 @@ def load_graph(path: str) -> HeteroGraph:
             declared.add((tag, name))
             if tag == "node":
                 _, name, count, dim = row
-                counts[name], dims[name] = int(count), int(dim)
+                counts[name], dims[name], node_lines[name] = int(count), int(dim), lineno
                 if min(counts[name], dims[name]) < 0:
                     raise ValueError(f"a node row's count and feature_dim must be >= 0, "
                                      f"got {count} and {dim}")
@@ -216,6 +229,10 @@ def load_graph(path: str) -> HeteroGraph:
                     f"{fpath}: type {t!r} declares feature_dim {dims[t]} in meta.tsv, "
                     f"the file has {feats.shape[1]} columns")
         elif t != target_type:
+            if dims[t] not in (0, counts[t]):
+                raise GraphFormatError(
+                    f"{meta_path}, line {node_lines[t]}: type {t!r} has no features file, "
+                    f"so its feature_dim must be 0 or its count {counts[t]}, got {dims[t]}")
             feats = np.eye(counts[t], dtype=np.float64)
         else:
             raise GraphFormatError(f"missing file: {fpath}")
@@ -235,6 +252,7 @@ def load_graph(path: str) -> HeteroGraph:
         if i < 0 or i >= n:
             raise GraphValidationError(f"{labels_path}: node index {i} out of range")
         raise GraphValidationError(f"{labels_path}: negative class id for node {i}")
+    _sorted_once(labels_path, node, "")
     labels = np.full(n, -1, dtype=np.int64)
     labels[node] = cls
     if (labels < 0).any():
@@ -260,8 +278,8 @@ def load_graph(path: str) -> HeteroGraph:
         relations=relations,
         target_type=target_type,
         labels=labels,
-        train_idx=np.sort(node[part == "train"]),
-        test_idx=np.sort(node[part == "test"]),
+        train_idx=_sorted_once(split_path, node[part == "train"], " under 'train'"),
+        test_idx=_sorted_once(split_path, node[part == "test"], " under 'test'"),
     )
     try:
         g.validate()

@@ -59,6 +59,10 @@ class TrainConfig:
         for name in ("c", "d1", "d2", "k", "patience", "max_epochs", "rebuild_period"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # p_phi's bias starts at zero, so the first P = H W_p (H is n x d1)
+        # has rank <= d1 and its QR fails for every c > d1
+        if self.c > self.d1:
+            raise ValueError(f"c must be <= d1, got c={self.c} and d1={self.d1}")
         if not self.grad_clip >= 0:  # nan too: it would silently never clip
             raise ValueError("grad_clip must be >= 0 (0 disables the clip)")
         for name in ("lr", "beta", "gamma", "eta", "mu", "delta"):

@@ -165,6 +165,10 @@ def test_prepare_seed_overrides_the_spec(tmp_path, dataset, synth_spec_file):
      "{bad}/labels.tsv: node index 24 out of range"),
     ("split.tsv", lambda text: text + "x\ttrain\n",
      "malformed file {bad}/split.tsv: invalid literal for int() with base 10: 'x'"),
+    ("labels.tsv", lambda text: text + "0\t2\n", "{bad}/labels.tsv: node 0 is listed twice"),
+    # the prepared split.tsv lists the train nodes 3 and 8 first
+    ("split.tsv", lambda text: text + "".join(text.splitlines(True)[:2]),
+     "{bad}/split.tsv: node 3 is listed twice under 'train'"),
 ])
 def test_load_graph_errors_exit_1_with_their_message(tmp_path, dataset, capsys,
                                                      name, edit, message):
@@ -455,12 +459,20 @@ def test_train_rejects_nonpositive_sizes(tmp_path, dataset, capsys, flag):
     assert err == f"error: {flag[2:]} must be >= 1\n"
 
 
-@pytest.mark.parametrize("flag,value,message", [
-    ("--k", "23", "need k+1=24 candidates"),
-    ("--c", "30", "need at least 30 rows"),
+def test_train_rejects_more_clusters_than_d1(tmp_path, dataset, capsys):
+    # P = H W_p has rank <= d1, so the QR step would fail at the first epoch
+    rc = cli.main(train_args(dataset, str(tmp_path / "run"), ["--c", "9"]))
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: c must be <= d1, got c=9 and d1=8\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--k", "23"], "need k+1=24 candidates"),
+    # c > n with c <= d1, which the config check would reject first
+    (["--c", "30", "--d1", "32"], "need at least 30 rows"),
 ], ids=["k23", "c30"])
-def test_train_numerical_failure_exits_2(tmp_path, dataset, capsys, flag, value, message):
-    rc = cli.main(train_args(dataset, str(tmp_path / "run"), [flag, value]))
+def test_train_numerical_failure_exits_2(tmp_path, dataset, capsys, flags, message):
+    rc = cli.main(train_args(dataset, str(tmp_path / "run"), flags))
     assert rc == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and message in err
@@ -624,6 +636,8 @@ def test_input_hash_depends_on_contents_not_location(tmp_path, dataset):
     with open(os.path.join(copy, "manifest.tsv"), "a") as fh:
         fh.write("started\tanother time\n")
     assert cli._hash_inputs([copy]) == cli._hash_inputs([dataset])
+    # a path that is not there, like an absent optional input, adds nothing
+    assert cli._hash_inputs([copy, str(tmp_path / "absent")]) == cli._hash_inputs([copy])
     # files are read in chunks; the digest is the whole-file one
     with open(os.path.join(copy, "big.bin"), "wb") as fh:
         fh.write(np.random.default_rng(0).bytes(2 * cli._HASH_CHUNK + 17))

@@ -144,6 +144,27 @@ def test_negative_label_rejected(tmp_path):
         load_graph(path)
 
 
+def three_node_graph(**changes):
+    """A valid one-type graph built by hand, with ``changes`` applied."""
+    fields = dict(node_types=["t"], counts={"t": 3}, features={"t": np.zeros((3, 1))},
+                  relations=[], target_type="t", labels=np.zeros(3, dtype=np.int64),
+                  train_idx=np.arange(2), test_idx=np.array([2]))
+    return HeteroGraph(**{**fields, **changes})
+
+
+# load_graph checks these itself before validate runs
+@pytest.mark.parametrize("changes,message", [
+    (dict(target_type="x"), "unknown target type 'x'"),
+    (dict(labels=np.zeros(2, dtype=np.int64)),
+     r"expected one label per target node \(3\), got \(2,\)"),
+    (dict(labels=np.array([0, -1, 0])), "negative class id in labels"),
+], ids=["unknown-target", "label-shape", "negative-class"])
+def test_validate_rejects_hand_built_graph(changes, message):
+    three_node_graph().validate()
+    with pytest.raises(GraphValidationError, match=message):
+        three_node_graph(**changes).validate()
+
+
 def test_split_overlap_rejected(tmp_path):
     path = minimal_dataset(tmp_path)
     (tmp_path / "split.tsv").write_text("0\ttrain\n0\ttest\n")
@@ -168,8 +189,22 @@ def test_target_self_loop_rejected(tmp_path):
 def test_missing_aux_features_synthesized(tmp_path):
     path = star_dataset(tmp_path)
     (tmp_path / "features_author.tsv").unlink()
-    g = load_graph(path)
-    assert np.array_equal(g.features["author"], np.eye(3))
+    meta = (tmp_path / "meta.tsv").read_text()
+    # a type without a features file declares width 0 or its one-hot width
+    for dim in (0, 3):
+        (tmp_path / "meta.tsv").write_text(meta.replace("author\t3\t1", f"author\t3\t{dim}"))
+        g = load_graph(path)
+        assert np.array_equal(g.features["author"], np.eye(3))
+
+
+def test_missing_aux_features_with_another_width_rejected(tmp_path):
+    path = star_dataset(tmp_path)
+    (tmp_path / "features_author.tsv").unlink()
+    with pytest.raises(GraphFormatError) as err:
+        load_graph(path)
+    assert str(err.value) == (
+        f"{tmp_path / 'meta.tsv'}, line 2: type 'author' has no features file, "
+        "so its feature_dim must be 0 or its count 3, got 1")
 
 
 def test_features_file_of_a_type_without_nodes_loads(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 import hgsc.verify as verify
 from hgsc.affinity import build_affinity, laplacian
 from hgsc.synth import SynthSpec, generate
-from hgsc.verify import (VerificationResult, component_count,
+from hgsc.verify import (VerificationResult, check_qp_agreement, component_count,
                          enumerate_partitions, gradient_check, kyfan_check,
                          qp_oracle, ratiocut_check, run_suite, simplex_project,
                          write_results, zero_eig_count)
@@ -25,6 +25,20 @@ def test_qp_oracle_excludes_far_candidate():
     w = qp_oracle(np.array([1.0, 2.0, 500.0]), 2.5)
     assert w[2] == 0.0
     assert w.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_qp_oracle_rejects_nonpositive_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        qp_oracle(np.array([1.0, 2.0]), alpha)
+
+
+def test_qp_agreement_skips_a_degenerate_row(monkeypatch):
+    # k = 2, d = (1, 1, 1): alpha = (k/2) d_3 - (d_1 + d_2)/2 = 0, which the
+    # oracle rejects; the row must be skipped, not handed to it
+    monkeypatch.setattr(verify, "_random_row_instances",
+                        lambda rng, count: iter([(2, np.array([1.0, 1.0, 1.0]))]))
+    assert check_qp_agreement(1) == 0.0
 
 
 def test_simplex_projection_kkt():
@@ -85,6 +99,13 @@ def test_zero_eig_count_asymmetric_rejected():
     M = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         zero_eig_count(M, 1e-8)
+
+
+def test_zero_eig_count_sparse_matches_dense():
+    S = build_affinity(np.random.default_rng(3).standard_normal((30, 2)), k=3)
+    L = laplacian(S)
+    assert hasattr(L, "toarray")
+    assert zero_eig_count(L, 1e-8) == zero_eig_count(L.toarray(), 1e-8) == component_count(S)
 
 
 def test_zero_eig_count_size_cap():
@@ -157,6 +178,11 @@ def test_kyfan_full_dimension_is_trace():
     assert kyfan_check(L, 6) < 1e-10
 
 
+def test_kyfan_rejects_c_above_n():
+    with pytest.raises(ValueError, match="c exceeds matrix size"):
+        kyfan_check(np.eye(3), 4)
+
+
 def test_kyfan_random_psd():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -205,6 +231,11 @@ def test_ratiocut_invalid_partition():
         ratiocut_check(W, [[0, 1]])
     with pytest.raises(ValueError):
         ratiocut_check(W, [[0, 1], [1, 2]])
+
+
+def test_ratiocut_rejects_an_empty_part():
+    with pytest.raises(ValueError, match="empty part"):
+        ratiocut_check(np.zeros((3, 3)), [[0, 1, 2], []])
 
 
 def test_enumerate_partitions_count():
