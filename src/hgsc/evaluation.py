@@ -8,12 +8,13 @@ holds an (n, c, d) or n x n temporary. k-means computes each centre's
 distances once per set of centres: the seeding's columns serve the first
 Lloyd step, and the last step's serve the final labels. Within one call,
 a Lloyd step whose centre ended an earlier restart copies that centre's
-column instead of recomputing it. ``evaluate`` uses two threads: the
-probe's gradient descent runs on one worker thread while the calling
-thread does k-means, the silhouette and the scatter diagnostic; every
-other step, and every public function, runs on the calling thread. Each
-thread writes only its own arrays, so the results do not depend on the
-scheduling. The probe and k-means are pinned implementations (full-batch
+column instead of recomputing it. ``evaluate`` uses two threads:
+``linear_probe`` runs on one worker thread while the calling thread does
+k-means, the silhouette and the scatter diagnostic, so a bad split's
+error is raised after the clustering; every public function called
+directly runs on the calling thread. Each thread writes only its own
+arrays, so the results do not depend on the scheduling. The probe and
+k-means are pinned implementations (full-batch
 gradient descent, Lloyd with k-means++) so results are comparable across
 runs and platforms.
 """
@@ -91,14 +92,6 @@ def linear_probe(X: np.ndarray, labels: np.ndarray, train_idx: np.ndarray,
     as column blocks of one (d, repeats*c) weight matrix, block r seeded by
     ``default_rng(seed + r)``; returns ((macro mean, std), (micro mean, std)).
     """
-    Xtr, Xte, onehot, W, b = _probe_inputs(X, labels, train_idx, test_idx, repeats, seed)
-    _descend(Xtr, onehot, W, b, iters, lr)
-    return _probe_scores(Xte, np.asarray(labels)[test_idx], W, b, onehot.shape[2])
-
-
-def _probe_inputs(X, labels, train_idx, test_idx, repeats: int, seed: int):
-    """The probe's checked and standardized inputs: (Xtr, Xte, one-hot
-    training labels of shape (n_tr, 1, c), seeded W, zero b)."""
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
     if len(test_idx) == 0:
@@ -116,12 +109,8 @@ def _probe_inputs(X, labels, train_idx, test_idx, repeats: int, seed: int):
     onehot = np.eye(c)[tr_labels][:, None, :]
     W = np.hstack([0.01 * np.random.default_rng(seed + r).standard_normal((X.shape[1], c))
                    for r in range(repeats)])
-    return Xtr, Xte, onehot, W, np.zeros(repeats * c)
-
-
-def _descend(Xtr, onehot, W, b, iters: int = 1000, lr: float = 0.01) -> None:
-    """The probe's gradient descent, updating W and b in place."""
-    n_tr, _, c = onehot.shape
+    b = np.zeros(repeats * c)
+    n_tr = len(Xtr)
     for _ in range(iters):
         z = (Xtr @ W + b).reshape(n_tr, -1, c)
         # max is exact, so c - 1 elementwise passes give z.max(axis=2)'s
@@ -134,12 +123,8 @@ def _descend(Xtr, onehot, W, b, iters: int = 1000, lr: float = 0.01) -> None:
         g = (e / e.sum(axis=2, keepdims=True) - onehot).reshape(n_tr, -1) / n_tr
         W -= lr * (Xtr.T @ g)
         b -= lr * g.sum(axis=0)
-
-
-def _probe_scores(Xte, y_test, W, b, c: int):
-    """F1 of each repeat's test predictions: ((macro mean, std), (micro mean, std))."""
     pred = np.argmax((Xte @ W + b).reshape(len(Xte), -1, c), axis=2)
-    macros, micros = np.array([f1_scores(y_test, p, c) for p in pred.T]).T
+    macros, micros = np.array([f1_scores(labels[test_idx], p, c) for p in pred.T]).T
     return ((float(np.mean(macros)), float(np.std(macros))),
             (float(np.mean(micros)), float(np.std(micros))))
 
@@ -350,12 +335,12 @@ def evaluate(Z: np.ndarray, Zt: np.ndarray, labels: np.ndarray,
              repeats: int = 5, seed: int = 0) -> EvalReport:
     """Full downstream evaluation on [Z | Zt]."""
     X = concat_representation(Z, Zt)
-    # the probe checks its split first, as linear_probe does; its descent
-    # then runs on a worker while this thread clusters, and the with block
-    # joins the worker however this thread leaves it
-    Xtr, Xte, onehot, W, b = _probe_inputs(X, labels, train_idx, test_idx, repeats, seed)
+    # the probe runs on a worker while this thread clusters, so a split
+    # error (no test nodes, a class absent from training) surfaces from its
+    # future after the clustering, and a clustering error is raised before
+    # it; the with block joins the worker however this thread leaves it
     with ThreadPoolExecutor(max_workers=1) as pool:
-        descent = pool.submit(_descend, Xtr, onehot, W, b)
+        probe = pool.submit(linear_probe, X, labels, train_idx, test_idx, repeats, seed=seed)
         nmis, aris, assigns = map(np.array, zip(*[
             kmeans_cluster(X, labels, c, restarts=10, seed=seed + rep)
             for rep in range(repeats)]))
@@ -365,8 +350,7 @@ def evaluate(Z: np.ndarray, Zt: np.ndarray, labels: np.ndarray,
         if split.any():
             sils[split] = silhouette(X, assigns[split])
         comp = complexity_measure(X, labels)
-        descent.result()
-    ma, mi = _probe_scores(Xte, np.asarray(labels)[test_idx], W, b, onehot.shape[2])
+        ma, mi = probe.result()
     agg = lambda xs: (float(np.mean(xs)), float(np.std(xs)))
     return EvalReport(macro_f1=ma, micro_f1=mi, nmi=agg(nmis), ari=agg(aris),
                       silhouette=agg(sils), complexity=(comp, 0.0))
