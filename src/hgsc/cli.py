@@ -140,6 +140,9 @@ def _write_embeddings(path: str, Z: np.ndarray, Zt: np.ndarray) -> None:
 def cmd_prepare(args) -> int:
     out = args.out
     if os.path.isdir(args.source):
+        if args.seed is not None:
+            raise UsageError(f"--seed applies to a generator spec; {args.source} "
+                             "is a dataset directory, which is copied as it is")
         g, config, seed = load_graph(args.source), "copy", 0
     else:
         spec = SynthSpec.from_tsv(args.source)
@@ -268,12 +271,15 @@ def cmd_sweep(args) -> int:
               for i, (m, d, k, b) in enumerate(cells)]
     man = _manifest("sweep", out, args.data, json.dumps(asdict(cfg)), cfg.seed,
                     [args.data, args.config], ["summary.tsv"])
-    if args.jobs == 1:
+    # an executor forks all its workers at its first submit, so never
+    # more than there are cells
+    jobs = min(args.jobs, len(packed))
+    if jobs == 1:
         results = [_run_sweep_cell(p) for p in packed]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_sweep_cell, packed))
     results.sort(key=lambda r: r[0])
     with open(os.path.join(out, "summary.tsv"), "w", encoding="utf-8") as fh:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import issparse
 
 
 class RankDeficientError(Exception):
@@ -248,9 +249,10 @@ def _relation_input(nb, features: dict[str, np.ndarray], name: str, d1: int):
     B_r = [X_t | A_r X_n | 1 | deg_r]: X_t and X_n are the target and
     neighbor features, A_r the relation's matrix in ``nb.entries`` and
     deg_r its row sums (neighbor counts). Neighbor features wider than d1
-    (such as synthesized one-hot ones) are not densified: their block is
-    left out and X_n is returned for the caller to apply A_r sparsely;
-    otherwise the second value is None. Built on first use and kept in
+    (such as a featureless type's sparse identity) are not densified: their
+    block is left out and X_n is returned for the caller to apply A_r
+    sparsely; otherwise the second value is None, and a narrow sparse X_n's
+    block A_r X_n is densified. Built on first use and kept in
     ``nb.cache`` for as long as the same feature arrays are passed.
     """
     nbr_type, A = nb.entries[name]
@@ -259,7 +261,10 @@ def _relation_input(nb, features: dict[str, np.ndarray], name: str, d1: int):
     hit = nb.cache.get((name, wide))
     if hit is None or hit[0] is not x_tgt or hit[1] is not x_nbr:
         deg = np.diff(A.indptr).astype(np.float64)[:, None]
-        blocks = [x_tgt] if wide else [x_tgt, A @ x_nbr]
+        blocks = [x_tgt]
+        if not wide:
+            ax = A @ x_nbr
+            blocks.append(ax.toarray() if issparse(ax) else ax)
         hit = (x_tgt, x_nbr, np.hstack(blocks + [np.ones_like(deg), deg]))
         nb.cache[(name, wide)] = hit
     return hit[2], x_nbr if wide else None

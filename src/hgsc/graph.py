@@ -19,8 +19,9 @@ count or feature_dim, a second meta.tsv row for a node type, a relation or
 the target, a target type without a node row, or a node listed twice in
 labels.tsv or twice under one part of split.tsv raises ``GraphFormatError``
 naming the file. Non-target types may omit their features file if their
-feature_dim is 0 or their count; it is then synthesized as one-hot rows
-(see ``load_graph``).
+feature_dim is 0 or their count; their features are then one-hot rows,
+held as a sparse identity matrix, and ``save_graph`` writes no features
+file for them (see ``load_graph``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity, issparse
 
 
 class GraphFormatError(Exception):
@@ -75,7 +76,7 @@ class HeteroGraph:
             if feats.shape[0] != self.counts[t]:
                 raise GraphValidationError(
                     f"type {t!r}: {feats.shape[0]} feature rows for {self.counts[t]} nodes")
-            if not np.all(np.isfinite(feats)):
+            if not np.all(np.isfinite(feats.data if issparse(feats) else feats)):
                 raise GraphValidationError(f"type {t!r}: non-finite feature values")
         for rel in self.relations:
             for side, t in (("src", rel.src_type), ("dst", rel.dst_type)):
@@ -175,8 +176,8 @@ _META_WIDTH = {"node": 4, "edge": 4, "target": 2}
 def load_graph(path: str) -> HeteroGraph:
     """Load and validate a dataset directory.
 
-    A non-target node type without a features file gets one-hot features
-    (the identity matrix over its nodes). Every error names the file it
+    A non-target node type without a features file gets one-hot features:
+    the identity matrix over its nodes, as a scipy CSR matrix. Every error names the file it
     was found in; an error of ``HeteroGraph.validate`` names ``path``.
     """
     meta_path = os.path.join(path, "meta.tsv")
@@ -233,7 +234,7 @@ def load_graph(path: str) -> HeteroGraph:
                 raise GraphFormatError(
                     f"{meta_path}, line {node_lines[t]}: type {t!r} has no features file, "
                     f"so its feature_dim must be 0 or its count {counts[t]}, got {dims[t]}")
-            feats = np.eye(counts[t], dtype=np.float64)
+            feats = identity(counts[t], format="csr")
         else:
             raise GraphFormatError(f"missing file: {fpath}")
         features[t] = feats
@@ -289,7 +290,11 @@ def load_graph(path: str) -> HeteroGraph:
 
 
 def save_graph(g: HeteroGraph, path: str) -> None:
-    """Write a graph in the on-disk layout; inverse of ``load_graph``."""
+    """Write a graph in the on-disk layout; inverse of ``load_graph``.
+
+    A sparse features matrix is a featureless type's identity: no features
+    file is written for it, and meta.tsv declares its count as its width.
+    """
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, "meta.tsv"), "w", encoding="utf-8") as fh:
         for t in g.node_types:
@@ -298,8 +303,9 @@ def save_graph(g: HeteroGraph, path: str) -> None:
             fh.write(f"edge\t{rel.name}\t{rel.src_type}\t{rel.dst_type}\n")
         fh.write(f"target\t{g.target_type}\n")
     for t in g.node_types:
-        np.savetxt(os.path.join(path, f"features_{t}.tsv"), g.features[t],
-                   fmt="%.17g", delimiter="\t")
+        if not issparse(g.features[t]):
+            np.savetxt(os.path.join(path, f"features_{t}.tsv"), g.features[t],
+                       fmt="%.17g", delimiter="\t")
     for rel in g.relations:
         np.savetxt(os.path.join(path, f"edges_{rel.name}.tsv"), rel.edges,
                    fmt="%d", delimiter="\t")
@@ -396,7 +402,6 @@ def build_neighborhoods(g: HeteroGraph) -> RelationNeighborhood:
         keys = np.unique(tgt * m + nbr)
         tgt, nbr = keys // m, keys % m
         indptr = np.searchsorted(tgt, np.arange(n + 1))
-        A = csr_matrix((np.ones(nbr.size), nbr, indptr),
-                       shape=(n, max(g.counts[nbr_type], 1)))
+        A = csr_matrix((np.ones(nbr.size), nbr, indptr), shape=(n, g.counts[nbr_type]))
         entries[rel.name] = (nbr_type, A)
     return RelationNeighborhood(target_type=g.target_type, n=n, entries=entries)

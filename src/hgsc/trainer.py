@@ -98,9 +98,18 @@ def build_stack(g: HeteroGraph, nb: RelationNeighborhood,
                 cfg: TrainConfig) -> EncoderStack:
     """The encoder stack for graph ``g``: one combiner per relation in
     ``nb`` and one input projection per type they join, initialized from
-    ``cfg.seed``."""
+    ``cfg.seed``. Settings the graph cannot honour are an EncoderConfigError:
+    no relation at the target type, more clusters than target nodes (the
+    QR step needs c <= n rows), or k > n - 2 (a node's k + 1 affinity
+    candidates come from the n - 1 other nodes)."""
     if not nb.entries:
         raise EncoderConfigError(f"no relations touch the target type {g.target_type!r}")
+    n = g.n_target
+    if cfg.c > n:
+        raise EncoderConfigError(f"c must be <= the {n} target nodes, got c={cfg.c}")
+    if cfg.k > n - 2:
+        raise EncoderConfigError(
+            f"k must be <= n - 2 = {n - 2} for the {n} target nodes, got k={cfg.k}")
     feature_dims = {t: g.features[t].shape[1] for t in g.node_types}
     relations = [(name, nb.entries[name][0]) for name in sorted(nb.entries)]
     return EncoderStack(feature_dims, g.target_type, relations,

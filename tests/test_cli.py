@@ -111,6 +111,33 @@ def test_prepare_copies_a_dataset_directory(tmp_path, dataset):
     assert manifest_fields(out)["config"] == "copy"
 
 
+def test_prepare_round_trips_a_featureless_type(tmp_path, dataset):
+    # ctx0 loses its features file and declares width 0: its features are
+    # an implicit identity, and a copy writes no features file for it either
+    os.remove(os.path.join(dataset, "features_ctx0.tsv"))
+    meta = Path(dataset, "meta.tsv")
+    meta.write_text(meta.read_text().replace("node\tctx0\t10\t4", "node\tctx0\t10\t0"))
+    out = str(tmp_path / "copy")
+    assert cli.main(["prepare", "--source", dataset, "--out", out]) == 0
+    assert not os.path.exists(os.path.join(out, "features_ctx0.tsv"))
+    g, g2 = load_graph(dataset), load_graph(out)
+    assert g2.counts == g.counts
+    for t in g.node_types:
+        a, b = g.features[t], g2.features[t]
+        assert type(a) is type(b)
+        assert np.array_equal(getattr(a, "toarray", lambda: a)(),
+                              getattr(b, "toarray", lambda: b)())
+    assert np.array_equal(g.features["ctx0"].toarray(), np.eye(10))
+
+
+def test_prepare_seed_with_a_dataset_directory_exits_1(tmp_path, dataset, capsys):
+    out = str(tmp_path / "copy")
+    rc = cli.main(["prepare", "--source", dataset, "--out", out, "--seed", "5"])
+    assert rc == cli.EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_prepare_manifest_records_the_spec_as_json(dataset, synth_spec_file):
     config = json.loads(manifest_fields(dataset)["config"])
     assert SynthSpec(**config) == SynthSpec.from_tsv(synth_spec_file)
@@ -467,15 +494,48 @@ def test_train_rejects_more_clusters_than_d1(tmp_path, dataset, capsys):
 
 
 @pytest.mark.parametrize("flags,message", [
-    (["--k", "23"], "need k+1=24 candidates"),
+    (["--k", "23"], "k must be <= n - 2 = 22 for the 24 target nodes, got k=23"),
     # c > n with c <= d1, which the config check would reject first
-    (["--c", "30", "--d1", "32"], "need at least 30 rows"),
+    (["--c", "30", "--d1", "32"], "c must be <= the 24 target nodes, got c=30"),
 ], ids=["k23", "c30"])
-def test_train_numerical_failure_exits_2(tmp_path, dataset, capsys, flags, message):
+def test_train_settings_the_graph_cannot_honour_exit_1(tmp_path, dataset, capsys, flags,
+                                                       message):
     rc = cli.main(train_args(dataset, str(tmp_path / "run"), flags))
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_sweep_cell_the_graph_cannot_honour_exits_1(tmp_path, dataset, capsys):
+    rc = cli.main(["sweep", "--data", dataset, "--out", str(tmp_path / "sweep"),
+                   "--c", "2", "--d1", "8", "--d2", "4", "--max-epochs", "2",
+                   "--k-grid", "23"])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: k must be <= n - 2 = 22 for the 24 target nodes, got k=23\n")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow it tests
+def test_train_numerical_failure_exits_2(tmp_path, dataset, capsys):
+    # finite features whose squared distances overflow
+    path = os.path.join(dataset, "features_item.tsv")
+    np.savetxt(path, 1e200 * np.loadtxt(path, delimiter="\t"), fmt="%.17g", delimiter="\t")
+    rc = cli.main(train_args(dataset, str(tmp_path / "run")))
     assert rc == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ") and message in err
+    assert err.startswith("numerical failure: ") and "not finite" in err
+
+
+@pytest.mark.parametrize("dim", [4, 0], ids=["features_file", "no_features_file"])
+def test_relation_to_a_type_without_nodes_trains(tmp_path, dataset, dim):
+    with open(os.path.join(dataset, "meta.tsv"), "a") as fh:
+        fh.write(f"node\tvenue\t0\t{dim}\nedge\trelv\titem\tvenue\n")
+    Path(dataset, "edges_relv.tsv").write_text("")
+    if dim:
+        Path(dataset, "features_venue.tsv").write_text("")
+    out = str(tmp_path / "run")
+    assert cli.main(train_args(dataset, out)) == 0
+    assert cli.main(["eval", "--data", dataset, "--checkpoint",
+                     os.path.join(out, "best.ckpt")]) == 0
 
 
 def test_train_one_column_edge_row_exits_1(tmp_path, dataset, capsys):
@@ -776,6 +836,35 @@ def test_sweep_parallel_jobs_match_sequential(tmp_path, dataset):
     with open(os.path.join(seq, "summary.tsv")) as f1, \
             open(os.path.join(par, "summary.tsv")) as f2:
         assert f1.read() == f2.read()
+
+
+@pytest.mark.parametrize("jobs,cells,workers", [(64, "0.1,1.0", 2), (8, "0.1", None)])
+def test_sweep_starts_at_most_one_worker_per_cell(tmp_path, dataset, monkeypatch,
+                                                  jobs, cells, workers):
+    import concurrent.futures
+
+    seen = []
+
+    class InlineExecutor:
+        """Records max_workers and runs the cells on this thread."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    assert cli.main(["sweep", "--data", dataset, "--out", str(tmp_path / "sweep"),
+                     "--c", "2", "--d1", "8", "--d2", "4", "--k", "3",
+                     "--max-epochs", "2", "--mu-grid", cells, "--jobs", str(jobs)]) == 0
+    assert seen == ([] if workers is None else [workers])
 
 
 def test_periodic_checkpoints(tmp_path, dataset):

@@ -214,7 +214,9 @@ def small_graph(seed=0, relations=2):
 
 
 def make_stack(g, nb, d1=5, d2=3, c=2, seed=0):
-    return build_stack(g, nb, TrainConfig(c=c, d1=d1, d2=d2, seed=seed))
+    # k = 3 fits every graph here (build_stack needs k <= n - 2); no test
+    # that calls this builds an affinity from it
+    return build_stack(g, nb, TrainConfig(c=c, d1=d1, d2=d2, k=3, seed=seed))
 
 
 def test_relation_input_rows_and_cache():
@@ -313,7 +315,7 @@ def test_hetero_encode_identical_relations_average():
 def test_hetero_encode_missing_projection_is_config_error(tmp_path):
     # a stack saved without rel1's combiner and ctx1's projection does not
     # load for a graph that has them
-    cfg = TrainConfig(c=2, d1=5, d2=3)
+    cfg = TrainConfig(c=2, d1=5, d2=3, k=3)
     g, nb = small_graph(relations=1)
     path = str(tmp_path / "one_relation.ckpt")
     save_checkpoint(path, build_stack(g, nb, cfg), cfg)
@@ -327,6 +329,18 @@ def test_build_stack_needs_a_relation_on_the_target_type():
     nb = RelationNeighborhood(nb.target_type, nb.n, {})
     with pytest.raises(EncoderConfigError, match="no relations touch the target type"):
         build_stack(g, nb, TrainConfig(c=2))
+
+
+@pytest.mark.parametrize("cfg,message", [
+    (dict(c=11, d1=11, k=3), "c must be <= the 10 target nodes, got c=11"),
+    (dict(c=2, k=9), "k must be <= n - 2 = 8 for the 10 target nodes, got k=9"),
+])
+def test_build_stack_rejects_settings_the_graph_cannot_honour(cfg, message):
+    g, nb = small_graph()
+    with pytest.raises(EncoderConfigError) as err:
+        build_stack(g, nb, TrainConfig(**cfg))
+    assert str(err.value) == message
+    build_stack(g, nb, TrainConfig(c=10, d1=10, k=8))  # both at their bound
 
 
 # ------------------------------------------------ shared projection head
@@ -759,7 +773,7 @@ def test_per_array_checkpoint_loads_bitwise(tmp_path):
     written = {k: rng.standard_normal(v.shape) for k, v in stack.named_params().items()}
     arrays = {f"param:{k}": written[k] for k in reversed(list(written))}
     arrays["version"] = np.array(1)
-    arrays["config_json"] = np.array('{"c": 2, "d1": 5, "d2": 3}')
+    arrays["config_json"] = np.array('{"c": 2, "d1": 5, "d2": 3, "k": 3}')
     arrays["stack_json"] = np.array(json.dumps({
         "target_type": stack.target_type, "relations": stack.relations,
         "dims": [stack.d1, stack.d2, stack.c], "feature_dims": stack.feature_dims}))

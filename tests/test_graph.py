@@ -194,7 +194,7 @@ def test_missing_aux_features_synthesized(tmp_path):
     for dim in (0, 3):
         (tmp_path / "meta.tsv").write_text(meta.replace("author\t3\t1", f"author\t3\t{dim}"))
         g = load_graph(path)
-        assert np.array_equal(g.features["author"], np.eye(3))
+        assert np.array_equal(g.features["author"].toarray(), np.eye(3))
 
 
 def test_missing_aux_features_with_another_width_rejected(tmp_path):

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse import identity
 
 import hgsc
 from hgsc.graph import build_neighborhoods, read_fields, write_fields
@@ -79,6 +80,22 @@ def test_zero_learning_rate_keeps_parameters():
     for k, v in stack.named_params().items():
         assert np.array_equal(v, before[k])
     assert reports[0].total == reports[1].total == reports[2].total
+
+
+@pytest.mark.parametrize("aux_count", [40, 6], ids=["wide", "narrow"])
+def test_sparse_identity_features_fit_like_a_dense_identity(aux_count):
+    # a featureless type's sparse identity trains to the dense identity's
+    # bits, wider than d1 (applied through A_r) and narrower (in B_r)
+    spec = SynthSpec(n=30, c=2, feature_dim=4, aux_count=aux_count, aux_feature_dim=3,
+                     relations=2, edges_per_node=2, seed=3)
+    cfg = TrainConfig(c=2, d1=8, d2=4, k=3, seed=0, max_epochs=6, patience=6)
+    params = []
+    for eye in (np.eye, lambda m: identity(m, format="csr")):
+        g = generate(spec)
+        g.features.update(ctx0=eye(aux_count), ctx1=eye(aux_count))
+        g.validate()
+        params.append(fit(g, cfg).stack.params.tobytes())
+    assert params[0] == params[1]
 
 
 def test_seeded_epoch_is_bit_identical():
