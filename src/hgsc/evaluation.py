@@ -14,9 +14,8 @@ k-means, the silhouette and the scatter diagnostic, so a bad split's
 error is raised after the clustering; every public function called
 directly runs on the calling thread. Each thread writes only its own
 arrays, so the results do not depend on the scheduling. The probe and
-k-means are pinned implementations (full-batch
-gradient descent, Lloyd with k-means++) so results are comparable across
-runs and platforms.
+k-means are pinned implementations (full-batch gradient descent, Lloyd
+with k-means++) so results are comparable across runs and platforms.
 """
 
 from __future__ import annotations

@@ -177,8 +177,9 @@ def load_graph(path: str) -> HeteroGraph:
     """Load and validate a dataset directory.
 
     A non-target node type without a features file gets one-hot features:
-    the identity matrix over its nodes, as a scipy CSR matrix. Every error names the file it
-    was found in; an error of ``HeteroGraph.validate`` names ``path``.
+    the identity matrix over its nodes, as a scipy CSR matrix. Every error
+    names the file it was found in; an error of ``HeteroGraph.validate``
+    names ``path``.
     """
     meta_path = os.path.join(path, "meta.tsv")
     node_types: list[str] = []

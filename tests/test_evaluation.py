@@ -658,6 +658,13 @@ def test_evaluate_joins_its_worker_when_clustering_fails():
     assert threading.active_count() == before
 
 
+def test_evaluate_raises_the_clustering_error_before_the_probe_error():
+    # the probe's split error is read from its future after the clustering
+    Z, Zt, labels, train, test = planted_case(60, 3, 1.0, seed=23)
+    with pytest.raises(EvalError, match="cannot form 61 clusters"):
+        evaluate(Z, Zt, labels, train, test[:0], 61, repeats=2)
+
+
 def test_eval_report_tsv(tmp_path):
     rng = np.random.default_rng(14)
     n = 30
