@@ -7,9 +7,9 @@ summing to one. Candidate search is exact: a blocked full pairwise scan
 for small inputs, and for large ones a filter-and-refine search (kd-tree
 over a principal-direction projection, whose distances bound the true
 ones from below) that returns the same neighbors. Most rows of that search
-are settled by one projected k-nearest query; only the rest query a
-projected ball. Every path ranks candidates by the rule stated in
-``_rank_pairs``.
+are settled by one projected k-nearest query; the rest query again at
+double the width until they are settled. Every path ranks candidates by
+the rule stated in ``_rank_pairs``.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from scipy.sparse import csr_matrix, diags
 # filter-and-refine search runs on blocks of _REFINE_BLOCK rows, in a
 # space of _PROJ_RANK principal directions, and first ranks the
 # k + _PROJ_EXTRA nearest projected points of each row (k+5 to k+7 measured
-# fastest at n = 4k-16k: narrower leaves more rows to the ball queries,
-# wider costs more exact distances). The rows it leaves unresolved query
-# projected balls; when those balls hold more than _REFINE_BUDGET pair
-# coordinates the rows are scanned instead, which bounds the refine step's
-# memory where the projection prunes poorly (the budget is about the size
-# of one scanned block at n = 8000).
+# fastest at n = 4k-16k: narrower leaves more rows to a wider query, wider
+# costs more exact distances). The rows it leaves unresolved query again at
+# double the width; when a widened round would hold more than _REFINE_BUDGET
+# candidate coordinates the rows are scanned instead, which bounds the
+# refine step's memory where the projection prunes poorly (the budget is
+# about the size of one scanned block at n = 8000).
 _SCAN_MAX_N = 1500
 _PROJ_RANK = 8
 _PROJ_EXTRA = 6
@@ -102,7 +102,9 @@ def _rank_pairs(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, n_rows: in
     """The k1 nearest of each row's (col, dist) pairs, as (n_rows, k1) arrays.
 
     This is the one ranking rule of every search path: ascending distance,
-    and an exact tie goes to the lower node index. ``rows`` holds positions
+    and an exact tie goes to the lower node index. It ranks the scan's
+    pairs; the projected search ranks its candidate rows by the same rule
+    through ``lexsort``. ``rows`` holds positions
     0..n_rows-1; within a row the pairs come with ascending ``cols``, so the
     stable sort settles ties by index. A row with fewer than k1 pairs (or
     none) raises AffinityError.
@@ -177,10 +179,11 @@ def _knn_projected(X: np.ndarray, k: int):
     candidate lies outside that ball is resolved: every point outside the
     candidate set is at least as far in projection, so the candidates hold
     every point within tau, whole tie groups included, and they are ranked
-    directly, by the rule of ``_rank_pairs``. The other rows query their
-    balls and rank the exact distances on those pairs through
-    ``_rank_pairs``. When those balls exceed ``_REFINE_BUDGET`` pair
-    coordinates (high intrinsic dimension) the rows are scanned instead.
+    directly, by the rule of ``_rank_pairs``. The other rows query again
+    with twice as many candidates, and so on; a query of all n points
+    settles every row. When a widened round would hold more than
+    ``_REFINE_BUDGET`` candidate coordinates (high intrinsic dimension) the
+    rows left are scanned instead.
     """
     # imported here: scipy.spatial costs ~14 MiB resident, about half of
     # it the scipy.linalg it pulls in, which small inputs never need
@@ -198,38 +201,27 @@ def _knn_projected(X: np.ndarray, k: int):
     idx = np.empty((n, k + 1), dtype=np.int64)
     dist = np.empty((n, k + 1), dtype=np.float64)
     for s in range(0, n, _REFINE_BLOCK):
-        e = min(n, s + _REFINE_BLOCK)
-        rows = np.arange(s, e)
-        proj, cand = tree.query(Z[s:e], k=k + _PROJ_EXTRA)
-        diff = X[cand]
-        diff -= X[s:e, None, :]
-        diff *= diff
-        D0 = diff.sum(axis=2)
-        D0[cand == rows[:, None]] = np.inf
-        bound = np.sqrt(np.partition(D0, k, axis=1)[:, k])
-        # rounding in the projection grows with |x|
-        radius = bound + 1e-9 * (bound + norm_max)
-        done = proj[:, -1] > radius
-        cand, D0 = cand[done], D0[done]
-        order = np.lexsort((cand, D0), axis=1)[:, :k + 1]
-        idx[rows[done]] = np.take_along_axis(cand, order, axis=1)
-        dist[rows[done]] = np.take_along_axis(D0, order, axis=1)
-        rows, radius = rows[~done], radius[~done]
-        if rows.size == 0:
-            continue
-        counts = tree.query_ball_point(Z[rows], radius, return_length=True)
-        if counts.sum() * d > _REFINE_BUDGET:
-            idx[rows], dist[rows] = _scan_block(X, sq, rows, k + 1)
-            continue
-        cols = np.concatenate(tree.query_ball_point(Z[rows], radius, return_sorted=True))
-        pair_rows = np.repeat(np.arange(rows.size), counts)
-        keep = cols != rows[pair_rows]
-        pair_rows, cols = pair_rows[keep], cols[keep]
-        diff = X[rows[pair_rows]]
-        diff -= X[cols]
-        diff *= diff
-        idx[rows], dist[rows] = _rank_pairs(pair_rows, cols, diff.sum(axis=1), rows.size,
-                                            k + 1)
+        rows = np.arange(s, min(n, s + _REFINE_BLOCK))
+        width = min(k + _PROJ_EXTRA, n)
+        while rows.size:
+            proj, cand = tree.query(Z[rows], k=width)
+            diff = X[cand]
+            diff -= X[rows, None, :]
+            diff *= diff
+            D0 = diff.sum(axis=2)
+            D0[cand == rows[:, None]] = np.inf
+            bound = np.sqrt(np.partition(D0, k, axis=1)[:, k])
+            # rounding in the projection grows with |x|
+            radius = bound + 1e-9 * (bound + norm_max)
+            done = (proj[:, -1] > radius) | (width == n)
+            cand, D0 = cand[done], D0[done]
+            order = np.lexsort((cand, D0), axis=1)[:, :k + 1]
+            idx[rows[done]] = np.take_along_axis(cand, order, axis=1)
+            dist[rows[done]] = np.take_along_axis(D0, order, axis=1)
+            rows, width = rows[~done], min(2 * width, n)
+            if rows.size * width * d > _REFINE_BUDGET:
+                idx[rows], dist[rows] = _scan_block(X, sq, rows, k + 1)
+                break
     return idx, dist
 
 

@@ -314,8 +314,8 @@ def _search_case(rng, kind, n, d):
 
 def test_projected_search_matches_brute_force():
     # The refine step measures distances by direct subtraction, as the
-    # oracle does, and a ball query returns whole tie groups, so indices
-    # match exactly, ties included.
+    # oracle does, and a row is ranked only once its candidates hold whole
+    # tie groups, so indices match exactly, ties included.
     rng = np.random.default_rng(23)
     for trial in range(12):
         n = int(rng.integers(60, 250))
@@ -366,30 +366,50 @@ def _clusters_with_duplicate_group(rng, n, dup):
     return X
 
 
+def _spy_wide_queries(monkeypatch, k):
+    # row counts of the tree queries wider than the first, k + _PROJ_EXTRA
+    from scipy import spatial
+
+    wide_rows = []
+
+    class SpyTree(spatial.cKDTree):
+        def query(self, x, k=1, **kwargs):
+            if k > k_first:
+                wide_rows.append(len(x))
+            return super().query(x, k=k, **kwargs)
+
+    k_first = k + aff._PROJ_EXTRA
+    monkeypatch.setattr(spatial, "cKDTree", SpyTree)
+    return wide_rows
+
+
 def test_projected_search_resolves_most_rows_and_refines_the_rest(monkeypatch):
     # rows whose k + _PROJ_EXTRA projected candidates hold every point
     # within their radius are ranked directly; a duplicate group larger
-    # than that cannot be, and its rows query their projected balls
-    from scipy import spatial
-
-    ball_rows = []
-
-    class SpyTree(spatial.cKDTree):
-        def query_ball_point(self, x, r, **kwargs):
-            if kwargs.get("return_length"):
-                ball_rows.append(len(x))
-            return super().query_ball_point(x, r, **kwargs)
-
-    monkeypatch.setattr(spatial, "cKDTree", SpyTree)
-    monkeypatch.setattr(aff, "_REFINE_BLOCK", 128)
+    # than that cannot be, and its rows query again at a wider width
     k, n = 4, 400
+    wide_rows = _spy_wide_queries(monkeypatch, k)
+    monkeypatch.setattr(aff, "_REFINE_BLOCK", 128)
     dup = k + aff._PROJ_EXTRA + 5
     X = _clusters_with_duplicate_group(np.random.default_rng(43), n, dup)
     idx, dist = aff._knn_projected(X, k)
-    assert dup <= sum(ball_rows) < n // 2
+    assert dup <= sum(wide_rows) < n // 2
     idx_o, dist_o = brute_force_knn(X, k)
     assert np.array_equal(idx, idx_o)
     assert np.abs(dist - dist_o).max() <= 1e-10
+
+
+def test_projected_search_widening_to_all_points_ends(monkeypatch):
+    # identical points are never resolved by the projected test: the width
+    # doubles until the query holds all n points, which settles every row
+    k, n = 4, 50
+    wide_rows = _spy_wide_queries(monkeypatch, k)
+    X = np.ones((n, 3))
+    idx, dist = aff._knn_projected(X, k)
+    assert wide_rows == [n] * 3
+    idx_o, dist_o = brute_force_knn(X, k)
+    assert np.array_equal(idx, idx_o)
+    assert np.array_equal(dist, dist_o)
 
 
 def test_over_budget_rows_are_scanned_beside_resolved_rows(monkeypatch):
@@ -421,8 +441,8 @@ def test_over_budget_rows_are_scanned_beside_resolved_rows(monkeypatch):
 
 
 def test_isotropic_high_dim_search_falls_back_and_matches_scan(monkeypatch):
-    # eight projected directions bound 48 isotropic ones poorly: the balls
-    # would hold nearly all pairs, so blocks are scanned instead
+    # eight projected directions bound 48 isotropic ones poorly: widened
+    # queries would hold nearly all points, so the rows left are scanned
     scanned = []
     scan_block = aff._scan_block
 
