@@ -237,10 +237,12 @@ def nearest_candidates(X: np.ndarray, k: int):
     n = X.shape[0]
     if k + 1 > n - 1:
         raise AffinityError(f"need k+1={k + 1} candidates, have {n - 1}")
-    if n <= _SCAN_MAX_N:
-        idx, dist = _knn_scan(X, k)
-    else:
-        idx, dist = _knn_projected(X, k)
+    # an overflow shows as non-finite distances, which raise AffinityError
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n <= _SCAN_MAX_N:
+            idx, dist = _knn_scan(X, k)
+        else:
+            idx, dist = _knn_projected(X, k)
     if not np.isfinite(dist).all():
         raise AffinityError("candidate distances are not finite (feature overflow?)")
     return idx, dist

@@ -514,15 +514,16 @@ def test_sweep_cell_the_graph_cannot_honour_exits_1(tmp_path, dataset, capsys):
         "error: k must be <= n - 2 = 22 for the 24 target nodes, got k=23\n")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow it tests
 def test_train_numerical_failure_exits_2(tmp_path, dataset, capsys):
-    # finite features whose squared distances overflow
+    # finite features whose squared distances overflow: one stderr line,
+    # no numpy warning before it
     path = os.path.join(dataset, "features_item.tsv")
     np.savetxt(path, 1e200 * np.loadtxt(path, delimiter="\t"), fmt="%.17g", delimiter="\t")
     rc = cli.main(train_args(dataset, str(tmp_path / "run")))
     assert rc == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "not finite" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("dim", [4, 0], ids=["features_file", "no_features_file"])
