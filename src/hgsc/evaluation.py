@@ -100,10 +100,12 @@ def linear_probe(X: np.ndarray, labels: np.ndarray, train_idx: np.ndarray,
     absent = np.flatnonzero(np.bincount(tr_labels, minlength=c) == 0)
     if absent.size:
         raise EvalError(f"class {absent[0]} absent from training split")
-    mean = X[train_idx].mean(axis=0)
-    std = X[train_idx].std(axis=0)
+    Xtr = X[train_idx]
+    mean = Xtr.mean(axis=0)
+    std = Xtr.std(axis=0)
     std[std == 0.0] = 1.0
-    Xtr = (X[train_idx] - mean) / std
+    Xtr -= mean
+    Xtr /= std
     Xte = (X[test_idx] - mean) / std
     onehot = np.eye(c)[tr_labels][:, None, :]
     W = np.hstack([0.01 * np.random.default_rng(seed + r).standard_normal((X.shape[1], c))
