@@ -412,6 +412,16 @@ def test_projected_search_widening_to_all_points_ends(monkeypatch):
     assert np.array_equal(dist, dist_o)
 
 
+def test_projected_search_with_k_near_n_queries_all_points():
+    # k + _PROJ_EXTRA > n: the first query is capped at all n points
+    # (from nearest_candidates at n > _SCAN_MAX_N with k > n - 7)
+    X = np.random.default_rng(53).standard_normal((20, 3))
+    idx, dist = aff._knn_projected(X, 17)
+    idx_o, dist_o = brute_force_knn(X, 17)
+    assert np.array_equal(idx, idx_o)
+    assert np.array_equal(dist, dist_o)
+
+
 def test_over_budget_rows_are_scanned_beside_resolved_rows(monkeypatch):
     # with no refine budget the unresolved rows of a block are scanned;
     # the resolved rows of the same block keep their exact ranking
