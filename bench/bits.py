@@ -5,8 +5,9 @@ leaves the bits alone:
 
     python3 bench/bits.py --src path/to/tree/src
 
-The cases use the benchmark's configurations (perfbench/workloads.py):
-the criterion-9 planted fit, the criterion-10 config at 4k and 8k, reuse-8k,
+The cases use the benchmark's configurations, copied from
+perfbench/workloads.py so that the digests stay put when the benchmark
+changes: the criterion-9 planted fit, the criterion-10 config at 4k and 8k, reuse-8k,
 an ACM-shaped candidate search, and ``hgsc train`` plus ``hgsc eval`` on the
 eval-cli dataset. Digests are the first 16 hex digits of SHA-256. They hold
 for one machine and one BLAS thread count: the scan's product rounds
