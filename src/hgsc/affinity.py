@@ -104,10 +104,10 @@ def _rank_pairs(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, n_rows: in
     This is the one ranking rule of every search path: ascending distance,
     and an exact tie goes to the lower node index. It ranks the scan's
     pairs; the projected search ranks its candidate rows by the same rule
-    through ``lexsort``. ``rows`` holds positions
-    0..n_rows-1; within a row the pairs come with ascending ``cols``, so the
-    stable sort settles ties by index. A row with fewer than k1 pairs (or
-    none) raises AffinityError.
+    through ``lexsort``. ``rows`` holds positions 0..n_rows-1; within a row
+    the pairs come with ascending ``cols``, so the stable sort settles ties
+    by index. A row with fewer than k1 pairs (or none) raises
+    AffinityError.
     """
     counts = np.bincount(rows, minlength=n_rows)
     if (counts < k1).any():

@@ -370,6 +370,7 @@ def _spy_wide_queries(monkeypatch, k):
     # row counts of the tree queries wider than the first, k + _PROJ_EXTRA
     from scipy import spatial
 
+    k_first = k + aff._PROJ_EXTRA
     wide_rows = []
 
     class SpyTree(spatial.cKDTree):
@@ -378,7 +379,6 @@ def _spy_wide_queries(monkeypatch, k):
                 wide_rows.append(len(x))
             return super().query(x, k=k, **kwargs)
 
-    k_first = k + aff._PROJ_EXTRA
     monkeypatch.setattr(spatial, "cKDTree", SpyTree)
     return wide_rows
 
