@@ -20,8 +20,8 @@ import numpy as np
 from . import affinity as aff
 from .encoders import EncoderConfigError, RankDeficientError
 from .evaluation import EvalError, evaluate
-from .graph import (GraphFormatError, GraphValidationError, build_neighborhoods,
-                    field_type, load_graph, read_fields, save_graph, write_fields)
+from .graph import (GraphFormatError, build_neighborhoods, field_type, load_graph,
+                    read_fields, save_graph, write_fields)
 from .losses import write_log
 from .synth import SynthSpec, generate
 from .trainer import (NumericalDivergence, TrainConfig, fit, load_checkpoint,
@@ -380,8 +380,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphFormatError, GraphValidationError, EvalError, EncoderConfigError,
-            ValueError, OSError) as e:
+    except (GraphFormatError, EvalError, EncoderConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericalDivergence, RankDeficientError, aff.AffinityError,

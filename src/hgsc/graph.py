@@ -36,11 +36,8 @@ from scipy.sparse import csr_matrix, identity, issparse
 
 
 class GraphFormatError(Exception):
-    """A dataset file is missing or cannot be parsed."""
-
-
-class GraphValidationError(Exception):
-    """Parsed data violates a graph invariant."""
+    """A dataset file is missing, does not parse, or contradicts the graph's
+    invariants (``HeteroGraph.validate``)."""
 
 
 @dataclass
@@ -70,42 +67,42 @@ class HeteroGraph:
 
     def validate(self) -> None:
         if self.target_type not in self.node_types:
-            raise GraphValidationError(f"unknown target type {self.target_type!r}")
+            raise GraphFormatError(f"unknown target type {self.target_type!r}")
         for t in self.node_types:
             feats = self.features[t]
             if feats.shape[0] != self.counts[t]:
-                raise GraphValidationError(
+                raise GraphFormatError(
                     f"type {t!r}: {feats.shape[0]} feature rows for {self.counts[t]} nodes")
             if not np.all(np.isfinite(feats.data if issparse(feats) else feats)):
-                raise GraphValidationError(f"type {t!r}: non-finite feature values")
+                raise GraphFormatError(f"type {t!r}: non-finite feature values")
         for rel in self.relations:
             for side, t in (("src", rel.src_type), ("dst", rel.dst_type)):
                 if t not in self.counts:
-                    raise GraphValidationError(f"relation {rel.name!r}: unknown {side} type {t!r}")
+                    raise GraphFormatError(f"relation {rel.name!r}: unknown {side} type {t!r}")
             for col, side, t in ((0, "src", rel.src_type), (1, "dst", rel.dst_type)):
                 bad = (rel.edges[:, col] < 0) | (rel.edges[:, col] >= self.counts[t])
                 if bad.any():
                     e = rel.edges[np.argmax(bad)]
-                    raise GraphValidationError(
+                    raise GraphFormatError(
                         f"relation {rel.name!r}: edge ({e[0]}, {e[1]}) {side} index out of range")
             if rel.src_type == self.target_type and rel.dst_type == self.target_type:
                 loops = rel.edges[:, 0] == rel.edges[:, 1]
                 if loops.any():
                     i = int(rel.edges[np.argmax(loops), 0])
-                    raise GraphValidationError(
+                    raise GraphFormatError(
                         f"relation {rel.name!r}: self-loop on target node {i}")
         n = self.n_target
         if self.labels.shape != (n,):
-            raise GraphValidationError(
+            raise GraphFormatError(
                 f"expected one label per target node ({n}), got {self.labels.shape}")
         if self.labels.min() < 0:
-            raise GraphValidationError("negative class id in labels")
+            raise GraphFormatError("negative class id in labels")
         for name, idx in (("train", self.train_idx), ("test", self.test_idx)):
             if idx.size and (idx.min() < 0 or idx.max() >= n):
-                raise GraphValidationError(f"{name} split index out of range")
+                raise GraphFormatError(f"{name} split index out of range")
         overlap = np.intersect1d(self.train_idx, self.test_idx)
         if overlap.size:
-            raise GraphValidationError(f"train/test overlap at node {int(overlap[0])}")
+            raise GraphFormatError(f"train/test overlap at node {int(overlap[0])}")
 
 
 @dataclass
@@ -153,10 +150,10 @@ def _read_table(path: str, **kwargs) -> np.ndarray:
         raise GraphFormatError(f"malformed file {path}: {e}") from None
 
 
-def _read_pairs(path: str, dtype=np.int64) -> np.ndarray:
-    """The first two columns of a TSV table as an (m, 2) array; an empty
-    file gives shape (0, 2)."""
-    return _read_table(path, dtype=dtype, comments=None, usecols=(0, 1))
+def _read_pairs(path: str) -> np.ndarray:
+    """The first two columns of a TSV table as an (m, 2) int64 array; an
+    empty file gives shape (0, 2)."""
+    return _read_table(path, dtype=np.int64, comments=None, usecols=(0, 1))
 
 
 def _sorted_once(path: str, idx: np.ndarray, where: str) -> np.ndarray:
@@ -252,26 +249,22 @@ def load_graph(path: str) -> HeteroGraph:
     if bad.any():
         i = int(node[np.argmax(bad)])
         if i < 0 or i >= n:
-            raise GraphValidationError(f"{labels_path}: node index {i} out of range")
-        raise GraphValidationError(f"{labels_path}: negative class id for node {i}")
+            raise GraphFormatError(f"{labels_path}: node index {i} out of range")
+        raise GraphFormatError(f"{labels_path}: negative class id for node {i}")
     _sorted_once(labels_path, node, "")
     labels = np.full(n, -1, dtype=np.int64)
     labels[node] = cls
     if (labels < 0).any():
         missing = int(np.argmax(labels < 0))
-        raise GraphValidationError(f"{labels_path}: no label for target node {missing}")
+        raise GraphFormatError(f"{labels_path}: no label for target node {missing}")
 
     split_path = os.path.join(path, "split.tsv")
-    node, part = _read_pairs(split_path, dtype=str).T
+    part = _read_table(split_path, dtype=str, comments=None, usecols=(1,))[:, 0]
     unknown = (part != "train") & (part != "test")
     if unknown.any():
         raise GraphFormatError(
             f"{split_path}: unknown split {str(part[np.argmax(unknown)])!r}")
-    try:
-        # parsed from Python strings, so the error quotes 'x', not np.str_('x')
-        node = np.asarray(node.tolist(), dtype=np.int64)
-    except ValueError as e:
-        raise GraphFormatError(f"malformed file {split_path}: {e}") from None
+    node = _read_table(split_path, dtype=np.int64, comments=None, usecols=(0,))[:, 0]
 
     g = HeteroGraph(
         node_types=node_types,
@@ -285,8 +278,8 @@ def load_graph(path: str) -> HeteroGraph:
     )
     try:
         g.validate()
-    except GraphValidationError as e:
-        raise GraphValidationError(f"{path}: {e}") from None
+    except GraphFormatError as e:
+        raise GraphFormatError(f"{path}: {e}") from None
     return g
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hgsc.cli as cli
-from hgsc.graph import load_graph, write_fields
+from hgsc.graph import GraphFormatError, load_graph, write_fields
 from hgsc.synth import SynthSpec
 from hgsc.verify import VerificationResult
 
@@ -191,16 +191,58 @@ def test_prepare_seed_overrides_the_spec(tmp_path, dataset, synth_spec_file):
     ("labels.tsv", lambda text: text + "24\t0\n",
      "{bad}/labels.tsv: node index 24 out of range"),
     ("split.tsv", lambda text: text + "x\ttrain\n",
-     "malformed file {bad}/split.tsv: invalid literal for int() with base 10: 'x'"),
+     "malformed file {bad}/split.tsv: could not convert string 'x' to int64..."),
     ("labels.tsv", lambda text: text + "0\t2\n", "{bad}/labels.tsv: node 0 is listed twice"),
     # the prepared split.tsv lists the train nodes 3 and 8 first
     ("split.tsv", lambda text: text + "".join(text.splitlines(True)[:2]),
      "{bad}/split.tsv: node 3 is listed twice under 'train'"),
+    pytest.param("split.tsv", lambda text: text + "3\ttest\n",
+                 "{bad}: train/test overlap at node 3", id="split-overlap"),
+    pytest.param("split.tsv", lambda text: text + "99999999999999999999999\ttrain\n",
+                 "malformed file {bad}/split.tsv: could not convert string "
+                 "'99999999999999999999999' to int64...", id="split-id-beyond-int64"),
+    pytest.param("edges_rel0.tsv", lambda text: text + "0\t10\n",
+                 "{bad}: relation 'rel0': edge (0, 10) dst index out of range",
+                 id="edge-dst-out-of-range"),
+    pytest.param("edges_rel0.tsv", lambda text: text + "24\t0\n",
+                 "{bad}: relation 'rel0': edge (24, 0) src index out of range",
+                 id="edge-src-out-of-range"),
+    pytest.param("labels.tsv", lambda text: None, "missing file: {bad}/labels.tsv",
+                 id="labels-missing"),
+    pytest.param("labels.tsv", lambda text: "".join(text.splitlines(True)[:-1]),
+                 "{bad}/labels.tsv: no label for target node 23", id="label-missing"),
+    pytest.param("labels.tsv", lambda text: text.replace("\n1\t0\n", "\n1\t-1\n"),
+                 "{bad}/labels.tsv: negative class id for node 1", id="label-negative"),
+    pytest.param("edges_rel0.tsv", lambda text: "0\n",
+                 "malformed file {bad}/edges_rel0.tsv: ...", id="edges-one-column"),
+    pytest.param("labels.tsv", lambda text: "0\n",
+                 "malformed file {bad}/labels.tsv: ...", id="labels-one-column"),
+    pytest.param("split.tsv", lambda text: "0\n",
+                 "malformed file {bad}/split.tsv: ...", id="split-one-column"),
+    pytest.param("features_item.tsv", lambda text: text.splitlines(True)[0] + "0.5\n",
+                 "malformed file {bad}/features_item.tsv: ...", id="features-short-row"),
+    pytest.param("meta.tsv", lambda text: text.replace("ctx0\t10\t4", "ctx0\t10\t3"),
+                 "{bad}/features_ctx0.tsv: type 'ctx0' declares feature_dim 3 in meta.tsv, "
+                 "the file has 4 columns", id="features-width"),
+    pytest.param("features_ctx0.tsv", lambda text: None,
+                 "{bad}/meta.tsv, line 2: type 'ctx0' has no features file, so its "
+                 "feature_dim must be 0 or its count 10, got 4", id="featureless-width"),
+    pytest.param("meta.tsv", lambda text: text.replace("item\t24\t5", "item\t24"),
+                 "{bad}/meta.tsv, line 1: a node row has 4 fields, got 3", id="meta-node-3-field"),
+    pytest.param("meta.tsv", lambda text: text.replace("item\t24", "item\tx"),
+                 "{bad}/meta.tsv, line 1: invalid literal for int() with base 10: 'x'",
+                 id="meta-node-not-int"),
+    pytest.param("meta.tsv", lambda text: text.replace("target\titem", "target"),
+                 "{bad}/meta.tsv, line 6: a target row has 2 fields, got 1",
+                 id="meta-bare-target"),
 ])
 def test_load_graph_errors_exit_1_with_their_message(tmp_path, dataset, capsys,
                                                      name, edit, message):
     """``edit`` maps the file's text to its new text, or to None to delete
-    it; ``{bad}`` in ``message`` is the edited dataset's directory."""
+    it; ``{bad}`` in ``message`` is the edited dataset's directory. A
+    message ending in "..." is the start of the error, whose rest is
+    numpy's wording. ``load_graph`` raises the error that ``prepare``
+    prints."""
     bad = str(tmp_path / "bad")
     shutil.copytree(dataset, bad)
     path = os.path.join(bad, name)
@@ -213,8 +255,16 @@ def test_load_graph_errors_exit_1_with_their_message(tmp_path, dataset, capsys,
             fh.write(text)
     out = str(tmp_path / "out")
     assert cli.main(["prepare", "--source", bad, "--out", out]) == cli.EXIT_USAGE
-    assert capsys.readouterr().err == f"error: {message.format(bad=bad)}\n"
+    err = capsys.readouterr().err
     assert not os.path.exists(out)
+    with pytest.raises(GraphFormatError) as caught:
+        load_graph(bad)
+    assert err == f"error: {caught.value}\n" and err.count("\n") == 1
+    message = message.format(bad=bad)
+    if message.endswith("..."):
+        assert str(caught.value).startswith(message[:-3])
+    else:
+        assert str(caught.value) == message
 
 
 def test_train_writes_artifacts(tmp_path, dataset):
@@ -537,49 +587,6 @@ def test_relation_to_a_type_without_nodes_trains(tmp_path, dataset, dim):
     assert cli.main(train_args(dataset, out)) == 0
     assert cli.main(["eval", "--data", dataset, "--checkpoint",
                      os.path.join(out, "best.ckpt")]) == 0
-
-
-def test_train_one_column_edge_row_exits_1(tmp_path, dataset, capsys):
-    path = os.path.join(dataset, "edges_rel0.tsv")
-    with open(path, "w") as fh:
-        fh.write("0\n")
-    rc = cli.main(train_args(dataset, str(tmp_path / "run")))
-    assert rc == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith("error: ") and "edges_rel0.tsv" in err
-
-
-def test_train_short_features_row_exits_1(tmp_path, dataset, capsys):
-    path = os.path.join(dataset, "features_item.tsv")
-    with open(path) as fh:
-        first = fh.readline()
-    with open(path, "w") as fh:
-        fh.write(first + "0.5\n")
-    rc = cli.main(train_args(dataset, str(tmp_path / "run")))
-    assert rc == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith("error: malformed file ") and path in err
-
-
-@pytest.mark.parametrize("tag,bad", [
-    ("node", lambda row: row[:3]),
-    ("node", lambda row: [row[0], row[1], "x", row[3]]),
-    ("target", lambda row: row[:1]),
-], ids=["node-3-field", "node-not-int", "bare-target"])
-def test_bad_meta_row_exits_1(tmp_path, dataset, capsys, tag, bad):
-    path = os.path.join(dataset, "meta.tsv")
-    with open(path) as fh:
-        rows = [line.rstrip("\n").split("\t") for line in fh]
-    lineno = next(i for i, row in enumerate(rows, 1) if row[0] == tag)
-    rows[lineno - 1] = bad(rows[lineno - 1])
-    with open(path, "w") as fh:
-        fh.writelines("\t".join(row) + "\n" for row in rows)
-    rc = cli.main(train_args(dataset, str(tmp_path / "run")))
-    assert rc == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}, line {lineno}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("line", ["seed\t3\t4", "seed", "seed\tx"],
