@@ -232,7 +232,12 @@ def load_graph(path: str) -> HeteroGraph:
                 raise GraphFormatError(
                     f"{meta_path}, line {node_lines[t]}: type {t!r} has no features file, "
                     f"so its feature_dim must be 0 or its count {counts[t]}, got {dims[t]}")
-            feats = identity(counts[t], format="csr")
+            try:
+                feats = identity(counts[t], format="csr")
+            except (MemoryError, OverflowError, ValueError):
+                raise GraphFormatError(
+                    f"{meta_path}, line {node_lines[t]}: type {t!r} has no features file, "
+                    f"and one-hot features for its count {counts[t]} cannot be built") from None
         else:
             raise GraphFormatError(f"missing file: {fpath}")
         features[t] = feats
@@ -242,7 +247,9 @@ def load_graph(path: str) -> HeteroGraph:
         edges = _read_pairs(os.path.join(path, f"edges_{name}.tsv"))
         relations.append(Relation(name, src, dst, np.unique(edges, axis=0)))
 
-    n = counts[target_type]
+    # sized by the features file, not by meta.tsv: validate reports a count
+    # that disagrees with it, and a huge count allocates nothing here
+    n = features[target_type].shape[0]
     labels_path = os.path.join(path, "labels.tsv")
     node, cls = _read_pairs(labels_path).T
     bad = (node < 0) | (node >= n) | (cls < 0)

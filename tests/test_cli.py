@@ -235,6 +235,25 @@ def test_prepare_seed_overrides_the_spec(tmp_path, dataset, synth_spec_file):
     pytest.param("meta.tsv", lambda text: text.replace("target\titem", "target"),
                  "{bad}/meta.tsv, line 6: a target row has 2 fields, got 1",
                  id="meta-bare-target"),
+    # counts whose arrays cannot be allocated: the loader must not try
+    pytest.param("meta.tsv", lambda text: text.replace("item\t24", "item\t1000000000000"),
+                 "{bad}: type 'item': 24 feature rows for 1000000000000 nodes",
+                 id="target-count-1e12"),
+    pytest.param("meta.tsv", lambda text: text.replace("item\t24", "item\t20000000000000000000"),
+                 "{bad}: type 'item': 24 feature rows for 20000000000000000000 nodes",
+                 id="target-count-2e19"),
+    # ctx0 renamed ctxZ, which has no features file, so that its
+    # one-hot features are built from the count
+    pytest.param("meta.tsv", lambda text: text.replace("ctx0", "ctxZ").replace(
+                     "ctxZ\t10\t4", "ctxZ\t1000000000000\t0"),
+                 "{bad}/meta.tsv, line 2: type 'ctxZ' has no features file, and one-hot "
+                 "features for its count 1000000000000 cannot be built",
+                 id="featureless-count-1e12"),
+    pytest.param("meta.tsv", lambda text: text.replace("ctx0", "ctxZ").replace(
+                     "ctxZ\t10\t4", "ctxZ\t99999999999999999999999\t0"),
+                 "{bad}/meta.tsv, line 2: type 'ctxZ' has no features file, and one-hot "
+                 "features for its count 99999999999999999999999 cannot be built",
+                 id="featureless-count-1e23"),
 ])
 def test_load_graph_errors_exit_1_with_their_message(tmp_path, dataset, capsys,
                                                      name, edit, message):
