@@ -266,9 +266,10 @@ def silhouette(X: np.ndarray, assignment: np.ndarray):
     ``assignment`` is one (n,) clustering, scored as a float, or a
     (repeats, n) stack, scored as a (repeats,) array in the same pass.
     Exact distances (by subtraction) are taken ``_SILHOUETTE_BLOCK`` rows
-    at a time; each block's per-cluster distance sums come from products
-    with one 0/1 membership matrix that holds every repeat's clusters. Nodes
-    in a singleton cluster, and nodes with a = b = 0, score 0.
+    at a time, once for all repeats; each repeat's per-cluster distance
+    sums come from the block's product with that repeat's own 0/1
+    membership matrix. Nodes in a singleton cluster, and nodes with
+    a = b = 0, score 0.
     """
     # imported here: scipy.spatial costs ~14 MiB resident, about half of
     # it the scipy.linalg it pulls in, which importing hgsc and
@@ -279,31 +280,29 @@ def silhouette(X: np.ndarray, assignment: np.ndarray):
     stack = np.atleast_2d(assignment)
     repeats, n = stack.shape
     invs = [np.unique(row, return_inverse=True)[1] for row in stack]
-    counts = np.array([inv.max() + 1 for inv in invs])
-    if (counts < 2).any():
+    if min(inv.max() for inv in invs) < 1:
         raise EvalError("silhouette needs at least 2 clusters")
-    starts = np.cumsum(counts) - counts
-    col = np.stack(invs) + starts[:, None]  # each (repeat, node)'s membership column
-    member = np.zeros((n, counts.sum()))
-    member[np.arange(n), col] = 1.0
-    sizes = member.sum(axis=0)
-    n_own = sizes[col]
-    # a product's rounding depends on its width, so each repeat's sums come
-    # from its own columns: a repeat then scores exactly as a lone call does
-    parts = np.split(member, starts[1:], axis=1)
+    members = []
+    for inv in invs:
+        member = np.zeros((n, inv.max() + 1))
+        member[np.arange(n), inv] = 1.0
+        members.append(member)
+    sizes = [member.sum(axis=0) for member in members]
+    n_own = [size[inv] for size, inv in zip(sizes, invs)]
     scores = np.zeros((repeats, n))
     for lo in range(0, n, _SILHOUETTE_BLOCK):
         blk = slice(lo, lo + _SILHOUETTE_BLOCK)
         D = cdist(X[blk], X)
-        sums = np.hstack([D @ part for part in parts])
         rows = np.arange(len(D))
-        own = col[:, blk]
-        a = sums[rows, own] / np.maximum(n_own[:, blk] - 1.0, 1.0)
-        means = sums / sizes
-        means[rows, own] = np.inf
-        b = np.minimum.reduceat(means, starts, axis=1).T
-        m = np.maximum(a, b)
-        np.divide(b - a, m, out=scores[:, blk], where=(n_own[:, blk] > 1) & (m > 0.0))
+        for r in range(repeats):
+            sums = D @ members[r]
+            own = invs[r][blk]
+            a = sums[rows, own] / np.maximum(n_own[r][blk] - 1.0, 1.0)
+            means = sums / sizes[r]
+            means[rows, own] = np.inf
+            b = means.min(axis=1)
+            m = np.maximum(a, b)
+            np.divide(b - a, m, out=scores[r, blk], where=(n_own[r][blk] > 1) & (m > 0.0))
     return float(scores.mean()) if np.ndim(assignment) == 1 else scores.mean(axis=1)
 
 
