@@ -80,9 +80,11 @@ def test_orthogonal_layer_reference_matrix():
 
 
 def test_orthogonal_layer_duplicate_columns():
-    P = np.ones((5, 2))
-    with pytest.raises(RankDeficientError):
-        orthogonal_layer(P)
+    # duplicate columns, and fewer rows than columns
+    for P, message in ((np.ones((5, 2)), "rank deficient"),
+                       (np.ones((1, 2)), "need at least 2 rows, got 1")):
+        with pytest.raises(RankDeficientError, match=message):
+            orthogonal_layer(P)
 
 
 def test_orthogonal_layer_span_preserved():

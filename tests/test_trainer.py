@@ -412,7 +412,7 @@ def test_config_from_dict_accepts_an_int_in_a_float_field():
 
 def test_config_tsv_with_retired_key_loads(tmp_path):
     path = tmp_path / "cfg.tsv"
-    path.write_text("c\t2\nk\t4\nknn_method\tpruned\n")
+    path.write_text("# a comment line\nc\t2\n\nk\t4\nknn_method\tpruned\n")
     assert read_config(path) == TrainConfig(c=2, k=4)
     path.write_text("c\t2\nbogus\t1\n")
     with pytest.raises(ValueError):
