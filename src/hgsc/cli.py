@@ -212,8 +212,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.scale not in ("small", "full"):
-        raise UsageError(f"unknown scale {args.scale!r} (use small or full)")
     results = run_suite(scale=args.scale, seed=args.seed or 0)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -348,7 +346,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("verify", help="run the numerical verification suite")
-    sp.add_argument("--scale", default="small")
+    sp.add_argument("--scale", default="small", choices=("small", "full"))
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_verify)
