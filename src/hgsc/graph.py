@@ -12,16 +12,21 @@ On-disk dataset layout (all files UTF-8, tab-separated, LF endings,
     labels.tsv             target node index, integer class id
     split.tsv              target node index, "train" or "test"
 
-Edges, labels and split are read by their first two columns; later fields
-are ignored and an empty edges file is a relation without edges. A short or
-unparsable row, a features file not ``feature_dim`` wide, a negative node
-count or feature_dim, a second meta.tsv row for a node type, a relation or
-the target, a target type without a node row, or a node listed twice in
-labels.tsv or twice under one part of split.tsv raises ``GraphFormatError``
-naming the file. Non-target types may omit their features file if their
-feature_dim is 0 or their count; their features are then one-hot rows,
-held as a sparse identity matrix, and ``save_graph`` writes no features
-file for them (see ``load_graph``).
+Edges, labels and split are read by their first two columns, their node
+indices as int64 by one reader; later fields are ignored and an empty edges
+file is a relation without edges. Every rejected dataset raises
+``GraphFormatError``: a missing file, a short or unparsable row, a features
+file not ``feature_dim`` wide, a negative node count or feature_dim, a
+second meta.tsv row for a node type, a relation or the target, a target
+type without a node row, or a node listed twice in labels.tsv or twice
+under one part of split.tsv names the file; a broken invariant of
+``HeteroGraph.validate`` names the directory. The target's count must equal
+its features file's rows; the label array is sized by the file, so a huge
+count is reported, not allocated. Non-target types may omit their features
+file if their feature_dim is 0 or their count; their features are then
+one-hot rows, held as a sparse identity matrix (a count too large for one
+is an error naming meta.tsv and the line), and ``save_graph`` writes no
+features file for them (see ``load_graph``).
 """
 
 from __future__ import annotations
@@ -174,9 +179,11 @@ def load_graph(path: str) -> HeteroGraph:
     """Load and validate a dataset directory.
 
     A non-target node type without a features file gets one-hot features:
-    the identity matrix over its nodes, as a scipy CSR matrix. Every error
-    names the file it was found in; an error of ``HeteroGraph.validate``
-    names ``path``.
+    the identity matrix over its nodes, as a scipy CSR matrix. Every
+    rejection is a ``GraphFormatError`` that names the file it was found in;
+    an error of ``HeteroGraph.validate`` names ``path``. Nothing is sized by
+    the target's meta.tsv count before ``validate`` has compared it with the
+    features file.
     """
     meta_path = os.path.join(path, "meta.tsv")
     node_types: list[str] = []
