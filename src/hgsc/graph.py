@@ -181,9 +181,7 @@ def load_graph(path: str) -> HeteroGraph:
     A non-target node type without a features file gets one-hot features:
     the identity matrix over its nodes, as a scipy CSR matrix. Every
     rejection is a ``GraphFormatError`` that names the file it was found in;
-    an error of ``HeteroGraph.validate`` names ``path``. Nothing is sized by
-    the target's meta.tsv count before ``validate`` has compared it with the
-    features file.
+    an error of ``HeteroGraph.validate`` names ``path``.
     """
     meta_path = os.path.join(path, "meta.tsv")
     node_types: list[str] = []
