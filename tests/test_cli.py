@@ -215,12 +215,16 @@ def test_prepare_seed_overrides_the_spec(tmp_path, dataset, synth_spec_file):
                  "{bad}/labels.tsv: negative class id for node 1", id="label-negative"),
     pytest.param("edges_rel0.tsv", lambda text: "0\n",
                  "malformed file {bad}/edges_rel0.tsv: ...", id="edges-one-column"),
+    pytest.param("edges_rel1.tsv", lambda text: text.splitlines(True)[0] + "0\n",
+                 "malformed file {bad}/edges_rel1.tsv: ...", id="edges-rel1-short-row"),
     pytest.param("labels.tsv", lambda text: "0\n",
                  "malformed file {bad}/labels.tsv: ...", id="labels-one-column"),
     pytest.param("split.tsv", lambda text: "0\n",
                  "malformed file {bad}/split.tsv: ...", id="split-one-column"),
     pytest.param("features_item.tsv", lambda text: text.splitlines(True)[0] + "0.5\n",
                  "malformed file {bad}/features_item.tsv: ...", id="features-short-row"),
+    pytest.param("features_ctx0.tsv", lambda text: text.splitlines(True)[0] + "0\n",
+                 "malformed file {bad}/features_ctx0.tsv: ...", id="features-ctx0-short-row"),
     pytest.param("meta.tsv", lambda text: text.replace("ctx0\t10\t4", "ctx0\t10\t3"),
                  "{bad}/features_ctx0.tsv: type 'ctx0' declares feature_dim 3 in meta.tsv, "
                  "the file has 4 columns", id="features-width"),
