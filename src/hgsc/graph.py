@@ -1,4 +1,4 @@
-"""Typed heterogeneous graphs: loading, validation, saving, neighborhoods.
+"""Typed heterogeneous graphs: loading, saving, neighborhoods.
 
 On-disk dataset layout (all files UTF-8, tab-separated, LF endings,
 0-based indices):
@@ -14,19 +14,21 @@ On-disk dataset layout (all files UTF-8, tab-separated, LF endings,
 
 Edges, labels and split are read by their first two columns, their node
 indices as int64 by one reader; later fields are ignored and an empty edges
-file is a relation without edges. Every rejected dataset raises
-``GraphFormatError``: a missing file, a short or unparsable row, a features
-file not ``feature_dim`` wide, a negative node count or feature_dim, a
-second meta.tsv row for a node type, a relation or the target, a target
-type without a node row, or a node listed twice in labels.tsv or twice
-under one part of split.tsv names the file; a broken invariant of
-``HeteroGraph.validate`` names the directory. The target's count must equal
-its features file's rows; the label array is sized by the file, so a huge
-count is reported, not allocated. Non-target types may omit their features
-file if their feature_dim is 0 or their count; their features are then
-one-hot rows, held as a sparse identity matrix (a count too large for one
-is an error naming meta.tsv and the line), and ``save_graph`` writes no
-features file for them (see ``load_graph``).
+file is a relation without edges. Each invariant is checked once, right
+after the file that holds it is read, and every rejection raises
+``GraphFormatError`` naming that file (and, for a meta.tsv row, its line):
+a missing file, a short or unparsable row, a malformed, repeated or
+undeclared meta.tsv row or type, a features file of the wrong width, row
+count or with a non-finite value, an index outside its type's count, a
+self-loop on a target→target relation, a missing or negative label, or a
+node listed twice in labels.tsv, or twice under one part of split.tsv or
+under both. A features file must have as many rows as its type's count;
+that is checked before anything is sized by the count, so a huge count is
+reported, not allocated. Non-target types may omit their features file if
+their feature_dim is 0 or their count; their features are then one-hot
+rows, held as a sparse identity matrix (a count too large for one is an
+error naming meta.tsv and the line), and ``save_graph`` writes no features
+file for them (see ``load_graph``).
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from scipy.sparse import csr_matrix, identity, issparse
 
 
 class GraphFormatError(Exception):
-    """A dataset file is missing, does not parse, or contradicts the graph's
-    invariants (``HeteroGraph.validate``)."""
+    """A dataset file is missing, does not parse, or breaks an invariant of
+    the graph; the message names the file."""
 
 
 @dataclass
@@ -69,45 +71,6 @@ class HeteroGraph:
     @property
     def n_target(self) -> int:
         return self.counts[self.target_type]
-
-    def validate(self) -> None:
-        if self.target_type not in self.node_types:
-            raise GraphFormatError(f"unknown target type {self.target_type!r}")
-        for t in self.node_types:
-            feats = self.features[t]
-            if feats.shape[0] != self.counts[t]:
-                raise GraphFormatError(
-                    f"type {t!r}: {feats.shape[0]} feature rows for {self.counts[t]} nodes")
-            if not np.all(np.isfinite(feats.data if issparse(feats) else feats)):
-                raise GraphFormatError(f"type {t!r}: non-finite feature values")
-        for rel in self.relations:
-            for side, t in (("src", rel.src_type), ("dst", rel.dst_type)):
-                if t not in self.counts:
-                    raise GraphFormatError(f"relation {rel.name!r}: unknown {side} type {t!r}")
-            for col, side, t in ((0, "src", rel.src_type), (1, "dst", rel.dst_type)):
-                bad = (rel.edges[:, col] < 0) | (rel.edges[:, col] >= self.counts[t])
-                if bad.any():
-                    e = rel.edges[np.argmax(bad)]
-                    raise GraphFormatError(
-                        f"relation {rel.name!r}: edge ({e[0]}, {e[1]}) {side} index out of range")
-            if rel.src_type == self.target_type and rel.dst_type == self.target_type:
-                loops = rel.edges[:, 0] == rel.edges[:, 1]
-                if loops.any():
-                    i = int(rel.edges[np.argmax(loops), 0])
-                    raise GraphFormatError(
-                        f"relation {rel.name!r}: self-loop on target node {i}")
-        n = self.n_target
-        if self.labels.shape != (n,):
-            raise GraphFormatError(
-                f"expected one label per target node ({n}), got {self.labels.shape}")
-        if self.labels.min() < 0:
-            raise GraphFormatError("negative class id in labels")
-        for name, idx in (("train", self.train_idx), ("test", self.test_idx)):
-            if idx.size and (idx.min() < 0 or idx.max() >= n):
-                raise GraphFormatError(f"{name} split index out of range")
-        overlap = np.intersect1d(self.train_idx, self.test_idx)
-        if overlap.size:
-            raise GraphFormatError(f"train/test overlap at node {int(overlap[0])}")
 
 
 @dataclass
@@ -161,10 +124,13 @@ def _read_pairs(path: str) -> np.ndarray:
     return _read_table(path, dtype=np.int64, comments=None, usecols=(0, 1))
 
 
-def _sorted_once(path: str, idx: np.ndarray, where: str) -> np.ndarray:
-    """``idx`` sorted; a node listed twice raises GraphFormatError naming
-    ``path`` and the node."""
+def _sorted_once(path: str, idx: np.ndarray, n: int, where: str) -> np.ndarray:
+    """``idx`` sorted; a node outside [0, n) or listed twice raises
+    GraphFormatError naming ``path`` and the node."""
     idx = np.sort(idx)
+    if idx.size and (idx[0] < 0 or idx[-1] >= n):
+        raise GraphFormatError(
+            f"{path}: node index {int(idx[0] if idx[0] < 0 else idx[-1])} out of range")
     twice = idx[1:][idx[1:] == idx[:-1]]
     if twice.size:
         raise GraphFormatError(f"{path}: node {int(twice[0])} is listed twice{where}")
@@ -176,19 +142,19 @@ _META_WIDTH = {"node": 4, "edge": 4, "target": 2}
 
 
 def load_graph(path: str) -> HeteroGraph:
-    """Load and validate a dataset directory.
+    """Load a dataset directory, checking each file as it is read.
 
     A non-target node type without a features file gets one-hot features:
     the identity matrix over its nodes, as a scipy CSR matrix. Every
-    rejection is a ``GraphFormatError`` that names the file it was found in;
-    an error of ``HeteroGraph.validate`` names ``path``.
+    rejection is a ``GraphFormatError`` that names the file it was found in
+    (for a relation's endpoint type, meta.tsv and the relation's line).
     """
     meta_path = os.path.join(path, "meta.tsv")
     node_types: list[str] = []
     counts: dict[str, int] = {}
     dims: dict[str, int] = {}
     node_lines: dict[str, int] = {}
-    rel_decls: list[tuple[str, str, str]] = []
+    rel_decls: list[tuple[int, str, str, str]] = []
     target_type = None
     declared = set()
     for lineno, row in _read_rows(meta_path):
@@ -211,7 +177,7 @@ def load_graph(path: str) -> HeteroGraph:
                                      f"got {count} and {dim}")
                 node_types.append(name)
             elif tag == "edge":
-                rel_decls.append(tuple(row[1:]))
+                rel_decls.append((lineno, *row[1:]))
             else:
                 target_type = row[1]
         except ValueError as e:
@@ -232,6 +198,12 @@ def load_graph(path: str) -> HeteroGraph:
                 raise GraphFormatError(
                     f"{fpath}: type {t!r} declares feature_dim {dims[t]} in meta.tsv, "
                     f"the file has {feats.shape[1]} columns")
+            if feats.shape[0] != counts[t]:
+                raise GraphFormatError(
+                    f"{fpath}: type {t!r} declares {counts[t]} nodes in meta.tsv, "
+                    f"the file has {feats.shape[0]} rows")
+            if not np.isfinite(feats).all():
+                raise GraphFormatError(f"{fpath}: non-finite feature values")
         elif t != target_type:
             if dims[t] not in (0, counts[t]):
                 raise GraphFormatError(
@@ -248,22 +220,34 @@ def load_graph(path: str) -> HeteroGraph:
         features[t] = feats
 
     relations = []
-    for name, src, dst in rel_decls:
-        edges = _read_pairs(os.path.join(path, f"edges_{name}.tsv"))
-        relations.append(Relation(name, src, dst, np.unique(edges, axis=0)))
+    for lineno, name, src, dst in rel_decls:
+        for side, t in (("src", src), ("dst", dst)):
+            if t not in counts:
+                raise GraphFormatError(
+                    f"{meta_path}, line {lineno}: relation {name!r}: unknown {side} type {t!r}")
+        epath = os.path.join(path, f"edges_{name}.tsv")
+        edges = np.unique(_read_pairs(epath), axis=0)
+        for col, side, t in ((0, "src", src), (1, "dst", dst)):
+            bad = (edges[:, col] < 0) | (edges[:, col] >= counts[t])
+            if bad.any():
+                e = edges[np.argmax(bad)]
+                raise GraphFormatError(f"{epath}: edge ({e[0]}, {e[1]}) {side} index out of range")
+        if src == dst == target_type:
+            loops = edges[:, 0] == edges[:, 1]
+            if loops.any():
+                raise GraphFormatError(
+                    f"{epath}: self-loop on target node {int(edges[np.argmax(loops), 0])}")
+        relations.append(Relation(name, src, dst, edges))
 
-    # sized by the features file, not by meta.tsv: validate reports a count
-    # that disagrees with it, and a huge count allocates nothing here
-    n = features[target_type].shape[0]
+    # the target's count equals its features file's rows, checked above, so
+    # a huge count has been reported before anything is sized by it
+    n = counts[target_type]
     labels_path = os.path.join(path, "labels.tsv")
     node, cls = _read_pairs(labels_path).T
-    bad = (node < 0) | (node >= n) | (cls < 0)
-    if bad.any():
-        i = int(node[np.argmax(bad)])
-        if i < 0 or i >= n:
-            raise GraphFormatError(f"{labels_path}: node index {i} out of range")
-        raise GraphFormatError(f"{labels_path}: negative class id for node {i}")
-    _sorted_once(labels_path, node, "")
+    _sorted_once(labels_path, node, n, "")
+    if (cls < 0).any():
+        raise GraphFormatError(
+            f"{labels_path}: negative class id for node {int(node[np.argmax(cls < 0)])}")
     labels = np.full(n, -1, dtype=np.int64)
     labels[node] = cls
     if (labels < 0).any():
@@ -277,22 +261,23 @@ def load_graph(path: str) -> HeteroGraph:
         raise GraphFormatError(
             f"{split_path}: unknown split {str(part[np.argmax(unknown)])!r}")
     node = _read_table(split_path, dtype=np.int64, comments=None, usecols=(0,))[:, 0]
+    train_idx = _sorted_once(split_path, node[part == "train"], n, " under 'train'")
+    test_idx = _sorted_once(split_path, node[part == "test"], n, " under 'test'")
+    both = np.intersect1d(train_idx, test_idx, assume_unique=True)
+    if both.size:
+        raise GraphFormatError(
+            f"{split_path}: node {int(both[0])} is listed under 'train' and 'test'")
 
-    g = HeteroGraph(
+    return HeteroGraph(
         node_types=node_types,
         counts=counts,
         features=features,
         relations=relations,
         target_type=target_type,
         labels=labels,
-        train_idx=_sorted_once(split_path, node[part == "train"], " under 'train'"),
-        test_idx=_sorted_once(split_path, node[part == "test"], " under 'test'"),
+        train_idx=train_idx,
+        test_idx=test_idx,
     )
-    try:
-        g.validate()
-    except GraphFormatError as e:
-        raise GraphFormatError(f"{path}: {e}") from None
-    return g
 
 
 def save_graph(g: HeteroGraph, path: str) -> None:

@@ -102,7 +102,7 @@ def generate(spec: SynthSpec) -> HeteroGraph:
         train.append(perm[:cut])
     train = np.sort(np.concatenate(train))
 
-    g = HeteroGraph(
+    return HeteroGraph(
         node_types=node_types,
         counts=counts,
         features=features,
@@ -112,5 +112,3 @@ def generate(spec: SynthSpec) -> HeteroGraph:
         train_idx=train,
         test_idx=np.setdiff1d(np.arange(spec.n), train),
     )
-    g.validate()
-    return g

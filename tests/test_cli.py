@@ -158,19 +158,22 @@ def test_prepare_seed_overrides_the_spec(tmp_path, dataset, synth_spec_file):
 
 
 @pytest.mark.parametrize("name,edit,message", [
-    ("features_item.tsv", lambda text: "nan" + text[text.index("\t"):],
-     "{bad}: type 'item': non-finite feature values"),
-    ("features_ctx0.tsv", lambda text: text + text.splitlines(True)[0],
-     "{bad}: type 'ctx0': 11 feature rows for 10 nodes"),
+    pytest.param("features_item.tsv", lambda text: "nan" + text[text.index("\t"):],
+                 "{bad}/features_item.tsv: non-finite feature values", id="features-nan"),
+    pytest.param("features_ctx0.tsv", lambda text: text + text.splitlines(True)[0],
+                 "{bad}/features_ctx0.tsv: type 'ctx0' declares 10 nodes in meta.tsv, "
+                 "the file has 11 rows", id="features-ctx0-extra-row"),
     ("split.tsv", lambda text: text + "3\tvalid\n", "{bad}/split.tsv: unknown split 'valid'"),
-    ("split.tsv", lambda text: text + "24\ttest\n", "{bad}: test split index out of range"),
+    pytest.param("split.tsv", lambda text: text + "24\ttest\n",
+                 "{bad}/split.tsv: node index 24 out of range", id="split-id-out-of-range"),
     ("meta.tsv", lambda text: text.replace("target\titem\n", ""),
      "{bad}/meta.tsv: no target row"),
     ("meta.tsv", lambda text: text.replace("target\titem\n", "target\tpaper\n"),
      "{bad}/meta.tsv: target type 'paper' has no node row"),
-    ("meta.tsv", lambda text: text.replace("edge\trel0\titem\tctx0\n",
-                                           "edge\trel0\titem\tctxX\n"),
-     "{bad}: relation 'rel0': unknown dst type 'ctxX'"),
+    pytest.param("meta.tsv", lambda text: text.replace("edge\trel0\titem\tctx0\n",
+                                                       "edge\trel0\titem\tctxX\n"),
+                 "{bad}/meta.tsv, line 4: relation 'rel0': unknown dst type 'ctxX'",
+                 id="meta-edge-unknown-dst"),
     # the prepared meta.tsv has 6 rows, so an appended row is line 7
     ("meta.tsv", lambda text: text + "edge\trel0\titem\tctx1\n",
      "{bad}/meta.tsv, line 7: a second edge row for 'rel0'"),
@@ -184,8 +187,9 @@ def test_prepare_seed_overrides_the_spec(tmp_path, dataset, synth_spec_file):
      "{bad}/meta.tsv, line 2: a node row's count and feature_dim must be >= 0, got -3 and 4"),
     ("meta.tsv", lambda text: text.replace("node\tctx0\t10\t4", "node\tctx0\t10\t-4"),
      "{bad}/meta.tsv, line 2: a node row's count and feature_dim must be >= 0, got 10 and -4"),
-    ("meta.tsv", lambda text: text.replace("node\tctx0\t10\t4", "node\tctx0\t0\t4"),
-     "{bad}: type 'ctx0': 10 feature rows for 0 nodes"),
+    pytest.param("meta.tsv", lambda text: text.replace("node\tctx0\t10\t4", "node\tctx0\t0\t4"),
+                 "{bad}/features_ctx0.tsv: type 'ctx0' declares 0 nodes in meta.tsv, "
+                 "the file has 10 rows", id="meta-count-0"),
     ("meta.tsv", lambda text: None, "missing file: {bad}/meta.tsv"),
     ("features_item.tsv", lambda text: None, "missing file: {bad}/features_item.tsv"),
     ("labels.tsv", lambda text: text + "24\t0\n",
@@ -197,15 +201,16 @@ def test_prepare_seed_overrides_the_spec(tmp_path, dataset, synth_spec_file):
     ("split.tsv", lambda text: text + "".join(text.splitlines(True)[:2]),
      "{bad}/split.tsv: node 3 is listed twice under 'train'"),
     pytest.param("split.tsv", lambda text: text + "3\ttest\n",
-                 "{bad}: train/test overlap at node 3", id="split-overlap"),
+                 "{bad}/split.tsv: node 3 is listed under 'train' and 'test'",
+                 id="split-overlap"),
     pytest.param("split.tsv", lambda text: text + "99999999999999999999999\ttrain\n",
                  "malformed file {bad}/split.tsv: could not convert string "
                  "'99999999999999999999999' to int64...", id="split-id-beyond-int64"),
     pytest.param("edges_rel0.tsv", lambda text: text + "0\t10\n",
-                 "{bad}: relation 'rel0': edge (0, 10) dst index out of range",
+                 "{bad}/edges_rel0.tsv: edge (0, 10) dst index out of range",
                  id="edge-dst-out-of-range"),
     pytest.param("edges_rel0.tsv", lambda text: text + "24\t0\n",
-                 "{bad}: relation 'rel0': edge (24, 0) src index out of range",
+                 "{bad}/edges_rel0.tsv: edge (24, 0) src index out of range",
                  id="edge-src-out-of-range"),
     pytest.param("labels.tsv", lambda text: None, "missing file: {bad}/labels.tsv",
                  id="labels-missing"),
@@ -241,10 +246,12 @@ def test_prepare_seed_overrides_the_spec(tmp_path, dataset, synth_spec_file):
                  id="meta-bare-target"),
     # counts whose arrays cannot be allocated: the loader must not try
     pytest.param("meta.tsv", lambda text: text.replace("item\t24", "item\t1000000000000"),
-                 "{bad}: type 'item': 24 feature rows for 1000000000000 nodes",
+                 "{bad}/features_item.tsv: type 'item' declares 1000000000000 nodes in "
+                 "meta.tsv, the file has 24 rows",
                  id="target-count-1e12"),
     pytest.param("meta.tsv", lambda text: text.replace("item\t24", "item\t20000000000000000000"),
-                 "{bad}: type 'item': 24 feature rows for 20000000000000000000 nodes",
+                 "{bad}/features_item.tsv: type 'item' declares 20000000000000000000 nodes in "
+                 "meta.tsv, the file has 24 rows",
                  id="target-count-2e19"),
     # ctx0 renamed ctxZ, which has no features file, so that its
     # one-hot features are built from the count

@@ -538,7 +538,6 @@ def random_relation_graph(rng, d1):
                    Relation("ti", "tag", "item", ti)],
         target_type="item", labels=np.zeros(n, dtype=np.int64),
         train_idx=np.arange(0), test_idx=np.arange(0))
-    g.validate()
     return g, build_neighborhoods(g), lonely
 
 

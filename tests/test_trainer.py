@@ -93,7 +93,6 @@ def test_sparse_identity_features_fit_like_a_dense_identity(aux_count):
     for eye in (np.eye, lambda m: identity(m, format="csr")):
         g = generate(spec)
         g.features.update(ctx0=eye(aux_count), ctx1=eye(aux_count))
-        g.validate()
         params.append(fit(g, cfg).stack.params.tobytes())
     assert params[0] == params[1]
 
