@@ -17,12 +17,12 @@ indices as int64 by one reader; later fields are ignored and an empty edges
 file is a relation without edges. Each invariant is checked once, right
 after the file that holds it is read, and every rejection raises
 ``GraphFormatError`` naming that file (and, for a meta.tsv row, its line):
-a missing file, a short or unparsable row, a malformed, repeated or
-undeclared meta.tsv row or type, a features file of the wrong width, row
-count or with a non-finite value, an index outside its type's count, a
-self-loop on a target→target relation, a missing or negative label, or a
-node listed twice in labels.tsv, or twice under one part of split.tsv or
-under both. A features file must have as many rows as its type's count;
+a missing file, a byte that is not UTF-8, a short or unparsable row, a
+malformed, repeated or undeclared meta.tsv row or type, a features file of
+the wrong width, row count or with a non-finite value, an index outside
+its type's count, a self-loop on a target→target relation, a missing or
+negative label, or a node listed twice in labels.tsv, or twice under one
+part of split.tsv or under both. A features file must have as many rows as its type's count;
 that is checked before anything is sized by the count, so a huge count is
 reported, not allocated. Non-target types may omit their features file if
 their feature_dim is 0 or their count; their features are then one-hot
@@ -84,7 +84,6 @@ class RelationNeighborhood:
     """
 
     target_type: str
-    n: int
     entries: dict[str, tuple[str, csr_matrix]]
     cache: dict = field(default_factory=dict, repr=False)
 
@@ -94,11 +93,14 @@ def _read_rows(path: str) -> list[tuple[int, list[str]]]:
     if not os.path.isfile(path):
         raise GraphFormatError(f"missing file: {path}")
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if line:
-                rows.append((lineno, line.split("\t")))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if line:
+                    rows.append((lineno, line.split("\t")))
+    except UnicodeDecodeError as e:
+        raise GraphFormatError(f"malformed file {path}: {e}") from None
     return rows
 
 
@@ -317,19 +319,23 @@ def read_fields(path: str, fields: dict) -> dict:
     key in ``fields`` (a ``__dataclass_fields__``) has its value parsed by
     ``field_type``, any other keeps its text. Blank and '#' lines are
     skipped; a line without two fields or with an unparsable value raises
-    ValueError naming the file and line.
+    ValueError naming the file and line, a byte that is not UTF-8 one naming
+    the file.
     """
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                key, val = line.split("\t")
-                values[key] = field_type(fields[key])(val) if key in fields else val
-            except ValueError as e:
-                raise ValueError(f"{path}, line {lineno}: {e}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    key, val = line.split("\t")
+                    values[key] = field_type(fields[key])(val) if key in fields else val
+                except ValueError as e:
+                    raise ValueError(f"{path}, line {lineno}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
     return values
 
 
@@ -395,4 +401,4 @@ def build_neighborhoods(g: HeteroGraph) -> RelationNeighborhood:
         indptr = np.searchsorted(tgt, np.arange(n + 1))
         A = csr_matrix((np.ones(nbr.size), nbr, indptr), shape=(n, g.counts[nbr_type]))
         entries[rel.name] = (nbr_type, A)
-    return RelationNeighborhood(target_type=g.target_type, n=n, entries=entries)
+    return RelationNeighborhood(target_type=g.target_type, entries=entries)

@@ -48,7 +48,12 @@ class SynthSpec:
 
     @classmethod
     def from_tsv(cls, path: str) -> "SynthSpec":
-        return from_fields(cls, read_fields(path, cls.__dataclass_fields__), "generator")
+        """The spec in a ``key<TAB>value`` file; every rejection names ``path``."""
+        values = read_fields(path, cls.__dataclass_fields__)
+        try:
+            return from_fields(cls, values, "generator")
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 def _blocked_features(rng, count: int, dim: int, c: int,

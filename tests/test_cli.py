@@ -83,8 +83,16 @@ def test_prepare_rejects_invalid_spec_value(tmp_path, synth_spec_file, capsys, k
         fh.write(f"{key}\t{value}\n")
     out = str(tmp_path / "out")
     assert cli.main(["prepare", "--source", path, "--out", out]) == cli.EXIT_USAGE
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not os.path.exists(out)
+
+
+def test_prepare_spec_with_a_bom_names_the_spec(tmp_path, synth_spec_file, capsys):
+    path = tmp_path / "bom.tsv"
+    path.write_text("\ufeff" + Path(synth_spec_file).read_text(), encoding="utf-8")
+    out = str(tmp_path / "out")
+    assert cli.main(["prepare", "--source", str(path), "--out", out]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {path}: unknown generator key '\\ufeffn'\n"
 
 
 def test_prepare_missing_source(tmp_path):
@@ -160,12 +168,16 @@ def test_prepare_seed_overrides_the_spec(tmp_path, dataset, synth_spec_file):
 @pytest.mark.parametrize("name,edit,message", [
     pytest.param("features_item.tsv", lambda text: "nan" + text[text.index("\t"):],
                  "{bad}/features_item.tsv: non-finite feature values", id="features-nan"),
+    pytest.param("features_ctx0.tsv", lambda text: "inf" + text[text.index("\t"):],
+                 "{bad}/features_ctx0.tsv: non-finite feature values", id="features-ctx0-inf"),
     pytest.param("features_ctx0.tsv", lambda text: text + text.splitlines(True)[0],
                  "{bad}/features_ctx0.tsv: type 'ctx0' declares 10 nodes in meta.tsv, "
                  "the file has 11 rows", id="features-ctx0-extra-row"),
     ("split.tsv", lambda text: text + "3\tvalid\n", "{bad}/split.tsv: unknown split 'valid'"),
     pytest.param("split.tsv", lambda text: text + "24\ttest\n",
                  "{bad}/split.tsv: node index 24 out of range", id="split-id-out-of-range"),
+    pytest.param("split.tsv", lambda text: text + "-1\ttrain\n",
+                 "{bad}/split.tsv: node index -1 out of range", id="split-id-negative"),
     ("meta.tsv", lambda text: text.replace("target\titem\n", ""),
      "{bad}/meta.tsv: no target row"),
     ("meta.tsv", lambda text: text.replace("target\titem\n", "target\tpaper\n"),
@@ -174,6 +186,14 @@ def test_prepare_seed_overrides_the_spec(tmp_path, dataset, synth_spec_file):
                                                        "edge\trel0\titem\tctxX\n"),
                  "{bad}/meta.tsv, line 4: relation 'rel0': unknown dst type 'ctxX'",
                  id="meta-edge-unknown-dst"),
+    pytest.param("meta.tsv", lambda text: text.replace("edge\trel0\titem\tctx0\n",
+                                                       "edge\trel0\titemX\tctx0\n"),
+                 "{bad}/meta.tsv, line 4: relation 'rel0': unknown src type 'itemX'",
+                 id="meta-edge-unknown-src"),
+    # "\udce9" is written as the byte 0xe9, which is not UTF-8
+    pytest.param("meta.tsv", lambda text: text + "# caf\udce9\n",
+                 "malformed file {bad}/meta.tsv: 'utf-8' codec can't decode byte 0xe9...",
+                 id="meta-not-utf8"),
     # the prepared meta.tsv has 6 rows, so an appended row is line 7
     ("meta.tsv", lambda text: text + "edge\trel0\titem\tctx1\n",
      "{bad}/meta.tsv, line 7: a second edge row for 'rel0'"),
@@ -281,7 +301,7 @@ def test_load_graph_errors_exit_1_with_their_message(tmp_path, dataset, capsys,
     if text is None:
         os.remove(path)
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(text)
     out = str(tmp_path / "out")
     assert cli.main(["prepare", "--source", bad, "--out", out]) == cli.EXIT_USAGE
@@ -619,19 +639,22 @@ def test_relation_to_a_type_without_nodes_trains(tmp_path, dataset, dim):
                      os.path.join(out, "best.ckpt")]) == 0
 
 
-@pytest.mark.parametrize("line", ["seed\t3\t4", "seed", "seed\tx"],
-                         ids=["3-field", "1-field", "not-int"])
+# "\udce9" is written as the byte 0xe9, which is not UTF-8; a decoding
+# error has no line number
+@pytest.mark.parametrize("line,where", [("seed\t3\t4", ", line 2"), ("seed", ", line 2"),
+                                        ("seed\tx", ", line 2"), ("# caf\udce9", "")],
+                         ids=["3-field", "1-field", "not-int", "not-utf8"])
 @pytest.mark.parametrize("command", ["train", "prepare"])
-def test_bad_key_value_line_exits_1(tmp_path, dataset, capsys, command, line):
+def test_bad_key_value_line_exits_1(tmp_path, dataset, capsys, command, line, where):
     path = tmp_path / "settings.tsv"
-    path.write_text(f"c\t2\n{line}\n")
+    path.write_text(f"c\t2\n{line}\n", encoding="utf-8", errors="surrogateescape")
     if command == "train":
         argv = train_args(dataset, str(tmp_path / "run"), ["--config", str(path)])
     else:
         argv = ["prepare", "--source", str(path), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}, line 2: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}{where}: ") and err.count("\n") == 1
 
 
 def test_every_config_field_round_trips_through_its_flag():

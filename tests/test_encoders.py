@@ -259,7 +259,7 @@ def test_hetero_encode_empty_neighborhood():
         A.eliminate_zeros()
         assert A.indptr[1] == 0
         entries[name] = (nbr_type, A)
-    nb = RelationNeighborhood(nb.target_type, nb.n, entries)
+    nb = RelationNeighborhood(nb.target_type, entries)
     stack = make_stack(g, nb)
     Zt, _ = hetero_encode(stack, g, nb)
     f0 = g.features[g.target_type][0] @ stack.f_theta[g.target_type].W \
@@ -277,9 +277,9 @@ def test_hetero_encode_single_neighbor_concat():
     name = next(iter(nb.entries))
     nbr_type, A = nb.entries[name]
     # node 0's only neighbor is node 1; every other node has none
-    indptr = np.r_[0, np.ones(nb.n, dtype=np.int64)]
+    indptr = np.r_[0, np.ones(g.n_target, dtype=np.int64)]
     A = csr_matrix(([1.0], [1], indptr), shape=A.shape)
-    nb = RelationNeighborhood(nb.target_type, nb.n, {name: (nbr_type, A)})
+    nb = RelationNeighborhood(nb.target_type, {name: (nbr_type, A)})
     stack = make_stack(g, nb)
     Zt, _ = hetero_encode(stack, g, nb)
     ft = stack.f_theta
@@ -295,7 +295,7 @@ def test_hetero_encode_identical_relations_average():
     names = sorted(nb.entries)
     # same neighbor structure and same neighbor type for both relations
     src = nb.entries[names[0]]
-    nb = RelationNeighborhood(nb.target_type, nb.n,
+    nb = RelationNeighborhood(nb.target_type,
                               {names[0]: src, names[1]: (src[0], src[1].copy())})
     stack = make_stack(g, nb)
     # identical combiner parameters make the relation terms equal
@@ -306,7 +306,7 @@ def test_hetero_encode_identical_relations_average():
     Zt, _ = hetero_encode(stack, g, nb)
     single = dict(nb.entries)
     del single[names[1]]
-    nb_single = RelationNeighborhood(nb.target_type, nb.n, single)
+    nb_single = RelationNeighborhood(nb.target_type, single)
     stack_single = make_stack(g, nb_single)
     for k, v in stack_single.named_params().items():
         v[...] = stack.named_params()[k]
@@ -328,7 +328,7 @@ def test_hetero_encode_missing_projection_is_config_error(tmp_path):
 
 def test_build_stack_needs_a_relation_on_the_target_type():
     g, nb = small_graph()
-    nb = RelationNeighborhood(nb.target_type, nb.n, {})
+    nb = RelationNeighborhood(nb.target_type, {})
     with pytest.raises(EncoderConfigError, match="no relations touch the target type"):
         build_stack(g, nb, TrainConfig(c=2))
 
@@ -450,7 +450,7 @@ def test_dense_layer_fd_gradient():
 def test_hetero_backward_fd():
     g, nb = small_graph(seed=3)
     stack = make_stack(g, nb, seed=3)
-    W_loss = np.random.default_rng(11).standard_normal((nb.n, stack.d1))
+    W_loss = np.random.default_rng(11).standard_normal((g.n_target, stack.d1))
 
     def loss_value():
         Zt, cache = hetero_encode(stack, g, nb)
@@ -489,7 +489,7 @@ def reference_encode(stack, g, nb):
 
     F_t = project(stack.target_type)
     rel = {}
-    total = np.zeros((nb.n, stack.d1))
+    total = np.zeros((g.n_target, stack.d1))
     for name in sorted(nb.entries):
         nbr_type, A = nb.entries[name]
         agg = A @ project(nbr_type)
@@ -552,7 +552,7 @@ def test_folded_encoder_matches_unfolded_formulas():
         stack = make_stack(g, nb, d1=d1, seed=trial)
         for p in stack.named_params().values():  # biases start at zero
             p += 0.3 * rng.standard_normal(p.shape)
-        grad_Zt = rng.standard_normal((nb.n, d1))
+        grad_Zt = rng.standard_normal((g.n_target, d1))
 
         Zt, cache = hetero_encode(stack, g, nb)
         stack.zero_grads()
