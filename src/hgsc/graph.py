@@ -22,13 +22,13 @@ malformed, repeated or undeclared meta.tsv row or type, a features file of
 the wrong width, row count or with a non-finite value, an index outside
 its type's count, a self-loop on a target→target relation, a missing or
 negative label, or a node listed twice in labels.tsv, or twice under one
-part of split.tsv or under both. A features file must have as many rows as its type's count;
-that is checked before anything is sized by the count, so a huge count is
-reported, not allocated. Non-target types may omit their features file if
-their feature_dim is 0 or their count; their features are then one-hot
-rows, held as a sparse identity matrix (a count too large for one is an
-error naming meta.tsv and the line), and ``save_graph`` writes no features
-file for them (see ``load_graph``).
+part of split.tsv or under both. A features file must have as many rows
+as its type's count; that is checked before anything is sized by the
+count, so a huge count is reported, not allocated. Non-target types may
+omit their features file if their feature_dim is 0 or their count; their
+features are then one-hot rows, held as a sparse identity matrix (a count
+too large for one is an error naming meta.tsv and the line), and
+``save_graph`` writes no features file for them (see ``load_graph``).
 """
 
 from __future__ import annotations
