@@ -8,12 +8,16 @@ for small inputs, and for large ones a filter-and-refine search (kd-tree
 over a principal-direction projection, whose distances bound the true
 ones from below) that returns the same neighbors. Most rows of that search
 are settled by one projected k-nearest query; the rest query again at
-double the width until they are settled. Every path ranks candidates by
-the rule stated in ``_rank_pairs``.
+double the width until they are settled. The projected search's row blocks
+run on a pool of one thread per available CPU; each block writes only its
+own rows, so the result does not depend on the pool's size. Every path
+ranks candidates by the rule stated in ``_rank_pairs``.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +32,7 @@ from scipy.sparse import csr_matrix, diags
 # costs more exact distances). The rows it leaves unresolved query again at
 # double the width; when a widened round would hold more than _REFINE_BUDGET
 # candidate coordinates the rows are scanned instead, which bounds the
-# refine step's memory where the projection prunes poorly (the budget is
+# refine step's work where the projection prunes poorly (the budget is
 # about the size of one scanned block at n = 8000).
 _SCAN_MAX_N = 1500
 _PROJ_RANK = 8
@@ -38,6 +42,12 @@ _REFINE_BUDGET = 1 << 23
 # A scan's steps after its product run over row blocks of about this many
 # bytes: the product is then its only full-size array.
 _SCAN_CHUNK_BYTES = 1 << 21
+# The projected search's exact distances run over row chunks of about this
+# many bytes through one reused buffer. On an 8k criterion-10 input, 2 cores,
+# the median kNN took 142 ms with one (rows, width, d) array per round, and
+# 122 / 102 / 98 / 99 / 114 ms with chunks of 64 KiB / 128 KiB / 256 KiB /
+# 512 KiB / 1 MiB.
+_REFINE_CHUNK_BYTES = 1 << 18
 
 
 class AffinityError(Exception):
@@ -164,6 +174,30 @@ def _knn_scan(X: np.ndarray, k: int):
     return _scan_block(X, sq, slice(0, X.shape[0]), k + 1)
 
 
+def _exact_distances(X: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Squared distances from each X[rows[i]] to X[cand[i]], as (rows, width).
+
+    They are computed by direct subtraction over row chunks of about
+    ``_REFINE_CHUNK_BYTES`` through one reused buffer. Each pair's d terms
+    are still one contiguous pairwise sum, so the result has the bits of
+    ``diff = X[cand]; diff -= X[rows, None, :]; diff *= diff;
+    diff.sum(axis=2)`` without its (rows, width, d) temporary.
+    """
+    b, width = cand.shape
+    step = max(1, _REFINE_CHUNK_BYTES // (8 * width * X.shape[1]))
+    buf = np.empty((min(step, b), width, X.shape[1]))
+    D0 = np.empty((b, width))
+    for s in range(0, b, step):
+        diff = buf[:min(step, b - s)]
+        # the caller maps cKDTree's pads into range, and mode "raise" would
+        # gather into a temporary copy of buf first
+        np.take(X, cand[s:s + step], axis=0, out=diff, mode="clip")
+        diff -= X[rows[s:s + step], None, :]
+        diff *= diff
+        diff.sum(axis=2, out=D0[s:s + step])
+    return D0
+
+
 def _knn_projected(X: np.ndarray, k: int):
     """Exact (k+1)-nearest candidates by projected filter-and-refine.
 
@@ -184,6 +218,11 @@ def _knn_projected(X: np.ndarray, k: int):
     settles every row. When a widened round would hold more than
     ``_REFINE_BUDGET`` candidate coordinates (high intrinsic dimension) the
     rows left are scanned instead.
+    The blocks of _REFINE_BLOCK rows run on a pool of one thread per CPU
+    this process may use (at most one per block), joined before the search
+    returns. Each block runs its own rounds and writes only its own rows of
+    the result; nothing is reduced across blocks, so the bits do not depend
+    on the pool's size or on scheduling.
     """
     # imported here: scipy.spatial costs ~14 MiB resident, about half of
     # it the scipy.linalg it pulls in, which small inputs never need
@@ -200,28 +239,42 @@ def _knn_projected(X: np.ndarray, k: int):
     norm_max = np.sqrt(sq.max())
     idx = np.empty((n, k + 1), dtype=np.int64)
     dist = np.empty((n, k + 1), dtype=np.float64)
-    for s in range(0, n, _REFINE_BLOCK):
-        rows = np.arange(s, min(n, s + _REFINE_BLOCK))
-        width = min(k + _PROJ_EXTRA, n)
-        while rows.size:
-            proj, cand = tree.query(Z[rows], k=width)
-            diff = X[cand]
-            diff -= X[rows, None, :]
-            diff *= diff
-            D0 = diff.sum(axis=2)
-            D0[cand == rows[:, None]] = np.inf
-            bound = np.sqrt(np.partition(D0, k, axis=1)[:, k])
-            # rounding in the projection grows with |x|
-            radius = bound + 1e-9 * (bound + norm_max)
-            done = (proj[:, -1] > radius) | (width == n)
-            cand, D0 = cand[done], D0[done]
-            order = np.lexsort((cand, D0), axis=1)[:, :k + 1]
-            idx[rows[done]] = np.take_along_axis(cand, order, axis=1)
-            dist[rows[done]] = np.take_along_axis(D0, order, axis=1)
-            rows, width = rows[~done], min(2 * width, n)
-            if rows.size * width * d > _REFINE_BUDGET:
-                idx[rows], dist[rows] = _scan_block(X, sq, rows, k + 1)
-                break
+    # a pool thread does not inherit the caller's errstate
+    errstate = np.geterr()
+
+    def refine(s):
+        with np.errstate(**errstate):
+            rows = np.arange(s, min(n, s + _REFINE_BLOCK))
+            width = min(k + _PROJ_EXTRA, n)
+            while rows.size:
+                proj, cand = tree.query(Z[rows], k=width)
+                # cKDTree pads a row with index n at distance inf when fewer
+                # than width of its projected distances are finite (they
+                # overflowed); a pad becomes the row itself, whose distance
+                # is set to inf below, so it is never ranked before a finite
+                # candidate (a row with fewer than k + 1 finite ones ranks an
+                # inf, which nearest_candidates rejects)
+                cand = np.where(cand == n, rows[:, None], cand)
+                D0 = _exact_distances(X, rows, cand)
+                D0[cand == rows[:, None]] = np.inf
+                bound = np.sqrt(np.partition(D0, k, axis=1)[:, k])
+                # rounding in the projection grows with |x|
+                radius = bound + 1e-9 * (bound + norm_max)
+                done = (proj[:, -1] > radius) | (width == n)
+                cand, D0 = cand[done], D0[done]
+                order = np.lexsort((cand, D0), axis=1)[:, :k + 1]
+                idx[rows[done]] = np.take_along_axis(cand, order, axis=1)
+                dist[rows[done]] = np.take_along_axis(D0, order, axis=1)
+                rows, width = rows[~done], min(2 * width, n)
+                if rows.size * width * d > _REFINE_BUDGET:
+                    idx[rows], dist[rows] = _scan_block(X, sq, rows, k + 1)
+                    break
+
+    starts = range(0, n, _REFINE_BLOCK)
+    # sched_getaffinity is Linux-only
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(min(cpus or 1, len(starts))) as pool:
+        list(pool.map(refine, starts))
     return idx, dist
 
 

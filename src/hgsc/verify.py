@@ -1,7 +1,8 @@
 """Executable numerical checks for the structural claims behind the model.
 
 Each check is deterministic given its seed and returns a measured
-discrepancy against a stated tolerance: the simplex QP oracle versus the
+discrepancy against a stated tolerance: a subtraction oracle versus the
+shipped nearest-neighbour search, the simplex QP oracle versus the
 closed-form affinity rows, zero-eigenvalue counting versus connected
 components, the trace form of the bottom-eigenvalue sum, the cut/trace
 identity over exhaustively enumerated partitions, and finite-difference
@@ -263,6 +264,58 @@ def check_qp_agreement(count: int, seed: int = 0) -> float:
     return worst
 
 
+def knn_oracle(X: np.ndarray, rows: np.ndarray, k: int):
+    """The k+1 nearest other rows of each X[rows[i]] by direct subtraction,
+    ties to the lower index: (idx, dist) of shape (rows, k+1)."""
+    idx = np.empty((rows.size, k + 1), dtype=np.int64)
+    dist = np.empty((rows.size, k + 1))
+    for r, i in enumerate(rows):
+        D = ((X - X[i]) ** 2).sum(axis=1)
+        D[i] = np.inf
+        idx[r] = np.argsort(D, kind="stable")[:k + 1]
+        dist[r] = D[idx[r]]
+    return idx, dist
+
+
+def _knn_cases(rng):
+    """One input per path of ``nearest_candidates``: the full scan, the
+    projected search over several row blocks (on clusters, duplicate rows
+    and coordinates quantized to 0.1, whose distances tie or nearly tie),
+    and its scan fallback (48 isotropic dimensions, which eight projected
+    ones bound too poorly)."""
+    n = aff._SCAN_MAX_N + 600
+    yield "scan", rng.standard_normal((600, 8))
+    centers = 6.0 * rng.standard_normal((4, 6))
+    yield "projected", centers[rng.integers(4, size=n)] + rng.standard_normal((n, 6))
+    base = rng.standard_normal((n // 8, 5))
+    yield "duplicates", base[rng.integers(base.shape[0], size=n)]
+    yield "quantized", np.round(rng.standard_normal((n, 5)), 1)
+    yield "scan_fallback", rng.standard_normal((2000, 48))
+
+
+def check_knn_exact(seed: int = 0, rows: int = 32, k: int = 8) -> tuple[float, str]:
+    """Sampled rows of ``nearest_candidates`` against ``knn_oracle``.
+
+    ``rows`` evenly spaced rows of each case are compared, so every row
+    block of the projected search is sampled. The discrepancy is inf when
+    any neighbour index differs, else the largest distance gap over the
+    case's largest squared norm: the scan forms |x|^2 + |y|^2 - 2 x.y, so
+    its distances differ from the oracle's by rounding. Returns it with the
+    case names.
+    """
+    worst, names = 0.0, []
+    for name, X in _knn_cases(np.random.default_rng(seed)):
+        sample = np.linspace(0, X.shape[0] - 1, rows).astype(np.int64)
+        idx, dist = aff.nearest_candidates(X, k)
+        idx_o, dist_o = knn_oracle(X, sample, k)
+        if not np.array_equal(idx[sample], idx_o):
+            return np.inf, name
+        scale = max(1.0, float(np.einsum("ij,ij->i", X, X).max()))
+        worst = max(worst, float(np.abs(dist[sample] - dist_o).max()) / scale)
+        names.append(name)
+    return worst, "/".join(names)
+
+
 def _random_affinity(rng, n: int, k: int) -> aff.AffinityMatrix:
     H = rng.standard_normal((n, int(rng.integers(2, 8))))
     return aff.build_affinity(H, k=k)
@@ -275,6 +328,10 @@ def run_suite(scale: str = "small", seed: int = 0) -> list[VerificationResult]:
     full = scale == "full"
     rng = np.random.default_rng(seed)
     results: list[VerificationResult] = []
+
+    disc, cases = check_knn_exact(seed)
+    results.append(VerificationResult(
+        "knn_exact", disc <= 1e-12, disc, 1e-12, f"rows=32,k=8,cases={cases}"))
 
     disc = check_qp_agreement(1000 if full else 200, seed)
     results.append(VerificationResult(

@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 import hgsc.affinity as aff
 from hgsc.affinity import (AffinityError, AffinityMatrix, affinity_rows, build_affinity,
                            laplacian, nearest_candidates, propagate)
-from hgsc.verify import component_count, qp_oracle
+from hgsc.verify import component_count, knn_oracle, qp_oracle
 
 
 def brute_force_knn(X, k):
@@ -468,6 +470,117 @@ def test_isotropic_high_dim_search_falls_back_and_matches_scan(monkeypatch):
     idx_s, dist_s = aff._knn_scan(X, 5)
     assert np.array_equal(idx, idx_s)
     assert np.abs(dist - dist_s).max() <= 1e-10
+
+
+@pytest.mark.parametrize("far", [1, aff._SCAN_MAX_N])
+def test_projected_search_ranks_past_cktree_pads(far):
+    # the pair (0, far)'s squared projected distance overflows inside
+    # cKDTree, so its queries of width n pad rows 0 and far with index n at
+    # distance inf; a pad is never gathered (were it gathered as row n - 1,
+    # row n - 1 = far would find itself at distance 0), and the rows rank
+    # their finite candidates
+    n = aff._SCAN_MAX_N + 1
+    X = np.zeros((n, 2))
+    X[:, 1] = np.arange(n) * 1e-3
+    X[0, 0], X[far, 0] = 8e153, -8e153
+    idx, dist = nearest_candidates(X, 3)
+    assert np.isfinite(dist).all()
+    pair = [0, far]
+    with np.errstate(over="ignore", invalid="ignore"):
+        idx_s, _ = aff._knn_scan(X, 3)
+        idx_o, dist_o = knn_oracle(X, np.arange(n), 3)
+    assert np.array_equal(idx[pair], idx_s[pair])
+    # elsewhere the scan's rounding breaks near-ties its own way
+    assert np.array_equal(idx, idx_o)
+    assert np.array_equal(dist, dist_o)
+
+
+def _projected_on_cpus(monkeypatch, X, k, cpus):
+    """``_knn_projected`` in a process that may use ``cpus`` CPUs: its
+    result and the sizes of the pools it started."""
+    sizes = []
+
+    class SpyPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(aff, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(aff.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    return aff._knn_projected(X, k), sizes
+
+
+@pytest.mark.parametrize("case", [*range(6), "widened", "over_budget"])
+def test_pool_size_keeps_the_bits(monkeypatch, case):
+    # five 64-row blocks, each on its own rounds: one thread or two give
+    # the same bits, on every search case, widened rounds and the scan
+    # that replaces an over-budget round
+    monkeypatch.setattr(aff, "_REFINE_BLOCK", 64)
+    rng = np.random.default_rng(71)
+    k, n = 4, 300
+    wide_rows = _spy_wide_queries(monkeypatch, k)
+    if case == "widened":
+        X = _clusters_with_duplicate_group(rng, n, 30)
+    elif case == "over_budget":
+        monkeypatch.setattr(aff, "_REFINE_BUDGET", 0)
+        X = _search_case(rng, 2, n, 3)
+    else:
+        X = _search_case(rng, case, n, 5)
+    (idx1, dist1), sizes1 = _projected_on_cpus(monkeypatch, X, k, 1)
+    (idx2, dist2), sizes2 = _projected_on_cpus(monkeypatch, X, k, 2)
+    assert (sizes1, sizes2) == ([1], [2])
+    if case == "widened":
+        assert wide_rows
+    assert np.array_equal(idx1, idx2)
+    assert np.array_equal(dist1, dist2)
+    idx_o, dist_o = knn_oracle(X, np.arange(n), k)
+    assert np.array_equal(idx2, idx_o)
+    assert np.abs(dist2 - dist_o).max() <= 1e-10
+
+
+@pytest.mark.parametrize("d", [20, 163])
+def test_exact_distances_keep_the_bits(d):
+    # chunked through one buffer, the distances equal those of one
+    # (rows, width, d) temporary bit for bit; d = 163 sums each pair in
+    # numpy's blocked pairwise order, and the row counts leave a last
+    # chunk that is only partly filled at widths 14 and 28
+    rng = np.random.default_rng(73)
+    n = 300
+    X = rng.standard_normal((n, d)) + 1e3
+    for width in (14, 28, n):
+        step = max(1, aff._REFINE_CHUNK_BYTES // (8 * width * d))
+        for b in (47, n):
+            rows = np.sort(rng.choice(n, b, replace=False))
+            cand = rng.integers(0, n, size=(b, width))
+            diff = X[cand]
+            diff -= X[rows, None, :]
+            diff *= diff
+            assert np.array_equal(aff._exact_distances(X, rows, cand), diff.sum(axis=2))
+            assert width == n or b % step
+    assert aff._REFINE_CHUNK_BYTES // (8 * n * 20) > 1
+
+
+def test_pool_threads_run_under_the_callers_errstate(monkeypatch):
+    # an overflow shows as inf distances, which nearest_candidates turns
+    # into AffinityError; a pool thread does not inherit the errstate
+    # under which it allows them, so each block sets it again
+    seen = []
+    exact = aff._exact_distances
+
+    def spy(X, rows, cand):
+        err = np.geterr()
+        seen.append((threading.current_thread() is threading.main_thread(),
+                     err["over"], err["invalid"]))
+        return exact(X, rows, cand)
+
+    monkeypatch.setattr(aff, "_exact_distances", spy)
+    monkeypatch.setattr(aff, "_REFINE_BLOCK", 512)
+    monkeypatch.setattr(aff.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    X = np.random.default_rng(79).standard_normal((aff._SCAN_MAX_N + 100, 4))
+    nearest_candidates(X, 5)
+    assert len(seen) >= 4
+    assert set(seen) == {(False, "ignore", "ignore")}
 
 
 def test_scan_matches_brute_force_with_ties():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import hgsc.affinity as aff
 import hgsc.verify as verify
+from hgsc import cli
 from hgsc.affinity import build_affinity, laplacian
 from hgsc.synth import SynthSpec, generate
 from hgsc.verify import (VerificationResult, check_qp_agreement, component_count,
@@ -330,6 +332,60 @@ def test_gradient_check_unknown_term():
         gradient_check("bogus", seed=0)
 
 
+# ---------------------------------------------------------------- knn check
+
+def test_knn_oracle_ranks_ties_by_index():
+    X = np.array([[0.0], [1.0], [-1.0], [1.0], [3.0]])
+    idx, dist = verify.knn_oracle(X, np.array([0, 4]), 2)
+    assert idx.tolist() == [[1, 2, 3], [1, 3, 0]]
+    assert dist.tolist() == [[1.0, 1.0, 1.0], [4.0, 4.0, 9.0]]
+
+
+def test_knn_cases_reach_every_search_path(monkeypatch):
+    # the scan, the projected search over several blocks, and its scan
+    # fallback, which only the high-dimensional case reaches
+    fallback = []
+    scan_block = aff._scan_block
+
+    def spy(X, sq, rows, k1):
+        if not isinstance(rows, slice):
+            fallback.append(X.shape)
+        return scan_block(X, sq, rows, k1)
+
+    monkeypatch.setattr(aff, "_scan_block", spy)
+    shapes = dict((name, X.shape) for name, X in verify._knn_cases(np.random.default_rng(0)))
+    assert list(shapes) == ["scan", "projected", "duplicates", "quantized", "scan_fallback"]
+    assert shapes.pop("scan")[0] <= aff._SCAN_MAX_N
+    assert all(n > max(aff._SCAN_MAX_N, aff._REFINE_BLOCK) for n, _ in shapes.values())
+    disc, cases = verify.check_knn_exact(0)
+    assert disc <= 1e-12
+    assert set(fallback) == {shapes["scan_fallback"]}
+
+
+@pytest.mark.parametrize("broken", range(5))
+def test_knn_exact_sees_a_swapped_neighbour(monkeypatch, capsys, broken):
+    # the search on one case swaps row 0's k-th and (k+1)-th neighbours
+    search = aff.nearest_candidates
+    calls = []
+
+    def swapped(X, k):
+        idx, dist = search(X, k)
+        if len(calls) == broken:
+            idx[0, [k - 1, k]] = idx[0, [k, k - 1]]
+        calls.append(X.shape)
+        return idx, dist
+
+    monkeypatch.setattr(aff, "nearest_candidates", swapped)
+    names = [name for name, _ in verify._knn_cases(np.random.default_rng(0))]
+    assert verify.check_knn_exact(0) == (np.inf, names[broken])
+    if broken == 0:
+        # the gradient checks are criterion 7's; stubbed, the suite is quick
+        monkeypatch.setattr(verify, "gradient_check", lambda term, seed: 0.0)
+        calls.clear()
+        assert cli.main(["verify", "--scale", "small"]) == cli.EXIT_VERIFY
+        assert "knn_exact\tFAIL\tinf" in capsys.readouterr().out
+
+
 # -------------------------------------------------------------------- suite
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -337,7 +393,7 @@ def test_run_suite_small_passes(tmp_path, seed):
     # seed 1 draws a disconnected block for component_eig_count
     results = run_suite(scale="small", seed=seed)
     names = [r.name for r in results]
-    assert names == ["qp_closed_form", "row_stochastic", "orthogonal_layer",
+    assert names == ["knn_exact", "qp_closed_form", "row_stochastic", "orthogonal_layer",
                      "component_eig_count", "kyfan", "ratiocut_trace",
                      "spectral_trace_identity", "laplacian_psd",
                      "gradient_full_stack"]
