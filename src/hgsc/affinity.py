@@ -44,9 +44,9 @@ _REFINE_BUDGET = 1 << 23
 _SCAN_CHUNK_BYTES = 1 << 21
 # The projected search's exact distances run over row chunks of about this
 # many bytes through one reused buffer. On an 8k criterion-10 input, 2 cores,
-# the median kNN took 142 ms with one (rows, width, d) array per round, and
-# 122 / 102 / 98 / 99 / 114 ms with chunks of 64 KiB / 128 KiB / 256 KiB /
-# 512 KiB / 1 MiB.
+# the median pooled kNN took 136-143 ms with one (rows, width, d) array per
+# round, and 122 / 102 / 98 / 99 / 114 ms with chunks of 64 KiB / 128 KiB /
+# 256 KiB / 512 KiB / 1 MiB.
 _REFINE_CHUNK_BYTES = 1 << 18
 
 

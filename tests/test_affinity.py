@@ -472,6 +472,16 @@ def test_isotropic_high_dim_search_falls_back_and_matches_scan(monkeypatch):
     assert np.abs(dist - dist_s).max() <= 1e-10
 
 
+def _overflowing_pair(far):
+    """A projected-search input whose pair (0, far) is too far apart for
+    its squared distance, exact or projected, to be finite."""
+    n = aff._SCAN_MAX_N + 1
+    X = np.zeros((n, 2))
+    X[:, 1] = np.arange(n) * 1e-3
+    X[0, 0], X[far, 0] = 8e153, -8e153
+    return X
+
+
 @pytest.mark.parametrize("far", [1, aff._SCAN_MAX_N])
 def test_projected_search_ranks_past_cktree_pads(far):
     # the pair (0, far)'s squared projected distance overflows inside
@@ -479,10 +489,8 @@ def test_projected_search_ranks_past_cktree_pads(far):
     # distance inf; a pad is never gathered (were it gathered as row n - 1,
     # row n - 1 = far would find itself at distance 0), and the rows rank
     # their finite candidates
-    n = aff._SCAN_MAX_N + 1
-    X = np.zeros((n, 2))
-    X[:, 1] = np.arange(n) * 1e-3
-    X[0, 0], X[far, 0] = 8e153, -8e153
+    X = _overflowing_pair(far)
+    n = X.shape[0]
     idx, dist = nearest_candidates(X, 3)
     assert np.isfinite(dist).all()
     pair = [0, far]
@@ -493,6 +501,14 @@ def test_projected_search_ranks_past_cktree_pads(far):
     # elsewhere the scan's rounding breaks near-ties its own way
     assert np.array_equal(idx, idx_o)
     assert np.array_equal(dist, dist_o)
+
+
+def test_projected_search_rejects_a_row_short_of_finite_candidates():
+    # at k = n - 2 rows 0 and 1 need all n - 1 other rows, one of them at
+    # an overflowed distance: a pad ranks at inf, which is rejected
+    X = _overflowing_pair(1)
+    with pytest.raises(AffinityError, match="feature overflow"):
+        nearest_candidates(X, X.shape[0] - 2)
 
 
 def _projected_on_cpus(monkeypatch, X, k, cpus):
